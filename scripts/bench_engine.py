@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Engine smoke benchmark: writes ``BENCH_engine.json``.
 
-Measures the three layers the fused-engine PR optimised, against the
-retained pre-optimisation reference pipeline:
+Measures the three layers of a profile run, against the retained
+per-scenario reference pipeline:
 
 - ``machine_run``: raw VM throughput (instr/s) of both execution
   backends — the ``Machine`` interpreter and the trace-compiling
@@ -12,13 +12,15 @@ retained pre-optimisation reference pipeline:
   hold two paper-scale traces in memory at once).  Each timing is the
   best of two runs, each in a fresh process, so one kernel's heap does
   not pollute the next measurement and scheduler noise is rejected;
-- ``fused_engine``: scenario throughput (scenarios/s) of
-  ``FusedDataflowEngine`` over the standard figure-3..8 scenario set;
+- ``streaming_engine``: scenario throughput (scenarios/s) of
+  ``StreamingDataflowEngine`` over the figure-3..8 scenario set
+  (``repro.exp.runner.profile_scenarios``), with a bit-identity check
+  against the per-scenario ``DataflowModel`` oracle;
 - ``collect_profiles``: wall-clock of a full 14-kernel profile
-  collection — the pre-PR per-scenario baseline
-  (``run_profile_reference``), a cold fused run (empty cache), and a
-  warm run (cache hit) — plus the cold/warm speed-ups and a
-  bit-identical check of the profiles.
+  collection — the per-scenario oracle pipeline
+  (``run_profile_reference``), a cold run (empty cache), and a warm
+  run (cache hit) — plus the cold/warm speed-ups and a bit-identical
+  check of the profiles.
 
 With ``--tracev3`` the script instead benchmarks the streaming trace
 pipeline and writes ``BENCH_tracev3.json``:
@@ -31,9 +33,10 @@ pipeline and writes ``BENCH_tracev3.json``:
 - per-kernel ``columns``: a per-column decode micro-benchmark —
   encoded size, share and decode wall time of every v3 section (the
   breakdown that located the tomcatv value-column decode anomaly);
-- ``engine``: ``StreamingDataflowEngine`` vs ``FusedDataflowEngine``
-  scenario throughput over the standard figure-3..8 scenario set at
-  ``--budget``, with a bit-identity check of every ``TimingResult``;
+- ``engine``: ``StreamingDataflowEngine`` scenario throughput over
+  the figure-3..8 scenario set at ``--budget``, draining a v3 file,
+  with a bit-identity check of every ``TimingResult`` against the
+  per-scenario ``DataflowModel`` oracle;
 - exits non-zero when bit-identity fails, when the v3-vs-v2
   compression ratio drops below the 4x floor on any kernel, or when
   the slowest kernel decodes more than 3x slower than the fastest
@@ -43,11 +46,18 @@ With ``--coldpath`` the script benchmarks the cold execute→analyze
 path end to end and writes ``BENCH_coldpath.json``: per kernel, pure
 execution wall time (fresh-process best-of-2), execute+encode wall
 time (the incremental v3 writer), and the tee'd cold run
-(execute+encode+analyze in one drain, cache entry persisted), plus a
-bit/byte-identity check of the tee'd path against write-then-reread
-at ``--verify-budget``.  Ratio gates keep it machine-independent:
-encode overhead (write/exec wall) must stay under 3x and every
-identity check must hold.
+(execute+encode+analyze in one drain, cache entry persisted), plus
+identity checks at ``--verify-budget``: a cold ``run_profile``
+through the tee must equal ``run_profile_reference``, and its cache
+entry must be byte-identical to a ``write_stream`` file of the same
+execution.  Ratio gates keep it machine-independent: encode overhead
+(write/exec wall) must stay under 3x and every identity check must
+hold.
+
+The committed ``BENCH_*.json`` files may still carry keys from
+engines and cold paths that no longer exist (``fused_engine``,
+``materialized_*``, ``streaming_overhead``); those numbers are
+historical and are replaced on the next regeneration.
 
 Usage::
 
@@ -64,9 +74,10 @@ measurements use a throwaway directory, so the run neither reads nor
 pollutes ``.repro-cache/``.
 
 The script exits non-zero when the fast backend fails bit-identity,
-when it is *slower* than the interpreter, or when the fused-engine
-profile collection regresses — so a CI hook-up fails loudly instead
-of silently shipping a slow or wrong backend.
+when it is *slower* than the interpreter, when the streaming engine
+disagrees with the oracle, or when profile collection regresses — so
+a CI hook-up fails loudly instead of silently shipping a slow or
+wrong backend.
 """
 
 from __future__ import annotations
@@ -83,28 +94,54 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.baselines.ilr import instruction_reusability  # noqa: E402
+from repro.baselines.ilr import (  # noqa: E402
+    ilr_reuse_plan,
+    instruction_reusability,
+)
+from repro.core.reuse_tlr import (  # noqa: E402
+    ConstantReuseLatency,
+    ProportionalReuseLatency,
+    tlr_reuse_plan,
+)
 from repro.core.traces import maximal_reusable_spans  # noqa: E402
-from repro.dataflow.model import FusedDataflowEngine, Scenario  # noqa: E402
+from repro.dataflow.model import DataflowModel, Scenario  # noqa: E402
+from repro.dataflow.streaming import StreamingDataflowEngine  # noqa: E402
 from repro.exp.config import ExperimentConfig  # noqa: E402
-from repro.exp.runner import run_profile_reference  # noqa: E402
+from repro.exp.runner import (  # noqa: E402
+    profile_scenarios,
+    run_profile,
+    run_profile_reference,
+)
 from repro.workloads.base import build_program, run_workload  # noqa: E402
 from repro.vm.fastmachine import FastMachine  # noqa: E402
 from repro.vm.machine import Machine  # noqa: E402
 from repro.vm.trace import trace_identical  # noqa: E402
+from repro.vm.tracestream import (  # noqa: E402
+    ExecutionChunkStream,
+    FileTraceStream,
+    write_stream,
+)
 
 
-def scenario_set(config: ExperimentConfig) -> list[Scenario]:
-    """The scenarios one ``run_profile`` call evaluates."""
-    win = config.window_size
-    scens = [Scenario("base", window_size=None), Scenario("base", window_size=win)]
-    for latency in config.reuse_latencies:
-        for window in (None, win):
-            scens.append(Scenario("ilr", window_size=window, latency=float(latency)))
-            scens.append(Scenario("tlr", window_size=window, latency=float(latency)))
-    for k in config.proportional_ks:
-        scens.append(Scenario("tlr", window_size=win, k=k))
-    return scens
+def oracle_results(trace, scenarios: list[Scenario]) -> list:
+    """Every scenario through its own ``DataflowModel.analyze`` scan
+    with a materialized reuse plan — the independent oracle the
+    streaming engine must match bit for bit."""
+    flags = instruction_reusability(trace).flags
+    spans = maximal_reusable_spans(trace, flags)
+    results = []
+    for sc in scenarios:
+        if sc.kind == "base":
+            plan = None
+        elif sc.kind == "ilr":
+            plan = ilr_reuse_plan(trace, flags, sc.latency)
+        else:
+            latency = (ProportionalReuseLatency(sc.k) if sc.k is not None
+                       else ConstantReuseLatency(sc.latency))
+            plan = tlr_reuse_plan(trace, spans, latency,
+                                  fetch_free=sc.fetch_free)
+        results.append(DataflowModel(sc.window_size).analyze(trace, plan))
+    return results
 
 
 _RUN_SNIPPET = """\
@@ -196,14 +233,11 @@ def bench_machine_run(budget: int, verify_budget: int) -> dict:
     }
 
 
-def bench_fused_engine(budget: int, config: ExperimentConfig) -> dict:
+def bench_streaming_engine(budget: int, config: ExperimentConfig) -> dict:
     trace = run_workload("compress", max_instructions=budget, use_cache=False)
-    reuse = instruction_reusability(trace)
-    spans = maximal_reusable_spans(trace, reuse.flags)
-    scens = scenario_set(config)
+    scens = profile_scenarios(config)
     start = time.perf_counter()
-    engine = FusedDataflowEngine(trace, flags=reuse.flags, spans=spans)
-    engine.analyze_all(scens)
+    results = StreamingDataflowEngine(trace).analyze_all(scens)
     elapsed = time.perf_counter() - start
     return {
         "kernel": "compress",
@@ -211,6 +245,7 @@ def bench_fused_engine(budget: int, config: ExperimentConfig) -> dict:
         "scenarios": len(scens),
         "seconds": round(elapsed, 4),
         "scenarios_per_sec": round(len(scens) / elapsed, 1),
+        "bit_identical": results == oracle_results(trace, scens),
     }
 
 
@@ -264,13 +299,7 @@ def bench_tracev3(trace_budget: int, engine_budget: int,
     """Streaming trace pipeline benchmark (``--tracev3``)."""
     import pickle
 
-    from repro.dataflow.streaming import StreamingDataflowEngine
     from repro.vm.trace import as_columnar
-    from repro.vm.tracestream import (
-        ExecutionChunkStream,
-        FileTraceStream,
-        write_stream,
-    )
     from repro.vm.tracev3 import trace_v3_info, write_v3
 
     tmp = pathlib.Path(tmpdir)
@@ -341,32 +370,21 @@ def bench_tracev3(trace_budget: int, engine_budget: int,
     reads = [per_kernel[k]["read_instr_per_sec"] for k in kernels]
     decode_balance = max(reads) / min(reads)
 
-    # streaming vs materialized engine throughput + bit-identity.
-    # Both timers start from a ready trace and end at the full
-    # scenario-set results: the streaming engine derives reusability
-    # flags and spans internally, so the materialized leg must pay
-    # for the same derivation inside its timer or the comparison
-    # charges that work to streaming only.
+    # streaming engine throughput (v3 decode included, as on a cache
+    # hit) + bit-identity against the per-scenario oracle
     trace = run_workload("compress", max_instructions=engine_budget,
                          use_cache=False)
-    scens = scenario_set(config)
-    start = time.perf_counter()
-    reuse = instruction_reusability(trace)
-    spans = maximal_reusable_spans(trace, reuse.flags)
-    fused = FusedDataflowEngine(trace, flags=reuse.flags, spans=spans)
-    mat_results = fused.analyze_all(scens)
-    mat_s = time.perf_counter() - start
-
+    scens = profile_scenarios(config)
+    expected = oracle_results(trace, scens)
     engine_path = tmp / "engine.trace"
     write_v3(trace, engine_path)
-    del trace, reuse, spans, fused
+    del trace
     gc.collect()
     start = time.perf_counter()
     streaming = StreamingDataflowEngine(FileTraceStream(engine_path))
     stream_results = streaming.analyze_all(scens)
     stream_s = time.perf_counter() - start
     engine_path.unlink()
-    bit_identical = mat_results == stream_results
 
     return {
         "kernels": list(kernels),
@@ -378,12 +396,9 @@ def bench_tracev3(trace_budget: int, engine_budget: int,
             "kernel": "compress",
             "instructions": engine_budget,
             "scenarios": len(scens),
-            "materialized_seconds": round(mat_s, 4),
             "streaming_seconds": round(stream_s, 4),
-            "materialized_scenarios_per_sec": round(len(scens) / mat_s, 1),
             "streaming_scenarios_per_sec": round(len(scens) / stream_s, 1),
-            "streaming_overhead": round(stream_s / mat_s, 2),
-            "bit_identical": bit_identical,
+            "bit_identical": stream_results == expected,
         },
     }
 
@@ -403,12 +418,15 @@ COLDPATH_SCENARIOS = [
 def bench_coldpath(trace_budget: int, verify_budget: int,
                    tmpdir: str) -> dict:
     """Cold execute→analyze benchmark (``--coldpath``)."""
-    from repro.dataflow.streaming import StreamingDataflowEngine
-    from repro.vm.tracestream import ExecutionChunkStream, write_stream
     from repro.workloads.base import stream_workload
 
     tmp = pathlib.Path(tmpdir)
     kernels = ("compress", "tomcatv", "go")
+    # the cold-path scenario families at the verify budget, through the
+    # whole profile pipeline (one latency, no proportional-K family)
+    verify_config = ExperimentConfig(
+        max_instructions=verify_budget, backend="fast",
+        reuse_latencies=(1,), proportional_ks=())
     per_kernel = {}
     all_identical = True
     max_encode_overhead = 0.0
@@ -432,38 +450,27 @@ def bench_coldpath(trace_budget: int, verify_budget: int,
         os.environ["REPRO_CACHE_DIR"] = str(tmp / "cold" / name)
         start = time.perf_counter()
         tee = stream_workload(name, max_instructions=trace_budget,
-                              backend="fast", direct=True)
+                              backend="fast")
         engine = StreamingDataflowEngine(tee)
         engine.analyze_all(COLDPATH_SCENARIOS)
         cold_s = time.perf_counter() - start
         persisted = bool(getattr(tee, "persisted", False))
 
-        # identity: tee'd == write-then-reread == materialized fused,
-        # and the two cache entries are the same bytes — at a budget
-        # small enough to hold the materialized trace
-        os.environ["REPRO_CACHE_DIR"] = str(tmp / "va" / name)
-        direct_res = StreamingDataflowEngine(
-            stream_workload(name, max_instructions=verify_budget,
-                            backend="fast", direct=True)
-        ).analyze_all(COLDPATH_SCENARIOS)
-        (entry_a,) = (tmp / "va" / name / "traces").glob("*.trace")
-        os.environ["REPRO_CACHE_DIR"] = str(tmp / "vb" / name)
-        legacy_res = StreamingDataflowEngine(
-            stream_workload(name, max_instructions=verify_budget,
-                            backend="fast", direct=False)
-        ).analyze_all(COLDPATH_SCENARIOS)
-        (entry_b,) = (tmp / "vb" / name / "traces").glob("*.trace")
-        trace = FastMachine(build_program(name)).run(
-            max_instructions=verify_budget)
-        reuse = instruction_reusability(trace)
-        spans = maximal_reusable_spans(trace, reuse.flags)
-        fused_res = FusedDataflowEngine(
-            trace, flags=reuse.flags, spans=spans,
-        ).analyze_all(COLDPATH_SCENARIOS)
-        del trace, reuse, spans
+        # identity: a cold profile through the tee == the per-scenario
+        # oracle, and the tee'd cache entry is the same bytes as a
+        # file written straight from an execution stream
+        os.environ["REPRO_CACHE_DIR"] = str(tmp / "verify" / name)
+        profile_ok = (run_profile(name, verify_config)
+                      == run_profile_reference(name, verify_config))
+        (entry,) = (tmp / "verify" / name / "traces").glob("*.trace")
+        written = tmp / f"{name}.verify.trace"
+        write_stream(ExecutionChunkStream(
+            lambda name=name: FastMachine(build_program(name)),
+            program_name=name, max_instructions=verify_budget,
+        ), written)
+        identical = profile_ok and entry.read_bytes() == written.read_bytes()
+        written.unlink()
         gc.collect()
-        identical = (direct_res == legacy_res == fused_res
-                     and entry_a.read_bytes() == entry_b.read_bytes())
         all_identical = all_identical and identical and persisted
 
         encode_overhead = write_s / exec_s
@@ -572,8 +579,8 @@ def main(argv: list[str] | None = None) -> int:
         cp = report["coldpath"]
         ok = True
         if not cp["bit_identical"]:
-            print("FAIL: the tee'd cold path is not bit/byte-identical "
-                  "to write-then-reread", file=sys.stderr)
+            print("FAIL: the tee'd cold path disagrees with the oracle "
+                  "profile or the written trace bytes", file=sys.stderr)
             ok = False
         if cp["max_encode_overhead_vs_exec"] > 3.0:
             print(f"FAIL: encoding overhead exceeds 3x pure execution "
@@ -599,7 +606,7 @@ def main(argv: list[str] | None = None) -> int:
         ok = True
         if not tv["engine"]["bit_identical"]:
             print("FAIL: streaming engine results are not bit-identical "
-                  "to the materialized engine", file=sys.stderr)
+                  "to the per-scenario oracle", file=sys.stderr)
             ok = False
         if tv["min_ratio_vs_v2"] < 4.0:
             print(f"FAIL: v3 compression ratio vs v2 fell below the 4x "
@@ -619,7 +626,7 @@ def main(argv: list[str] | None = None) -> int:
             "machine_run": bench_machine_run(
                 args.machine_budget, args.verify_budget
             ),
-            "fused_engine": bench_fused_engine(
+            "streaming_engine": bench_streaming_engine(
                 args.budget, ExperimentConfig(max_instructions=args.budget)
             ),
             "collect_profiles": bench_collect_profiles(args.budget),
@@ -640,10 +647,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: fast backend is slower than the interpreter "
               f"({mr['speedup']}x)", file=sys.stderr)
         ok = False
+    if not report["streaming_engine"]["bit_identical"]:
+        print("FAIL: streaming engine results are not bit-identical "
+              "to the per-scenario oracle", file=sys.stderr)
+        ok = False
     cp = report["collect_profiles"]
     if not (cp["bit_identical"] and cp["cold_speedup"] >= 1.0):
-        print("FAIL: fused-engine profile collection regressed",
-              file=sys.stderr)
+        print("FAIL: profile collection regressed", file=sys.stderr)
         ok = False
     return 0 if ok else 1
 

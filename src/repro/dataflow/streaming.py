@@ -1,20 +1,22 @@
 """One-pass streaming dataflow analysis over chunked trace streams.
 
-:class:`StreamingDataflowEngine` is the stream-consuming counterpart
-of :class:`repro.dataflow.model.FusedDataflowEngine`.  It drains a
-chunk stream (see :mod:`repro.vm.tracestream`) exactly once and
-evaluates every timing scenario *plus* the reusability summary, the
-maximal-span statistics and the section-4.5 I/O stats — everything
-:func:`repro.exp.runner.run_profile` needs — while holding O(block)
-memory instead of the whole trace.
+:class:`StreamingDataflowEngine` is the production dataflow engine.
+It drains a chunk stream (see :mod:`repro.vm.tracestream`) exactly
+once and evaluates every timing scenario *plus* the reusability
+summary, the maximal-span statistics and the section-4.5 I/O stats —
+everything :func:`repro.exp.runner.run_profile` needs — while holding
+O(block) memory instead of the whole trace.
 
-Bit-identity with the materialized pipeline
--------------------------------------------
-The fused engine resolves every read to the index of its last writer
-and evaluates each scenario as a fold over a completion-time list.
-The streaming engine reproduces the same float operations in the same
-order by cutting the stream into **blocks** and carrying three pieces
-of state across block boundaries:
+Bit-identity with the per-scenario oracle
+-----------------------------------------
+:class:`repro.dataflow.model.DataflowModel` scans the stream once per
+scenario with a ``ready[loc]`` table and a materialized reuse plan.
+The engine instead resolves every read to the index of its last
+writer once, shared by all scenarios, and evaluates each scenario as
+a fold over a completion-time list — the same float operations in the
+same order.  To do that over a stream it cuts the stream into
+**blocks** and carries three pieces of state across block
+boundaries:
 
 - the completion time of the last writer of each location as of
   block start.  In-block producer references stay list indices; a
@@ -22,8 +24,8 @@ of state across block boundaries:
   ``~slot``, where the engine-wide slot table interns each location
   the first time it crosses a block boundary, and resolved as a flat
   ``vals[slot]`` list index per scenario (a never-written slot holds
-  ``0.0``, exactly as a never-written location does in the fused
-  engine).  The slot indirection makes the cross-block resolution a
+  ``0.0``, exactly as a ``ready.get()`` miss contributes nothing in
+  the oracle).  The slot indirection makes the cross-block resolution a
   list index instead of a dict probe, and lets the block-end state
   update — shared ``(slot, producer)`` pairs computed once — replace
   the per-scenario dict stores of a naive carry table.
@@ -42,10 +44,9 @@ O(max(chunk, longest reusable span)); a pathological fully-reusable
 stream degrades to one block (the same stream would also defeat the
 paper's trace-collection limits).
 
-The fill-phase shortcut of the fused engine (``n <= window`` skips
-gating) needs no counterpart here: the generic ``room`` counter path
-computes identical values, because the gate only engages once more
-than ``window`` fetchable instructions have been seen.
+The window gate is tracked with a ``room`` counter: it only engages
+once more than ``window`` fetchable instructions have been seen, which
+is when the oracle's ring buffer starts returning graduation times.
 """
 
 from __future__ import annotations
@@ -321,8 +322,8 @@ class StreamingDataflowEngine:
         # producer references: in-block producers are list indices,
         # earlier-block producers are encoded as ~slot (the engine-wide
         # interning of the location) and resolved as a flat list index
-        # per scenario (same shapes as the fused engine: bare ref, pair
-        # tuple, None, dedup'd list)
+        # per scenario (shaped for the folds: bare ref, pair tuple,
+        # None, dedup'd list)
         slots = self._slots
         writer: dict[int, int] = {}
         writer_get = writer.get
@@ -427,9 +428,10 @@ class StreamingDataflowEngine:
                 vals[slot] = comp[jj]
 
     # ------------------------------------------------------------------
-    # scenario folds — each mirrors the corresponding fused-engine pass
-    # branch for branch; ``s`` resolution additionally routes negative
-    # refs through the slot-indexed ``vals`` list
+    # scenario folds — each mirrors DataflowModel.analyze under the
+    # matching reuse plan branch for branch; ``s`` resolution
+    # additionally routes negative refs through the slot-indexed
+    # ``vals`` list
     # ------------------------------------------------------------------
     def _fold_base(self, st: _ScenarioState, pre: _Block) -> list[float]:
         comp: list[float] = []

@@ -1,15 +1,14 @@
 """Per-benchmark analysis pipeline and the parallel fan-out.
 
 ``run_profile`` executes one kernel and derives every number figures
-3-8 and the section 4.5 statistics need.  Since the fused-engine
-rewrite the ~24 timing scenarios (base, ILR and TLR sweeps, both
-window sizes, plus the proportional-K family) are evaluated by one
-:class:`~repro.dataflow.model.FusedDataflowEngine` over a single
-dependence precompute, instead of ~24 independent
-``DataflowModel.analyze`` scans.  ``run_profile_reference`` keeps the
-original per-scenario pipeline (row-layout trace, one ``analyze`` per
-scenario) as the slow oracle for differential tests and as the honest
-pre-optimisation baseline for the engine benchmark.
+3-8 and the section 4.5 statistics need.  The ~24 timing scenarios
+(base, ILR and TLR sweeps, both window sizes, plus the proportional-K
+family; see :func:`profile_scenarios`) fold inside one
+:class:`~repro.dataflow.streaming.StreamingDataflowEngine` drain of
+the kernel's chunk stream.  ``run_profile_reference`` keeps the
+original per-scenario pipeline (row-layout trace, one
+``DataflowModel.analyze`` per scenario) as the independent oracle for
+differential tests and as the slow baseline for the engine benchmark.
 
 ``collect_profiles`` fans the 14 kernels out over a process pool
 (each worker regenerates its own trace — cheaper than shipping
@@ -50,18 +49,15 @@ from repro.core.reuse_tlr import (
 )
 from repro.core.stats import TraceIOStats, trace_io_stats
 from repro.core.traces import average_span_length, maximal_reusable_spans
-from repro.dataflow.model import DataflowModel, FusedDataflowEngine, Scenario
+from repro.dataflow.model import DataflowModel, Scenario
 from repro.dataflow.streaming import StreamingDataflowEngine
 from repro.exp.config import ExperimentConfig
 from repro.obs.manifest import RunManifest
 from repro.util.parallel import default_worker_count
 from repro.vm import tracecache
-from repro.workloads.base import (
-    build_program,
-    get_workload,
-    run_workload,
-    stream_workload,
-)
+from repro.vm.errors import TraceFileError
+from repro.vm.tracestream import FileTraceStream
+from repro.workloads.base import build_program, get_workload, stream_workload
 
 _log = obs.get_logger("runner")
 
@@ -69,19 +65,6 @@ _log = obs.get_logger("runner")
 #: modes ``crash`` (kill the worker), ``raise`` (raise RuntimeError)
 #: and ``sleep<seconds>`` (stall; trips the per-task timeout).
 FAULT_ENV = "REPRO_FAULT_INJECT"
-
-#: Opt into the streaming pipeline globally (``config.streaming=None``
-#: defers here); truthy values: 1/true/yes/on.
-STREAMING_ENV = "REPRO_STREAMING"
-
-
-def _streaming_enabled(config: ExperimentConfig) -> bool:
-    """Resolve ``config.streaming`` against the environment."""
-    if config.streaming is not None:
-        return config.streaming
-    value = os.environ.get(STREAMING_ENV, "").strip().lower()
-    return value in ("1", "true", "yes", "on")
-
 
 @dataclass(slots=True)
 class BenchmarkProfile:
@@ -106,20 +89,80 @@ class BenchmarkProfile:
     io_stats: TraceIOStats | None = None
 
 
+def profile_scenarios(config: ExperimentConfig) -> list[Scenario]:
+    """The figure 3-8 scenario list of one profile, in the order
+    :func:`profile_from_engine` reads the results: both base runs, then
+    ILR/TLR x infinite/finite window per reuse latency, then the
+    proportional-K TLR family."""
+    win = config.window_size
+    scenarios = [
+        Scenario("base", window_size=None),
+        Scenario("base", window_size=win),
+    ]
+    for latency in config.reuse_latencies:
+        lat = float(latency)
+        scenarios += [
+            Scenario("ilr", window_size=None, latency=lat),
+            Scenario("ilr", window_size=win, latency=lat),
+            Scenario("tlr", window_size=None, latency=lat),
+            Scenario("tlr", window_size=win, latency=lat),
+        ]
+    for k in config.proportional_ks:
+        scenarios.append(Scenario("tlr", window_size=win, k=k))
+    return scenarios
+
+
+def profile_from_engine(
+    name: str,
+    suite: str,
+    engine: StreamingDataflowEngine,
+    config: ExperimentConfig,
+) -> BenchmarkProfile:
+    """Drain ``engine`` once over :func:`profile_scenarios` and
+    assemble the :class:`BenchmarkProfile` from its results and its
+    reusability/span summaries."""
+    it = iter(engine.analyze_all(profile_scenarios(config)))
+    base_inf = next(it)
+    base_win = next(it)
+    profile = BenchmarkProfile(
+        name=name,
+        suite=suite,
+        dynamic_count=engine.n,
+        percent_reusable=engine.reuse.percent_reusable,
+        avg_trace_size=engine.avg_span_length,
+        trace_count=engine.span_count,
+        base_ipc_inf=base_inf.ipc,
+        base_ipc_win=base_win.ipc,
+        io_stats=engine.io_stats,
+    )
+    for latency in config.reuse_latencies:
+        profile.ilr_speedup_inf[latency] = next(it).speedup_over(base_inf)
+        profile.ilr_speedup_win[latency] = next(it).speedup_over(base_win)
+        profile.tlr_speedup_inf[latency] = next(it).speedup_over(base_inf)
+        profile.tlr_speedup_win[latency] = next(it).speedup_over(base_win)
+    for k in config.proportional_ks:
+        profile.tlr_speedup_win_prop[k] = next(it).speedup_over(base_win)
+    return profile
+
+
 def run_profile(
     name: str, config: ExperimentConfig | None = None
 ) -> BenchmarkProfile:
     """Run one kernel and analyse it under every figure-3..8 scenario.
 
-    All scenarios share one :class:`FusedDataflowEngine`, so the
-    stream's dependence structure is derived once and each scenario is
-    a single tight pass.  The numbers are bit-for-bit identical to
+    The trace is consumed as a chunk stream: a cache hit decodes the v3
+    entry chunk by chunk, a miss executes the kernel and tees each
+    segment into the analysis while a background writer persists the
+    cache entry.  Every scenario folds inside one
+    :class:`StreamingDataflowEngine` drain, so peak memory is O(chunk),
+    not O(trace).  The numbers are bit-for-bit identical to
     :func:`run_profile_reference`.
 
     With ``config.use_cache`` (the default) the finished profile is
     memoised in the persistent cache, keyed by the workload, the
     analysis-relevant config fields and the code fingerprint — a warm
-    run skips VM execution *and* analysis.
+    run skips VM execution *and* analysis.  A cached trace whose
+    chunks turn out not to decode is discarded and recomputed.
     """
     if config is None:
         config = ExperimentConfig()
@@ -129,151 +172,36 @@ def run_profile(
         from repro.static.estimator import estimate_profile
 
         return estimate_profile(name, config)
-    if _streaming_enabled(config):
-        return run_profile_streaming(name, config)
     if config.use_cache:
         cached = tracecache.load_cached_profile(name, config.cache_key())
         if isinstance(cached, BenchmarkProfile):
             return cached
     workload = get_workload(name)
-    with obs.time_stage("stage.trace"):
-        trace = run_workload(
+
+    def open_stream():
+        return stream_workload(
             name,
             scale=config.scale,
             max_instructions=config.max_instructions,
             use_cache=config.use_cache,
             backend=config.backend,
         )
-    with obs.time_stage("stage.reusability"):
-        reuse = instruction_reusability(trace)
-        spans = maximal_reusable_spans(trace, reuse.flags)
 
-    with obs.time_stage("stage.engine_init"):
-        engine = FusedDataflowEngine(trace, flags=reuse.flags, spans=spans)
-    with obs.time_stage("stage.analysis"):
-        win = config.window_size
-        base_inf = engine.analyze(Scenario("base", window_size=None))
-        base_win = engine.analyze(Scenario("base", window_size=win))
-
-        profile = BenchmarkProfile(
-            name=name,
-            suite=workload.suite,
-            dynamic_count=len(trace),
-            percent_reusable=reuse.percent_reusable,
-            avg_trace_size=average_span_length(spans),
-            trace_count=len(spans),
-            base_ipc_inf=base_inf.ipc,
-            base_ipc_win=base_win.ipc,
-            io_stats=trace_io_stats(spans),
-        )
-
-        for latency in config.reuse_latencies:
-            lat = float(latency)
-            profile.ilr_speedup_inf[latency] = engine.analyze(
-                Scenario("ilr", window_size=None, latency=lat)
-            ).speedup_over(base_inf)
-            profile.ilr_speedup_win[latency] = engine.analyze(
-                Scenario("ilr", window_size=win, latency=lat)
-            ).speedup_over(base_win)
-            profile.tlr_speedup_inf[latency] = engine.analyze(
-                Scenario("tlr", window_size=None, latency=lat)
-            ).speedup_over(base_inf)
-            profile.tlr_speedup_win[latency] = engine.analyze(
-                Scenario("tlr", window_size=win, latency=lat)
-            ).speedup_over(base_win)
-
-        for k in config.proportional_ks:
-            profile.tlr_speedup_win_prop[k] = engine.analyze(
-                Scenario("tlr", window_size=win, k=k)
-            ).speedup_over(base_win)
-
-    obs.incr("profiles.computed")
-    if config.use_cache:
-        tracecache.store_cached_profile(name, config.cache_key(), profile)
-    return profile
-
-
-def run_profile_streaming(
-    name: str, config: ExperimentConfig | None = None
-) -> BenchmarkProfile:
-    """:func:`run_profile` through the streaming pipeline.
-
-    The trace is consumed as a chunk stream (cache hits decode the v3
-    entry chunk by chunk; misses execute through an incremental
-    writer), and every scenario folds inside one
-    :class:`StreamingDataflowEngine` drain — peak memory is O(chunk),
-    not O(trace).  The numbers are bit-for-bit identical to
-    :func:`run_profile`, which is why the two paths share one profile
-    cache key (``streaming`` is a non-semantic config field).
-    """
-    if config is None:
-        config = ExperimentConfig()
-    if config.use_cache:
-        cached = tracecache.load_cached_profile(name, config.cache_key())
-        if isinstance(cached, BenchmarkProfile):
-            return cached
-    workload = get_workload(name)
     with obs.time_stage("stage.trace"):
-        stream = stream_workload(
-            name,
-            scale=config.scale,
-            max_instructions=config.max_instructions,
-            use_cache=config.use_cache,
-            backend=config.backend,
-            chunk_size=config.stream_chunk_size,
-            direct=config.direct_stream,
-        )
+        stream = open_stream()
     with obs.time_stage("stage.engine_init"):
-        if config.stream_chunk_size is not None:
-            engine = StreamingDataflowEngine(
-                stream, chunk_size=config.stream_chunk_size
-            )
-        else:
-            engine = StreamingDataflowEngine(stream)
-
-    # Mirror run_profile's scenario set exactly; each scenario's result
-    # is independent of the others, so ordering only decides which
-    # TimingResult lands where.
-    win = config.window_size
-    scenarios = [
-        Scenario("base", window_size=None),
-        Scenario("base", window_size=win),
-    ]
-    for latency in config.reuse_latencies:
-        lat = float(latency)
-        scenarios.append(Scenario("ilr", window_size=None, latency=lat))
-        scenarios.append(Scenario("ilr", window_size=win, latency=lat))
-        scenarios.append(Scenario("tlr", window_size=None, latency=lat))
-        scenarios.append(Scenario("tlr", window_size=win, latency=lat))
-    for k in config.proportional_ks:
-        scenarios.append(Scenario("tlr", window_size=win, k=k))
-
+        engine = StreamingDataflowEngine(stream)
     with obs.time_stage("stage.analysis"):
-        results = iter(engine.analyze_all(scenarios))
-        base_inf = next(results)
-        base_win = next(results)
-
-        profile = BenchmarkProfile(
-            name=name,
-            suite=workload.suite,
-            dynamic_count=engine.n,
-            percent_reusable=engine.reuse.percent_reusable,
-            avg_trace_size=engine.avg_span_length,
-            trace_count=engine.span_count,
-            base_ipc_inf=base_inf.ipc,
-            base_ipc_win=base_win.ipc,
-            io_stats=engine.io_stats,
-        )
-
-        for latency in config.reuse_latencies:
-            profile.ilr_speedup_inf[latency] = next(results).speedup_over(base_inf)
-            profile.ilr_speedup_win[latency] = next(results).speedup_over(base_win)
-            profile.tlr_speedup_inf[latency] = next(results).speedup_over(base_inf)
-            profile.tlr_speedup_win[latency] = next(results).speedup_over(base_win)
-
-        for k in config.proportional_ks:
-            profile.tlr_speedup_win_prop[k] = next(results).speedup_over(base_win)
-
+        try:
+            profile = profile_from_engine(name, workload.suite, engine, config)
+        except TraceFileError as exc:
+            if not isinstance(stream, FileTraceStream):
+                raise
+            # a cache hit whose chunks do not decode: drop the entry and
+            # recompute through the tee, which rewrites it
+            tracecache.discard_corrupt_trace(stream.path, exc)
+            engine = StreamingDataflowEngine(open_stream())
+            profile = profile_from_engine(name, workload.suite, engine, config)
     obs.incr("profiles.computed")
     if config.use_cache:
         tracecache.store_cached_profile(name, config.cache_key(), profile)
@@ -287,8 +215,8 @@ def run_profile_reference(
 
     Executes the kernel through the step-interpreter
     (:meth:`Machine.run_rows`), builds row-layout reuse plans, and
-    runs one :meth:`DataflowModel.analyze` scan per scenario — exactly
-    the pre-fused-engine code path.  Differential tests assert
+    runs one :meth:`DataflowModel.analyze` scan per scenario — no code
+    shared with the streaming engine.  Differential tests assert
     equality with :func:`run_profile`; the engine benchmark measures
     its wall-clock as the baseline.
     """

@@ -1,7 +1,8 @@
 """Observability: structured telemetry, run manifests, and logging.
 
-The experiment stack got fast (the fused engine) and persistent (the
-trace cache); this package makes it *watchable* and *diagnosable*:
+The experiment stack is fast (the streaming engine) and persistent
+(the trace cache); this package makes it *watchable* and
+*diagnosable*:
 
 - :mod:`repro.obs.telemetry` — named counters and stage timers, scoped
   per task and mergeable across processes;
@@ -11,17 +12,11 @@ trace cache); this package makes it *watchable* and *diagnosable*:
 - :func:`get_logger` — the shared ``repro.obs`` logger through which
   recoverable infrastructure trouble (corrupt cache entries, worker
   crashes, retries) is reported as warnings instead of being swallowed.
-
-``REPRO_PROFILE=1`` additionally turns on per-scenario profiling in
-:class:`~repro.dataflow.model.FusedDataflowEngine` (wall time and
-instruction throughput per analysis pass); see
-:func:`profiling_enabled`.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 
 from repro.obs.manifest import (
     RunManifest,
@@ -48,7 +43,6 @@ __all__ = [
     "list_run_groups",
     "list_runs",
     "merge_events",
-    "profiling_enabled",
     "read_events",
     "read_manifest",
     "runs_dir",
@@ -68,7 +62,3 @@ def get_logger(name: str | None = None) -> logging.Logger:
     base = "repro.obs"
     return logging.getLogger(f"{base}.{name}" if name else base)
 
-
-def profiling_enabled() -> bool:
-    """True when ``REPRO_PROFILE=1`` asks for per-scenario profiling."""
-    return os.environ.get("REPRO_PROFILE", "0") not in ("", "0")

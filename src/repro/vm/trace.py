@@ -16,7 +16,7 @@ Two trace containers exist:
   flattened read/write location and value columns with per-instruction
   offsets).  :meth:`repro.vm.machine.Machine.run` emits this form
   natively; it is cheaper to hold, pickle and cache than forty
-  thousand ``DynInst`` objects, and the fused dataflow engine and the
+  thousand ``DynInst`` objects, and the streaming dataflow engine and the
   reusability/liveness analyses consume its columns directly.
 
 ``ColumnarTrace`` is duck-compatible with ``Trace`` (``len``,

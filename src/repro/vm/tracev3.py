@@ -50,7 +50,6 @@ import io
 import json
 import os
 import pathlib
-import pickle
 import struct
 import sys
 import zlib
@@ -90,11 +89,11 @@ _LE = sys.byteorder == "little"
 
 # Column encoding modes: 1/2/4/8 = fixed little-endian byte width of
 # the zigzag values; _MODE_VARINT = per-element zigzag varints (ints
-# beyond 64 bits); value sections additionally allow _VMODE_PICKLE for
-# exotic element types so round-trips never silently coerce.
+# beyond 64 bits).  Value sections have one mode, _VMODE_COLUMNS (a
+# float/int bitmap, then the float and int columns); any other mode
+# byte is corrupt.
 _MODE_VARINT = 0xFF
 _VMODE_COLUMNS = 0
-_VMODE_PICKLE = 1
 
 #: Pool size for the pipelined codec (writer compression / reader
 #: prefetch).  ``0`` runs everything inline on the caller's thread.
@@ -228,9 +227,9 @@ def _col_i64(col) -> np.ndarray:
 
 
 # Maps the *exact* type of a well-behaved value slot to its bitmap
-# bit.  Anything else (bool, numpy scalars, ...) raises KeyError,
-# which is the pickle-fallback signal — the whole classification runs
-# at C speed via bytes(map(...)).
+# bit.  Anything else (bool, numpy scalars, ...) raises KeyError, which
+# the encoder turns into TraceFileError — the whole classification
+# runs at C speed via bytes(map(...)).
 _VTYPE_BIT = {float: 1, int: 0}
 _VTYPE_INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
@@ -240,8 +239,7 @@ def float_mask(vals: list) -> bytes | None:
     column holds exotic element types (bool, numpy scalars, ...).
 
     Byte ``1`` marks a ``float`` slot, ``0`` an ``int`` slot.  Runs
-    entirely in C, so callers (the chunk encoder, the streaming
-    engine's batched signature pass) can classify millions of slots
+    entirely in C, so the chunk encoder classifies millions of slots
     per second without a Python-level loop.
     """
     try:
@@ -251,20 +249,21 @@ def float_mask(vals: list) -> bytes | None:
 
 
 def _enc_values(out: bytearray, vals: list) -> None:
-    """Encode a value column with exact Python types (int | float)."""
+    """Encode a value column with exact Python types (int | float).
+
+    Any other element type (bool, numpy scalars, ...) raises
+    :class:`TraceFileError`: the VM never emits one, and coercing it
+    would break the exact round-trip.
+    """
     k = len(vals)
     _w_varint(out, k)
     if not k:
         return
     tmap = float_mask(vals)
     if tmap is None:
-        # exotic element types (never emitted by the VM): keep the
-        # round-trip exact rather than coercing
-        blob = pickle.dumps(list(vals), protocol=pickle.HIGHEST_PROTOCOL)
-        out.append(_VMODE_PICKLE)
-        _w_varint(out, len(blob))
-        out += blob
-        return
+        bad = next(v for v in vals if type(v) not in _VTYPE_BIT)
+        raise TraceFileError(
+            f"value of type {type(bad).__name__} is not int or float")
     out.append(_VMODE_COLUMNS)
     fmask = np.frombuffer(tmap, np.uint8)
     out += np.packbits(fmask, bitorder="little").tobytes()
@@ -296,15 +295,6 @@ def _dec_values(buf, pos: int) -> tuple[list, int]:
         raise TraceFileError("truncated value section")
     vmode = buf[pos]
     pos += 1
-    if vmode == _VMODE_PICKLE:
-        length, pos = _r_varint(buf, pos)
-        end = pos + length
-        if end > len(buf):
-            raise TraceFileError("truncated value payload")
-        vals = pickle.loads(bytes(buf[pos:end]))
-        if not isinstance(vals, list) or len(vals) != k:
-            raise TraceFileError("bad pickled value column")
-        return vals, end
     if vmode != _VMODE_COLUMNS:
         raise TraceFileError(f"bad value mode {vmode:#x}")
     nb = (k + 7) // 8
@@ -465,7 +455,7 @@ def decode_chunk(buf: bytes, *, program_name: str = "<anonymous>") -> ColumnarTr
     except TraceFileError:
         raise
     except (ValueError, IndexError, OverflowError, struct.error,
-            pickle.UnpicklingError, EOFError, KeyError) as exc:
+            EOFError, KeyError) as exc:
         raise TraceFileError(f"corrupt chunk payload: {exc}") from exc
 
 
@@ -934,8 +924,6 @@ def _peek_value_mode(buf, pos: int) -> str:
         return "empty"
     if p >= len(buf):
         return "?"
-    if buf[p] == _VMODE_PICKLE:
-        return "pickle"
     nb = (k + 7) // 8
     return f"bitmap+f8+{_peek_int_mode(buf, p + 1 + nb)}"
 

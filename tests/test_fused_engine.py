@@ -1,10 +1,11 @@
-"""Differential tests: the fused engine against the per-scenario model.
+"""Differential tests: the streaming engine against the per-scenario model.
 
-The :class:`FusedDataflowEngine` re-implements every reuse-plan family
-as a tight per-scenario pass over one shared dependence precompute.
+The :class:`StreamingDataflowEngine` re-implements every reuse-plan
+family as a fold over one shared, block-wise dependence precompute.
 The per-scenario :class:`DataflowModel` (plus the plan builders in
-``baselines.ilr`` and ``core.reuse_tlr``) is the slow oracle; the
-engine must match it bit-for-bit, not just within a tolerance.
+``baselines.ilr`` and ``core.reuse_tlr``) is the independent oracle;
+the engine must match it bit-for-bit, not just within a tolerance, at
+every chunk size.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from repro.core.reuse_tlr import (
     tlr_reuse_plan,
 )
 from repro.core.traces import maximal_reusable_spans
-from repro.dataflow.model import DataflowModel, FusedDataflowEngine, Scenario
+from repro.dataflow.model import DataflowModel, Scenario
+from repro.dataflow.streaming import StreamingDataflowEngine
 from repro.exp.config import ExperimentConfig
 from repro.exp.runner import run_profile, run_profile_reference
 from repro.workloads.base import run_workload
@@ -62,27 +64,28 @@ def scenarios(draw):
     )
 
 
-@given(dyn_streams(), st.lists(scenarios(), min_size=1, max_size=6))
+@given(
+    dyn_streams(),
+    st.lists(scenarios(), min_size=1, max_size=6),
+    st.sampled_from([1, 7, 4096]),
+)
 @settings(max_examples=200, deadline=None)
-def test_fused_engine_matches_per_scenario_model(stream, scens):
+def test_fused_engine_matches_per_scenario_model(stream, scens, chunk_size):
     flags = instruction_reusability(stream).flags
     spans = maximal_reusable_spans(stream, flags)
-    engine = FusedDataflowEngine(stream, flags=flags, spans=spans)
-    for scenario in scens:
-        fused = engine.analyze(scenario)
+    engine = StreamingDataflowEngine(stream, chunk_size=chunk_size)
+    for scenario, got in zip(scens, engine.analyze_all(scens)):
         ref = reference_result(stream, scenario, flags, spans)
-        assert fused.instruction_count == ref.instruction_count
-        assert fused.total_cycles == ref.total_cycles  # exact, not approx
-        assert fused.reused_count == ref.reused_count
-        assert fused.window_size == ref.window_size
+        assert got.instruction_count == ref.instruction_count
+        assert got.total_cycles == ref.total_cycles  # exact, not approx
+        assert got.reused_count == ref.reused_count
+        assert got.window_size == ref.window_size
 
 
 @given(dyn_streams())
 @settings(max_examples=100, deadline=None)
 def test_analyze_all_matches_individual_calls(stream):
-    flags = instruction_reusability(stream).flags
-    spans = maximal_reusable_spans(stream, flags)
-    engine = FusedDataflowEngine(stream, flags=flags, spans=spans)
+    engine = StreamingDataflowEngine(stream, chunk_size=7)
     scens = [
         Scenario("base", window_size=None),
         Scenario("base", window_size=8),
@@ -92,29 +95,27 @@ def test_analyze_all_matches_individual_calls(stream):
     ]
     batch = engine.analyze_all(scens)
     for scenario, result in zip(scens, batch):
-        single = engine.analyze(scenario)
+        (single,) = engine.analyze_all([scenario])
         assert result.total_cycles == single.total_cycles
         assert result.reused_count == single.reused_count
 
 
 class TestOnRealWorkloads:
-    """The full profile pipeline, fused vs. reference, on real kernels."""
+    """The full profile pipeline, streaming vs. reference, on real kernels."""
 
     def test_profiles_bit_identical(self):
         config = ExperimentConfig(max_instructions=3_000, use_cache=False)
         for name in ("compress", "tomcatv"):
-            fused = run_profile(name, config)
+            got = run_profile(name, config)
             reference = run_profile_reference(name, config)
-            assert fused == reference
+            assert got == reference
 
     def test_engine_accepts_columnar_trace(self):
         trace = run_workload("li", max_instructions=2_000, use_cache=False)
-        flags = instruction_reusability(trace).flags
-        spans = maximal_reusable_spans(trace, flags)
-        engine = FusedDataflowEngine(trace, flags=flags, spans=spans)
-        fused = engine.analyze(Scenario("base", window_size=64))
+        engine = StreamingDataflowEngine(trace)
+        (got,) = engine.analyze_all([Scenario("base", window_size=64)])
         ref = DataflowModel(64).analyze(trace)
-        assert fused.total_cycles == ref.total_cycles
+        assert got.total_cycles == ref.total_cycles
 
 
 class TestScenarioValidation:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 
 import pytest
 
@@ -74,20 +73,6 @@ class TestTelemetry:
         reg.incr("gone")
         reg.reset()
         assert reg.snapshot() == {"counters": {}, "timers": {}}
-
-
-class TestProfilingEnabled:
-    def test_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        assert not obs.profiling_enabled()
-
-    def test_zero_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "0")
-        assert not obs.profiling_enabled()
-
-    def test_one_on(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        assert obs.profiling_enabled()
 
 
 class TestRunManifest:
@@ -343,61 +328,3 @@ class TestObsCli:
         assert main(["obs", "show"]) == 0
         out = capsys.readouterr().out
         assert "failed kernels: gcc" in out
-
-
-class TestEngineProfilingHooks:
-    def test_records_collected_when_enabled(self, monkeypatch,
-                                            tiny_loop_trace):
-        from repro.baselines.ilr import instruction_reusability
-        from repro.core.traces import maximal_reusable_spans
-        from repro.dataflow.model import FusedDataflowEngine, Scenario
-
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        reuse = instruction_reusability(tiny_loop_trace)
-        spans = maximal_reusable_spans(tiny_loop_trace, reuse.flags)
-        engine = FusedDataflowEngine(
-            tiny_loop_trace, flags=reuse.flags, spans=spans
-        )
-        engine.analyze(Scenario("base", window_size=None))
-        engine.analyze(Scenario("tlr", window_size=256, latency=1.0))
-        assert engine.profile_records is not None
-        assert len(engine.profile_records) == 2
-        record = engine.profile_records[0]
-        assert record["kind"] == "base"
-        assert record["instructions"] == len(tiny_loop_trace)
-        assert record["seconds"] >= 0.0
-        assert record["instructions_per_second"] > 0
-        assert json.dumps(engine.profile_records)  # JSON-able
-
-    def test_disabled_by_default(self, monkeypatch, tiny_loop_trace):
-        from repro.baselines.ilr import instruction_reusability
-        from repro.core.traces import maximal_reusable_spans
-        from repro.dataflow.model import FusedDataflowEngine, Scenario
-
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        reuse = instruction_reusability(tiny_loop_trace)
-        spans = maximal_reusable_spans(tiny_loop_trace, reuse.flags)
-        engine = FusedDataflowEngine(
-            tiny_loop_trace, flags=reuse.flags, spans=spans
-        )
-        engine.analyze(Scenario("base", window_size=None))
-        assert engine.profile_records is None
-
-    def test_analysis_timers_reported(self, monkeypatch, tiny_loop_trace):
-        from repro.baselines.ilr import instruction_reusability
-        from repro.core.traces import maximal_reusable_spans
-        from repro.dataflow.model import FusedDataflowEngine, Scenario
-
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        reuse = instruction_reusability(tiny_loop_trace)
-        spans = maximal_reusable_spans(tiny_loop_trace, reuse.flags)
-        with obs.scope() as registry:
-            engine = FusedDataflowEngine(
-                tiny_loop_trace, flags=reuse.flags, spans=spans
-            )
-            engine.analyze(Scenario("base", window_size=None))
-            snap = registry.snapshot()
-        assert snap["timers"]["engine.base"]["calls"] == 1
-        assert snap["counters"]["engine.instructions_analyzed"] == len(
-            tiny_loop_trace
-        )

@@ -3,10 +3,12 @@
 Every consumer of a chunk stream — the streaming dataflow engine, the
 RTM simulator, the ILR/distance/block/prediction baselines, and the
 profile runner — must produce numbers *bit-identical* to its
-materialized counterpart, at any chunk size.  The beyond-RAM test then
-proves the point of it all: under an address-space limit where the
-materialized pipeline dies of MemoryError, the streaming pipeline
-completes and still matches.
+materialized counterpart, at any chunk size.  The dataflow oracle is
+the per-scenario :class:`DataflowModel`; profiles are checked against
+``run_profile_reference``.  The beyond-RAM test then proves the point
+of it all: under an address-space limit where the materialized
+pipeline dies of MemoryError, the streaming pipeline completes and
+still matches.
 """
 
 import dataclasses
@@ -30,12 +32,14 @@ from repro.core.rtm.collector import FixedLengthHeuristic, ILRHeuristic
 from repro.core.rtm.memory import RTM_PRESETS
 from repro.core.rtm.simulator import FiniteReuseSimulator
 from repro.core.traces import maximal_reusable_spans
-from repro.dataflow.model import FusedDataflowEngine, Scenario
+from repro.dataflow.model import Scenario
 from repro.dataflow.streaming import StreamingDataflowEngine
 from repro.exp.config import ExperimentConfig
-from repro.exp.runner import run_profile, run_profile_streaming
+from repro.exp.runner import run_profile, run_profile_reference
 from repro.vm.tracestream import as_chunk_stream
 from repro.workloads.base import all_workloads, run_workload, stream_workload
+
+from test_fused_engine import reference_result
 
 KERNELS = [w.name for w in all_workloads()]
 
@@ -53,18 +57,21 @@ SCENARIOS = [
 ]
 
 
-def fused_results(trace):
+def oracle_results(trace):
+    """``SCENARIOS`` through the per-scenario :class:`DataflowModel`
+    oracle, plus the reusability and spans its plans were built on."""
     reuse = instruction_reusability(trace)
     spans = maximal_reusable_spans(trace, reuse.flags)
-    engine = FusedDataflowEngine(trace, flags=reuse.flags, spans=spans)
-    return engine.analyze_all(SCENARIOS), reuse, spans
+    results = [reference_result(trace, scenario, reuse.flags, spans)
+               for scenario in SCENARIOS]
+    return results, reuse, spans
 
 
 class TestStreamingEngine:
     @pytest.mark.parametrize("chunk_size", [7, 997, 65536])
     def test_bit_identical_to_fused(self, chunk_size):
         trace = run_workload("compress", max_instructions=4_000)
-        expected, reuse, spans = fused_results(trace)
+        expected, reuse, spans = oracle_results(trace)
         engine = StreamingDataflowEngine(trace, chunk_size=chunk_size)
         got = engine.analyze_all(SCENARIOS)
         assert got == expected
@@ -76,7 +83,7 @@ class TestStreamingEngine:
     def test_all_kernels_one_chunk_size(self):
         for name in KERNELS:
             trace = run_workload(name, max_instructions=2_000)
-            expected, _, _ = fused_results(trace)
+            expected, _, _ = oracle_results(trace)
             got = StreamingDataflowEngine(
                 trace, chunk_size=311).analyze_all(SCENARIOS)
             assert got == expected, name
@@ -175,43 +182,33 @@ class TestStreamingProfiles:
 
     def test_profiles_bit_identical_all_kernels(self):
         for name in KERNELS:
-            a = run_profile(name, self.CONFIG)
-            b = run_profile_streaming(name, self.CONFIG)
+            a = run_profile_reference(name, self.CONFIG)
+            b = run_profile(name, self.CONFIG)
             assert dataclasses.asdict(a) == dataclasses.asdict(b), name
 
     def test_chunk_size_invariance(self):
-        a = run_profile("go", self.CONFIG)
+        from repro.exp.runner import profile_scenarios
+
+        trace = run_workload("go", max_instructions=1_500, use_cache=False)
+        flags = instruction_reusability(trace).flags
+        spans = maximal_reusable_spans(trace, flags)
+        scens = profile_scenarios(self.CONFIG)
+        expected = [reference_result(trace, scenario, flags, spans)
+                    for scenario in scens]
         for chunk in (1, 7, 4096):
-            cfg = dataclasses.replace(self.CONFIG, stream_chunk_size=chunk)
-            b = run_profile_streaming("go", cfg)
-            assert dataclasses.asdict(a) == dataclasses.asdict(b), chunk
-
-    def test_run_profile_dispatches_on_config(self):
-        cfg = dataclasses.replace(self.CONFIG, streaming=True)
-        a = run_profile("li", cfg)
-        b = run_profile("li", self.CONFIG)
-        assert dataclasses.asdict(a) == dataclasses.asdict(b)
-
-    def test_run_profile_dispatches_on_env(self, monkeypatch):
-        from repro.exp import runner
-
-        calls = []
-        real = runner.run_profile_streaming
-
-        def spy(name, config=None):
-            calls.append(name)
-            return real(name, config)
-
-        monkeypatch.setattr(runner, "run_profile_streaming", spy)
-        monkeypatch.setenv("REPRO_STREAMING", "1")
-        runner.run_profile("li", self.CONFIG)
-        assert calls == ["li"]
+            engine = StreamingDataflowEngine(trace, chunk_size=chunk)
+            assert engine.analyze_all(scens) == expected, chunk
 
     def test_cache_key_shared_across_pipelines(self):
-        base = self.CONFIG
-        stream_cfg = dataclasses.replace(
-            base, streaming=True, stream_chunk_size=777)
-        assert base.cache_key() == stream_cfg.cache_key()
+        """Shard records written while the config still carried the
+        ``streaming``/``direct_stream``/``stream_chunk_size`` knobs load
+        and resolve to the same profile cache key."""
+        record = self.CONFIG.to_dict()
+        old = dict(record, streaming=True, direct_stream=False,
+                   stream_chunk_size=777)
+        loaded = ExperimentConfig.from_dict(json.loads(json.dumps(old)))
+        assert loaded == self.CONFIG
+        assert loaded.cache_key() == self.CONFIG.cache_key()
 
 
 #: Budget/limit pair at which the materialized pipeline exceeds the
@@ -226,15 +223,10 @@ import resource, sys
 resource.setrlimit(resource.RLIMIT_AS,
                    ({limit}, {limit}))
 from repro.workloads.base import run_workload
-from repro.baselines.ilr import instruction_reusability
-from repro.core.traces import maximal_reusable_spans
-from repro.dataflow.model import FusedDataflowEngine, Scenario
+from repro.dataflow.model import DataflowModel
 t = run_workload("compress", max_instructions={budget},
                  use_cache=False, backend="fast")
-r = instruction_reusability(t)
-s = maximal_reusable_spans(t, r.flags)
-e = FusedDataflowEngine(t, flags=r.flags, spans=s)
-e.analyze(Scenario("tlr", window_size=256, latency=1.0))
+DataflowModel(256).analyze(t)
 print("materialized unexpectedly fit")
 """
 
@@ -276,6 +268,13 @@ class TestBeyondRAM:
 
     def _run(self, snippet):
         env = dict(os.environ)
+        # BLAS thread arenas reserve address space per thread, so an
+        # unpinned `import numpy` alone costs more of the limit on a
+        # host with more CPUs; pin them so the bound measures the
+        # pipeline, not the host
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env[var] = "1"
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -304,9 +303,10 @@ class TestBeyondRAM:
                              backend="fast")
         r = instruction_reusability(trace)
         s = maximal_reusable_spans(trace, r.flags)
-        engine = FusedDataflowEngine(trace, flags=r.flags, spans=s)
-        base = engine.analyze(Scenario("base", window_size=256))
-        tlr = engine.analyze(Scenario("tlr", window_size=256, latency=1.0))
+        base = reference_result(
+            trace, Scenario("base", window_size=256), r.flags, s)
+        tlr = reference_result(
+            trace, Scenario("tlr", window_size=256, latency=1.0), r.flags, s)
         sim = FiniteReuseSimulator(RTM_PRESETS["512"], ILRHeuristic(False))
         rtm = sim.run(trace)
 
@@ -323,8 +323,9 @@ class TestBeyondRAM:
 
 class TestDirectStream:
     """The tee'd execute→analyze path: one execution feeds the analysis
-    *and* persists the cache entry, bit- and byte-identical to the
-    legacy write-then-reread path."""
+    *and* persists the cache entry, bit-identical to the oracle and
+    byte-identical to a file written straight from an execution
+    stream."""
 
     CONFIG = ExperimentConfig(
         max_instructions=1_500,
@@ -334,30 +335,38 @@ class TestDirectStream:
 
     def test_tee_profiles_bit_identical_all_kernels(self, tmp_path,
                                                     monkeypatch):
-        """Each kernel's cold profile through the tee equals the legacy
-        path's, and the two cache entries are byte-identical (the
-        writer re-chunks, so execution segmentation never leaks into
-        the file)."""
-        import dataclasses as dc
+        """Each kernel's cold profile through the tee equals the
+        oracle's, and its cache entry is byte-identical to a
+        ``write_stream`` file of the same execution (the writer
+        re-chunks, so execution segmentation never leaks into the
+        file)."""
+        from repro.vm.backends import create_machine, resolve_backend
+        from repro.vm.tracestream import ExecutionChunkStream, write_stream
+        from repro.workloads.base import build_program
 
+        oracle_config = dataclasses.replace(self.CONFIG, use_cache=False)
         for name in KERNELS:
-            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a" / name))
-            direct = run_profile_streaming(
-                name, dc.replace(self.CONFIG, direct_stream=True))
-            (entry_a,) = (tmp_path / "a" / name / "traces").glob("*.trace")
-            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "b" / name))
-            legacy = run_profile_streaming(
-                name, dc.replace(self.CONFIG, direct_stream=False))
-            (entry_b,) = (tmp_path / "b" / name / "traces").glob("*.trace")
-            assert dataclasses.asdict(direct) == dataclasses.asdict(legacy), name
-            assert entry_a.read_bytes() == entry_b.read_bytes(), name
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / name))
+            got = run_profile(name, self.CONFIG)
+            (entry,) = (tmp_path / name / "traces").glob("*.trace")
+            expected = run_profile_reference(name, oracle_config)
+            assert dataclasses.asdict(got) == dataclasses.asdict(expected), name
+
+            written = tmp_path / f"{name}.written.trace"
+            write_stream(ExecutionChunkStream(
+                lambda: create_machine(build_program(name),
+                                       resolve_backend(None)),
+                program_name=name,
+                max_instructions=self.CONFIG.max_instructions,
+            ), written)
+            assert entry.read_bytes() == written.read_bytes(), name
 
     def test_tee_persists_and_replays(self, tmp_path, monkeypatch):
         from repro.vm.tracestream import TeeChunkStream
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         stream = stream_workload("li", max_instructions=1_000,
-                                 use_cache=True, direct=True)
+                                 use_cache=True)
         assert isinstance(stream, TeeChunkStream)
         assert not stream.persisted
         first = [len(c) for c in stream.chunks()]
@@ -369,7 +378,7 @@ class TestDirectStream:
     def test_abandoned_drain_publishes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         stream = stream_workload("li", max_instructions=5_000,
-                                 use_cache=True, chunk_size=100, direct=True)
+                                 use_cache=True, chunk_size=100)
         it = stream.chunks()
         next(it)
         it.close()  # consumer walks away mid-drain
@@ -380,23 +389,3 @@ class TestDirectStream:
         # the next drain starts over and completes normally
         assert sum(len(c) for c in stream.chunks()) == 5_000
         assert stream.persisted
-
-    def test_env_knob_disables_direct(self, monkeypatch):
-        from repro.vm.tracestream import direct_stream_enabled
-
-        assert direct_stream_enabled() is True
-        assert direct_stream_enabled(False) is False
-        for raw in ("0", "false", "no", "off", ""):
-            monkeypatch.setenv("REPRO_DIRECT_STREAM", raw)
-            assert direct_stream_enabled() is False
-        monkeypatch.setenv("REPRO_DIRECT_STREAM", "1")
-        assert direct_stream_enabled() is True
-        # an explicit config value beats the environment
-        assert direct_stream_enabled(False) is False
-
-    def test_direct_stream_shares_the_profile_cache_key(self):
-        import dataclasses as dc
-
-        on = dc.replace(self.CONFIG, direct_stream=True)
-        off = dc.replace(self.CONFIG, direct_stream=False)
-        assert on.cache_key() == off.cache_key()

@@ -212,6 +212,112 @@ class TestCorruption:
         assert trace_identical(fresh, rebuilt)
 
 
+def _write_value_mode_1(monkeypatch, trace, path):
+    """Write ``trace`` as v3 with every value section's mode byte set
+    to 1 (the retired pickle mode): well-framed, undecodable chunks."""
+    from repro.vm import tracev3
+
+    real = tracev3._enc_values
+
+    def enc_mode_1(out, vals):
+        start = len(out)
+        real(out, vals)
+        if vals:
+            count = bytearray()
+            tracev3._w_varint(count, len(vals))
+            out[start + len(count)] = 1
+
+    monkeypatch.setattr(tracev3, "_enc_values", enc_mode_1)
+    write_v3(trace, path, chunk_size=256)
+    monkeypatch.setattr(tracev3, "_enc_values", real)
+
+
+class TestValueModes:
+    """Value sections have exactly one encoding; anything else is
+    corrupt, and non-int/float values are refused at write time."""
+
+    def test_value_mode_1_is_corrupt(self, tmp_path, monkeypatch):
+        trace = run_workload("compress", max_instructions=600)
+        path = tmp_path / "mode1.trace"
+        _write_value_mode_1(monkeypatch, trace, path)
+        with pytest.raises(TraceFileError, match="bad value mode"):
+            load_trace(path)
+        with pytest.raises(TraceFileError, match="bad value mode"):
+            for _ in FileTraceStream(path).chunks():
+                pass
+
+    def test_value_mode_1_cache_entry_is_miss(self, monkeypatch):
+        """The cache's decoding loader counts the entry corrupt and a
+        miss, and the next run rewrites it valid.  The streaming loader
+        opens from the footer alone, so for a bare stream the damage
+        surfaces as a typed error on the first drain."""
+        from repro import obs
+        from repro.vm import tracecache
+        from repro.workloads.base import get_workload, stream_workload
+
+        name, budget = "li", 800
+        fresh = run_workload(name, max_instructions=budget, use_cache=True)
+        source = get_workload(name).source(1)
+        path = tracecache.trace_path(name, 1, budget, source, "interp")
+        _write_value_mode_1(monkeypatch, fresh, path)
+
+        stream = stream_workload(name, max_instructions=budget,
+                                 use_cache=True)
+        with pytest.raises(TraceFileError, match="bad value mode"):
+            as_columnar(stream)
+        with obs.scope() as registry:
+            assert tracecache.load_cached_trace(
+                name, 1, budget, source, "interp") is None
+            counters = registry.snapshot()["counters"]
+        assert counters["trace_cache.corrupt"] == 1
+        assert counters["trace_cache.miss"] == 1
+        again = run_workload(name, max_instructions=budget, use_cache=True)
+        assert trace_identical(fresh, again)
+        assert trace_identical(load_trace(path), fresh)
+
+    def test_run_profile_heals_undecodable_entry(self, monkeypatch):
+        """A profile run over such an entry discards it, recomputes
+        through the tee and rewrites it valid — same numbers as the
+        oracle."""
+        import dataclasses
+
+        from repro import obs
+        from repro.exp.config import ExperimentConfig
+        from repro.exp.runner import run_profile, run_profile_reference
+        from repro.vm import tracecache
+        from repro.workloads.base import get_workload
+
+        name, budget = "go", 900
+        config = ExperimentConfig(max_instructions=budget,
+                                  reuse_latencies=(1,),
+                                  proportional_ks=(1.0,))
+        fresh = run_workload(name, max_instructions=budget, use_cache=True)
+        source = get_workload(name).source(1)
+        path = tracecache.trace_path(name, 1, budget, source, "interp")
+        _write_value_mode_1(monkeypatch, fresh, path)
+        with obs.scope() as registry:
+            got = run_profile(name, config)
+            counters = registry.snapshot()["counters"]
+        assert counters["trace_cache.corrupt"] == 1
+        assert counters["trace_cache.store"] == 1
+        expected = run_profile_reference(
+            name, dataclasses.replace(config, use_cache=False))
+        assert got == expected
+        assert trace_identical(load_trace(path), fresh)
+
+    @pytest.mark.parametrize("threads", [0, 2])
+    def test_writer_refuses_non_numeric_values(self, tmp_path, threads):
+        writer = TraceWriter(tmp_path / "bool.trace", threads=threads,
+                             chunk_size=4)
+        try:
+            with pytest.raises(TraceFileError, match="bool"):
+                for i in range(4):
+                    writer.append(i, 0, [(1, True)], [(2, 3)], 1, i + 1)
+                writer.close()
+        finally:
+            writer.abort()
+
+
 class TestBoundedMemory:
     def test_reader_holds_at_most_two_chunks(self, tmp_path):
         """Drain a many-chunk file counting live decoded chunks: at any
