@@ -244,3 +244,7 @@ class Scenario:
             raise ValueError("window_size must be positive or None")
         if self.k is not None and self.kind != "tlr":
             raise ValueError("proportional latency only applies to tlr")
+        if self.latency < 0 or (self.k is not None and self.k < 0):
+            # the streaming engine relies on start times never falling
+            # below 0.0 (see repro.dataflow.streaming, "Windows")
+            raise ValueError("reuse latency must be non-negative")

@@ -1,15 +1,18 @@
 """Differential tests: the streaming engine against the per-scenario model.
 
 The :class:`StreamingDataflowEngine` re-implements every reuse-plan
-family as a fold over one shared, block-wise dependence precompute.
-The per-scenario :class:`DataflowModel` (plus the plan builders in
-``baselines.ilr`` and ``core.reuse_tlr``) is the independent oracle;
-the engine must match it bit-for-bit, not just within a tolerance, at
-every chunk size.
+family inside one generated fold over a shared, sub-block-wise
+dependence precompute.  The per-scenario :class:`DataflowModel` (plus
+the plan builders in ``baselines.ilr`` and ``core.reuse_tlr``) is the
+independent oracle; the engine must match it bit-for-bit, not just
+within a tolerance, at every chunk size and sub-block cap.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,14 +22,27 @@ from repro.core.reuse_tlr import (
     ProportionalReuseLatency,
     tlr_reuse_plan,
 )
-from repro.core.traces import maximal_reusable_spans
+from repro.core.stats import trace_io_stats
+from repro.core.traces import average_span_length, maximal_reusable_spans
+from repro.dataflow import streaming
 from repro.dataflow.model import DataflowModel, Scenario
 from repro.dataflow.streaming import StreamingDataflowEngine
 from repro.exp.config import ExperimentConfig
 from repro.exp.runner import run_profile, run_profile_reference
+from repro.isa.opcodes import Opcode
+from repro.vm.trace import DynInst
 from repro.workloads.base import run_workload
 
 from test_model_properties import dyn_streams
+
+#: Sub-block caps exercised by the properties: every instruction its
+#: own sub-block (spans force longer ones), an odd small cap, default.
+CAPS = [1, 7, streaming.SUB_BLOCK_CAP]
+
+#: Locations of the shaped streams: registers, low memory words, and
+#: words far enough up that the engine must compact location ids
+#: before it packs (location, position) sort keys.
+LOCATIONS = [0, 1, 2, 40, 64, 65, 1 << 40, 1 << 61]
 
 
 def reference_result(stream, scenario, flags, spans):
@@ -64,22 +80,64 @@ def scenarios(draw):
     )
 
 
-@given(
-    dyn_streams(),
-    st.lists(scenarios(), min_size=1, max_size=6),
-    st.sampled_from([1, 7, 4096]),
-)
-@settings(max_examples=200, deadline=None)
-def test_fused_engine_matches_per_scenario_model(stream, scens, chunk_size):
+@st.composite
+def scenario_lists(draw):
+    """Scenario lists with a repeated entry and windows that collide,
+    so scenarios share ring-index groups and the fold's signature."""
+    scens = draw(st.lists(scenarios(), min_size=1, max_size=6))
+    return scens + [draw(st.sampled_from(scens))]
+
+
+@st.composite
+def shaped_streams(draw):
+    """Streams with 0-4 reads (duplicates allowed) and 0-2 writes per
+    instruction over registers and memory words, values a function of
+    the inputs so signatures repeat and spans form."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    locs = draw(st.lists(st.sampled_from(LOCATIONS), min_size=2,
+                         max_size=5, unique=True))
+    values = dict.fromkeys(locs, 0)
+    stream = []
+    for _ in range(n):
+        pc = draw(st.integers(0, 5))
+        srcs = draw(st.lists(st.sampled_from(locs), max_size=4))
+        dsts = draw(st.lists(st.sampled_from(locs), max_size=2))
+        reads = tuple((loc, values[loc]) for loc in srcs)
+        result = (sum(v for _, v in reads) + pc) % 3
+        writes = tuple((loc, result) for loc in dsts)
+        values.update(writes)
+        stream.append(DynInst(
+            pc=pc, op=Opcode.ADD, reads=reads, writes=writes,
+            latency=draw(st.sampled_from([1, 2, 5])), next_pc=pc + 1))
+    return stream
+
+
+def assert_matches_reference(stream, scens, chunk_size):
     flags = instruction_reusability(stream).flags
     spans = maximal_reusable_spans(stream, flags)
     engine = StreamingDataflowEngine(stream, chunk_size=chunk_size)
-    for scenario, got in zip(scens, engine.analyze_all(scens)):
+    results = engine.analyze_all(scens)
+    assert len(results) == len(scens)
+    for scenario, got in zip(scens, results):
         ref = reference_result(stream, scenario, flags, spans)
         assert got.instruction_count == ref.instruction_count
         assert got.total_cycles == ref.total_cycles  # exact, not approx
         assert got.reused_count == ref.reused_count
         assert got.window_size == ref.window_size
+    return engine
+
+
+@given(
+    dyn_streams() | shaped_streams(),
+    scenario_lists(),
+    st.sampled_from([1, 7, 4096]),
+    st.sampled_from(CAPS),
+)
+@settings(max_examples=300, deadline=None)
+def test_fused_engine_matches_per_scenario_model(stream, scens, chunk_size,
+                                                 cap):
+    with mock.patch.object(streaming, "SUB_BLOCK_CAP", cap):
+        assert_matches_reference(stream, scens, chunk_size)
 
 
 @given(dyn_streams())
@@ -98,6 +156,124 @@ def test_analyze_all_matches_individual_calls(stream):
         (single,) = engine.analyze_all([scenario])
         assert result.total_cycles == single.total_cycles
         assert result.reused_count == single.reused_count
+
+
+#: Every scenario family and window regime, with a duplicate.
+EDGE_SCENARIOS = [
+    Scenario("base", window_size=None),
+    Scenario("base", window_size=2),
+    Scenario("ilr", window_size=None, latency=0.5),
+    Scenario("ilr", window_size=2, latency=1.0),
+    Scenario("tlr", window_size=None, latency=1.0),
+    Scenario("tlr", window_size=2, latency=0.5),
+    Scenario("tlr", window_size=2, k=0.25),
+    Scenario("tlr", window_size=3, latency=1.0, fetch_free=False),
+    Scenario("tlr", window_size=None, k=0.5, fetch_free=False),
+    Scenario("ilr", window_size=2, latency=1.0),
+]
+
+
+def inst(pc, reads=(), writes=(), latency=1):
+    return DynInst(pc=pc, op=Opcode.ADD, reads=tuple(reads),
+                   writes=tuple(writes), latency=latency, next_pc=pc + 1)
+
+
+def loop_stream(body, trips):
+    """``trips`` identical iterations of ``body`` (a list of
+    instruction factories taking the trip number): iterations after
+    the first repeat their signatures, so they form spans."""
+    return [make(t) for t in range(trips) for make in body]
+
+
+class TestFoldEdges:
+    """Deterministic corners of the generated fold and its precompute,
+    each exact against the per-scenario reference."""
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_three_producers_and_no_reads(self, cap):
+        body = [
+            lambda t: inst(0, writes=[(1, 7)], latency=2),
+            lambda t: inst(1, writes=[(2, 3)]),
+            lambda t: inst(2, writes=[(64, 5)], latency=4),
+            # >=3 distinct producers, one location read twice
+            lambda t: inst(3, reads=[(1, 7), (2, 3), (64, 5), (1, 7)],
+                           writes=[(3, 1)], latency=2),
+            # no reads at all, and a write-only memory word
+            lambda t: inst(4, writes=[(65, 0)], latency=3),
+            lambda t: inst(5, reads=[(3, 1), (65, 0), (2, 3)],
+                           writes=[(3, 1), (1, 7)]),
+        ]
+        stream = [inst(9, reads=[(30, t)], writes=[(30, t + 1)])
+                  for t in range(3)] + loop_stream(body, 5)
+        with mock.patch.object(streaming, "SUB_BLOCK_CAP", cap):
+            for chunk_size in (1, 4, 4096):
+                assert_matches_reference(stream, EDGE_SCENARIOS, chunk_size)
+
+    @pytest.mark.parametrize("chunk_size", [1, 3, 4096])
+    def test_span_longer_than_the_cap(self, chunk_size):
+        # an induction variable makes one non-reusable instruction per
+        # trip; the rest of the first trips' work is a 12-long span
+        body = [lambda t: inst(0, reads=[(5, t)], writes=[(5, t + 1)])]
+        body += [
+            (lambda k: lambda t: inst(1 + k, reads=[(6, k), (7, 2)],
+                                      writes=[(6, k + 1)], latency=1 + k % 3))(k)
+            for k in range(12)
+        ]
+        stream = loop_stream(body, 4)
+        spans = maximal_reusable_spans(
+            stream, instruction_reusability(stream).flags)
+        assert max(s.length for s in spans) > 4
+        with mock.patch.object(streaming, "SUB_BLOCK_CAP", 4):
+            assert_matches_reference(stream, EDGE_SCENARIOS, chunk_size)
+
+    @pytest.mark.parametrize("chunk_size", [1, 5, 4096])
+    def test_wholly_reusable_stream(self, chunk_size):
+        # after one warm-up trip every instruction repeats a signature:
+        # no cut point ever comes, so the whole rest is buffered and
+        # folded as one sub-block at the end
+        body = [lambda t: inst(0, reads=[(1, 0)], writes=[(2, 1)]),
+                lambda t: inst(1, reads=[(2, 1), (64, 4)], writes=[(64, 4)],
+                               latency=3)]
+        stream = loop_stream(body, 30)
+        flags = instruction_reusability(stream).flags
+        assert all(flags[2:])
+        with mock.patch.object(streaming, "SUB_BLOCK_CAP", 7):
+            engine = assert_matches_reference(stream, EDGE_SCENARIOS,
+                                              chunk_size)
+        assert engine.span_count == 1
+        assert engine.span_covered == len(stream) - 2
+
+    @given(dyn_streams() | shaped_streams(), st.sampled_from([1, 7, 4096]))
+    @settings(max_examples=100, deadline=None)
+    def test_no_scenarios_still_summarises(self, stream, chunk_size):
+        engine = StreamingDataflowEngine(stream, chunk_size=chunk_size)
+        assert engine.analyze_all([]) == []
+        reuse = instruction_reusability(stream)
+        spans = maximal_reusable_spans(stream, reuse.flags)
+        assert engine.n == len(stream)
+        assert engine.reuse.reusable_count == sum(reuse.flags)
+        assert engine.reuse.percent_reusable == reuse.percent_reusable
+        assert engine.span_count == len(spans)
+        assert engine.span_covered == sum(s.length for s in spans)
+        assert engine.avg_span_length == average_span_length(spans)
+        assert engine.io_stats == trace_io_stats(spans)
+
+    def test_same_signature_reuses_the_generated_fold(self):
+        stream = loop_stream([lambda t: inst(0, reads=[(1, 0)],
+                                             writes=[(2, 1)])], 4)
+        first = [Scenario("ilr", window_size=4, latency=1.0),
+                 Scenario("tlr", window_size=None, k=0.5)]
+        # same kinds, windows and latency models: same code
+        second = [Scenario("ilr", window_size=9, latency=3.0),
+                  Scenario("tlr", window_size=None, k=0.125)]
+        engine = StreamingDataflowEngine(stream)
+        engine.analyze_all(first)
+        misses = streaming._fold_for.cache_info().misses
+        engine.analyze_all(second)
+        StreamingDataflowEngine(stream).analyze_all(first)
+        assert streaming._fold_for.cache_info().misses == misses
+        assert streaming._fold_for(streaming._signature(first)) is \
+            streaming._fold_for(streaming._signature(second))
 
 
 class TestOnRealWorkloads:
@@ -120,19 +296,19 @@ class TestOnRealWorkloads:
 
 class TestScenarioValidation:
     def test_unknown_kind(self):
-        import pytest
-
         with pytest.raises(ValueError, match="unknown scenario kind"):
             Scenario("frobnicate")
 
     def test_bad_window(self):
-        import pytest
-
         with pytest.raises(ValueError, match="window_size"):
             Scenario("base", window_size=0)
 
     def test_k_requires_tlr(self):
-        import pytest
-
         with pytest.raises(ValueError, match="proportional"):
             Scenario("ilr", k=0.5)
+
+    def test_negative_latency(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Scenario("ilr", latency=-1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            Scenario("tlr", k=-0.5)

@@ -210,6 +210,45 @@ class TestStreamingProfiles:
         assert loaded == self.CONFIG
         assert loaded.cache_key() == self.CONFIG.cache_key()
 
+    def test_producer_time_billed_to_stage_trace(self, monkeypatch):
+        """Time spent inside the lazy stream's chunk steps (execute,
+        decode) is ``stage.trace``, not ``stage.analysis``; the two
+        still add up to the whole stream-plus-drain time."""
+        import time
+
+        from repro import obs
+        from repro.exp import runner
+
+        pause = 0.05
+        naps = []
+
+        class SleepyStream:
+            def __init__(self, stream):
+                self._stream = stream
+
+            def chunks(self):
+                for chunk in self._stream.chunks():
+                    time.sleep(pause)
+                    naps.append(pause)
+                    yield chunk
+
+        def sleepy_stream_workload(name, **kwargs):
+            trace = run_workload(name, max_instructions=1_500,
+                                 use_cache=False)
+            return SleepyStream(as_chunk_stream(trace, chunk_size=300))
+
+        monkeypatch.setattr(runner, "stream_workload", sleepy_stream_workload)
+        with obs.scope() as registry:
+            start = time.perf_counter()
+            run_profile("compress", self.CONFIG)
+            wall = time.perf_counter() - start
+        timers = registry.timers
+        slept = sum(naps)
+        assert timers["stage.trace"][0] >= slept
+        assert timers["stage.analysis"][0] < slept / 2
+        assert (timers["stage.trace"][0] + timers["stage.analysis"][0]
+                + timers["stage.engine_init"][0]) <= wall
+
 
 #: Budget/limit pair at which the materialized pipeline exceeds the
 #: address-space limit but the O(chunk) streaming pipeline does not
