@@ -4,14 +4,17 @@
 Measures the three layers of a profile run, against the retained
 per-scenario reference pipeline:
 
-- ``machine_run``: raw VM throughput (instr/s) of both execution
-  backends — the ``Machine`` interpreter and the trace-compiling
+- ``machine_run``: raw VM throughput (instr/s) of both machine
+  classes — the ``Machine`` interpreter and the trace-compiling
   ``FastMachine`` — at the paper-scale instruction budget, plus the
   per-kernel and aggregate speed-ups and a bit-identity check (run at
   a smaller ``verify_budget`` so the differential comparison does not
-  hold two paper-scale traces in memory at once).  Each timing is the
-  best of two runs, each in a fresh process, so one kernel's heap does
-  not pollute the next measurement and scheduler noise is rejected;
+  hold two paper-scale traces in memory at once).  Its ``sweep``
+  times both classes over all 14 kernels at budgets from 2k to 1M and
+  records the class ``create_machine`` picks at each.  Each timing is
+  the best of two chunked runs (``run_chunks``, O(chunk) memory), each
+  in a fresh process, so one measurement's heap does not pollute the
+  next and scheduler noise is rejected;
 - ``streaming_engine``: scenario throughput (scenarios/s) of
   ``StreamingDataflowEngine`` over the figure-3..8 scenario set
   (``repro.exp.runner.profile_scenarios``), split into the
@@ -30,8 +33,9 @@ pipeline and writes ``BENCH_tracev3.json``:
 - ``codec``: v3 write/read throughput (instr/s) and compression stats
   at the paper-scale ``--trace-budget`` — execution streams through
   the incremental ``TraceWriter``, so this path never materializes
-  the trace — plus the on-disk ratio against a v2 (pickled columnar)
-  encoding of the same trace;
+  the trace — plus the on-disk ratio against the retired v2 encoding
+  (the pickled columnar trace, sized here by pickling into a byte
+  counter) of the same trace;
 - per-kernel ``columns``: a per-column decode micro-benchmark —
   encoded size, share and decode wall time of every v3 section (the
   breakdown that located the tomcatv value-column decode anomaly);
@@ -70,16 +74,18 @@ Usage::
 
 ``REPRO_BENCH_BUDGET`` / ``REPRO_BENCH_MACHINE_BUDGET`` also set the
 budgets (flags win).  ``--budget`` drives the engine and profile
-benches; ``--machine-budget`` drives the backend throughput bench and
+benches; ``--machine-budget`` drives the machine throughput bench and
 defaults to the paper's 50M-instruction scale.  The cache
 measurements use a throwaway directory, so the run neither reads nor
 pollutes ``.repro-cache/``.
 
-The script exits non-zero when the fast backend fails bit-identity,
-when it is *slower* than the interpreter, when the streaming engine
-disagrees with the oracle, or when profile collection regresses — so
-a CI hook-up fails loudly instead of silently shipping a slow or
-wrong backend.
+The script exits non-zero when ``FastMachine`` fails bit-identity,
+when it is *slower* than the interpreter at ``--machine-budget``,
+when ``create_machine`` picks the slower class at a sweep budget where
+the two differ by more than 1.25x, when the streaming engine disagrees
+with the oracle, or when profile collection regresses — so a CI
+hook-up fails loudly instead of silently shipping a slow or wrong
+machine.
 """
 
 from __future__ import annotations
@@ -114,7 +120,12 @@ from repro.exp.runner import (  # noqa: E402
     run_profile,
     run_profile_reference,
 )
-from repro.workloads.base import build_program, run_workload  # noqa: E402
+from repro.workloads.base import (  # noqa: E402
+    all_workloads,
+    build_program,
+    run_workload,
+)
+from repro.vm.backends import MACHINE_MAX_BUDGET, create_machine  # noqa: E402
 from repro.vm.fastmachine import FastMachine  # noqa: E402
 from repro.vm.machine import Machine  # noqa: E402
 from repro.vm.trace import trace_identical  # noqa: E402
@@ -149,17 +160,25 @@ def oracle_results(trace, scenarios: list[Scenario]) -> list:
 _RUN_SNIPPET = """\
 import sys, time
 from repro.workloads.base import build_program
-from repro.vm.backends import create_machine
-machine = create_machine(build_program(sys.argv[2]), sys.argv[1])
+from repro.vm.fastmachine import FastMachine
+from repro.vm.machine import Machine
+cls = {"Machine": Machine, "FastMachine": FastMachine}[sys.argv[1]]
+budget = int(sys.argv[2])
+programs = [build_program(name) for name in sys.argv[3:]]
 start = time.perf_counter()
-trace = machine.run(max_instructions=int(sys.argv[3]))
-print(len(trace), time.perf_counter() - start)
+count = 0
+for program in programs:
+    for segment in cls(program).run_chunks(budget):
+        count += len(segment)
+print(count, time.perf_counter() - start)
 """
 
 
-def _timed_run(backend: str, name: str, budget: int,
+def _timed_run(cls: str, names, budget: int,
                repeats: int = 2) -> tuple[int, float]:
-    """Best-of-N wall clock of one backend run, each in a fresh process.
+    """Best-of-N wall clock of machine class ``cls`` running each of
+    ``names`` (one fresh machine per kernel) at ``budget``, each
+    repeat in a fresh process.
 
     Process isolation keeps one measurement's heap from polluting the
     next: a retired paper-scale trace leaves the allocator arenas
@@ -173,22 +192,71 @@ def _timed_run(backend: str, name: str, budget: int,
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    label = f"{cls}/{'+'.join(names)}@{budget}"
     n = None
     best = float("inf")
     for _ in range(repeats):
         proc = subprocess.run(
-            [sys.executable, "-c", _RUN_SNIPPET, backend, name, str(budget)],
+            [sys.executable, "-c", _RUN_SNIPPET, cls, str(budget), *names],
             capture_output=True, text=True, env=env,
         )
         if proc.returncode != 0:
             raise RuntimeError(
-                f"{backend}/{name} benchmark process failed:\n{proc.stderr}")
+                f"{label} benchmark process failed:\n{proc.stderr}")
         count_s, elapsed_s = proc.stdout.split()
         count, elapsed = int(count_s), float(elapsed_s)
-        assert n is None or n == count, f"{backend}/{name}: {n} vs {count}"
+        assert n is None or n == count, f"{label}: {n} vs {count}"
         n = count
         best = min(best, elapsed)
     return n, best
+
+
+def _picked(budget: int) -> str:
+    """The machine class ``create_machine`` picks for ``budget``."""
+    return type(create_machine(build_program("li"), budget)).__name__
+
+
+#: Budgets of the selection sweep: small runs where FastMachine's block
+#: compiles dominate, the crossover, and a budget where they are long
+#: amortised.
+SWEEP_BUDGETS = (2_000, 20_000, 50_000, 100_000, 150_000, 250_000,
+                 1_000_000)
+
+#: Where one class beats the other by more than this factor,
+#: ``create_machine`` must pick it.
+SWEEP_MARGIN = 1.25
+
+
+def bench_budget_sweep() -> dict:
+    """Both machine classes over every kernel at each sweep budget."""
+    names = [w.name for w in all_workloads()]
+    rows = []
+    for budget in SWEEP_BUDGETS:
+        n, machine_s = _timed_run("Machine", names, budget)
+        n_fast, fast_s = _timed_run("FastMachine", names, budget)
+        assert n == n_fast, f"{budget}: classes retired {n} vs {n_fast}"
+        ratio = machine_s / fast_s
+        faster = ("FastMachine" if ratio > SWEEP_MARGIN
+                  else "Machine" if 1 / ratio > SWEEP_MARGIN else None)
+        picked = _picked(budget)
+        rows.append({
+            "budget": budget,
+            "instructions": n,
+            "machine_seconds": round(machine_s, 4),
+            "fast_seconds": round(fast_s, 4),
+            "machine_over_fast": round(ratio, 2),
+            "picked": picked,
+            "picks_faster": faster in (None, picked),
+        })
+    return {
+        "kernels": len(names),
+        "machine_max_budget": MACHINE_MAX_BUDGET,
+        "margin": SWEEP_MARGIN,
+        "protocol": "best-of-2, fresh process per class and budget, "
+                    "all kernels in one process",
+        "budgets": rows,
+        "picks_faster": all(row["picks_faster"] for row in rows),
+    }
 
 
 def bench_machine_run(budget: int, verify_budget: int) -> dict:
@@ -198,9 +266,9 @@ def bench_machine_run(budget: int, verify_budget: int) -> dict:
     total_instr = 0
     identical = True
     for name in kernels:
-        ni, ti = _timed_run("interp", name, budget)
-        nf, tf = _timed_run("fast", name, budget)
-        assert ni == nf, f"{name}: backends retired {ni} vs {nf} instructions"
+        ni, ti = _timed_run("Machine", [name], budget)
+        nf, tf = _timed_run("FastMachine", [name], budget)
+        assert ni == nf, f"{name}: classes retired {ni} vs {nf} instructions"
         interp_total += ti
         fast_total += tf
         total_instr += ni
@@ -223,15 +291,17 @@ def bench_machine_run(budget: int, verify_budget: int) -> dict:
         "kernels": list(kernels),
         "budget": budget,
         "verify_budget": verify_budget,
-        "protocol": "best-of-2, fresh process per measurement",
+        "protocol": "best-of-2 chunked runs, fresh process per measurement",
         "instructions": total_instr,
         "interp_seconds": round(interp_total, 4),
         "fast_seconds": round(fast_total, 4),
         "interp_instr_per_sec": round(total_instr / interp_total),
         "fast_instr_per_sec": round(total_instr / fast_total),
         "speedup": round(interp_total / fast_total, 2),
+        "picked": _picked(budget),
         "bit_identical": identical,
         "per_kernel": per_kernel,
+        "sweep": bench_budget_sweep(),
     }
 
 
@@ -439,19 +509,21 @@ def bench_coldpath(trace_budget: int, verify_budget: int,
     # the cold-path scenario families at the verify budget, through the
     # whole profile pipeline (one latency, no proportional-K family)
     verify_config = ExperimentConfig(
-        max_instructions=verify_budget, backend="fast",
+        max_instructions=verify_budget,
         reuse_latencies=(1,), proportional_ks=())
     per_kernel = {}
     all_identical = True
     max_encode_overhead = 0.0
     for name in kernels:
-        # leg 1: pure execution (fresh-process best-of-2)
-        n, exec_s = _timed_run("fast", name, trace_budget)
+        # leg 1: pure execution on the machine the budget selects
+        # (fresh-process best-of-2)
+        n, exec_s = _timed_run(_picked(trace_budget), [name], trace_budget)
 
         # leg 2: execute + encode through the incremental writer
         path = tmp / f"{name}.coldpath.trace"
         stream = ExecutionChunkStream(
-            lambda name=name: FastMachine(build_program(name)),
+            lambda name=name: create_machine(build_program(name),
+                                             trace_budget),
             program_name=name, max_instructions=trace_budget)
         start = time.perf_counter()
         wrote = write_stream(stream, path)
@@ -463,8 +535,7 @@ def bench_coldpath(trace_budget: int, verify_budget: int,
         # one drain, cache entry persisted as a side effect
         os.environ["REPRO_CACHE_DIR"] = str(tmp / "cold" / name)
         start = time.perf_counter()
-        tee = stream_workload(name, max_instructions=trace_budget,
-                              backend="fast")
+        tee = stream_workload(name, max_instructions=trace_budget)
         engine = StreamingDataflowEngine(tee)
         engine.analyze_all(COLDPATH_SCENARIOS)
         cold_s = time.perf_counter() - start
@@ -524,6 +595,24 @@ def _codec_threads() -> int:
     return codec_threads()
 
 
+def _write_report(report: dict, output: str) -> None:
+    out = pathlib.Path(output)
+    out.write_text(json.dumps(report, indent=2) + "\n")
+    print(json.dumps(report, indent=2))
+    print(f"\nwritten to {out}", file=sys.stderr)
+
+
+def _sweep_ok(sweep: dict) -> bool:
+    for row in sweep["budgets"]:
+        if not row["picks_faster"]:
+            print(f"FAIL: create_machine picks {row['picked']} at "
+                  f"{row['budget']} instructions, but the other class is "
+                  f"more than {sweep['margin']}x faster there "
+                  f"(Machine/FastMachine = {row['machine_over_fast']})",
+                  file=sys.stderr)
+    return sweep["picks_faster"]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -536,14 +625,14 @@ def main(argv: list[str] | None = None) -> int:
         "--machine-budget", type=int,
         default=int(os.environ.get("REPRO_BENCH_MACHINE_BUDGET",
                                    "50000000")),
-        help="instruction budget per kernel for the backend throughput "
+        help="instruction budget per kernel for the machine throughput "
              "bench (default 50M, the paper scale)",
     )
     parser.add_argument(
         "--verify-budget", type=int,
         default=int(os.environ.get("REPRO_BENCH_VERIFY_BUDGET",
                                    "1000000")),
-        help="budget for the backend bit-identity check (default 1M)",
+        help="budget for the FastMachine bit-identity check (default 1M)",
     )
     parser.add_argument(
         "--tracev3", action="store_true",
@@ -586,10 +675,7 @@ def main(argv: list[str] | None = None) -> int:
                     tmp,
                 ),
             }
-        out = pathlib.Path(args.output)
-        out.write_text(json.dumps(report, indent=2) + "\n")
-        print(json.dumps(report, indent=2))
-        print(f"\nwritten to {out}", file=sys.stderr)
+        _write_report(report, args.output)
         cp = report["coldpath"]
         ok = True
         if not cp["bit_identical"]:
@@ -612,10 +698,7 @@ def main(argv: list[str] | None = None) -> int:
                     ExperimentConfig(max_instructions=args.budget), tmp,
                 ),
             }
-        out = pathlib.Path(args.output)
-        out.write_text(json.dumps(report, indent=2) + "\n")
-        print(json.dumps(report, indent=2))
-        print(f"\nwritten to {out}", file=sys.stderr)
+        _write_report(report, args.output)
         tv = report["tracev3"]
         ok = True
         if not tv["engine"]["bit_identical"]:
@@ -646,19 +729,16 @@ def main(argv: list[str] | None = None) -> int:
             "collect_profiles": bench_collect_profiles(args.budget),
         }
 
-    out = pathlib.Path(args.output)
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report, indent=2))
-    print(f"\nwritten to {out}", file=sys.stderr)
+    _write_report(report, args.output)
 
-    ok = True
     mr = report["machine_run"]
+    ok = _sweep_ok(mr["sweep"])
     if not mr["bit_identical"]:
-        print("FAIL: fast backend traces are not bit-identical",
+        print("FAIL: FastMachine traces are not bit-identical",
               file=sys.stderr)
         ok = False
     if mr["speedup"] < 1.0:
-        print(f"FAIL: fast backend is slower than the interpreter "
+        print(f"FAIL: FastMachine is slower than the interpreter "
               f"({mr['speedup']}x)", file=sys.stderr)
         ok = False
     if not report["streaming_engine"]["bit_identical"]:

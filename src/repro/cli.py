@@ -22,7 +22,7 @@ Commands
 ``cache {info,clear}``
     Inspect or wipe the persistent trace/profile cache
     (``.repro-cache/``; see ``repro.vm.tracecache``).  ``info`` lists
-    every cached trace with its format version (v2/v3), on-disk size
+    every cached trace with its format (v3, or corrupt), on-disk size
     and compression ratio.  Commands that execute kernels accept
     ``--no-cache`` to bypass it.
 ``trace info PATH``
@@ -94,7 +94,6 @@ from repro.exp.report import render
 from repro.exp.runner import collect_profiles
 from repro.isa.disasm import disassemble
 from repro.util.tables import format_table
-from repro.vm.backends import BACKENDS
 from repro.vm.tracefile import save_trace
 from repro.workloads.base import (
     all_workloads,
@@ -115,7 +114,6 @@ def _cmd_run(args) -> int:
         args.workload,
         max_instructions=args.budget,
         use_cache=not args.no_cache,
-        backend=args.backend,
     )
     print(f"{args.workload}: {len(trace)} dynamic instructions "
           f"(halted={trace.halted})")
@@ -128,12 +126,10 @@ def _cmd_run(args) -> int:
          for cls, count in hist],
     ))
     if args.save_trace:
-        fmt = args.trace_format
-        if fmt is None:
-            # .jsonl/.gz ask for the portable JSON-lines layout;
-            # anything else gets the chunked v3 format
-            fmt = ("v1" if str(args.save_trace).endswith((".jsonl", ".gz"))
-                   else "v3")
+        # .jsonl/.gz ask for the portable JSON-lines layout; anything
+        # else gets the chunked v3 format
+        fmt = ("v1" if str(args.save_trace).endswith((".jsonl", ".gz"))
+               else "v3")
         save_trace(trace, args.save_trace, format=fmt)
         print(f"trace written to {args.save_trace} ({fmt})")
     return 0
@@ -150,7 +146,6 @@ def _cmd_analyze(args) -> int:
         args.workload,
         max_instructions=args.budget,
         use_cache=not args.no_cache,
-        backend=args.backend,
     )
     engine = StreamingDataflowEngine(stream)
     scenarios = []
@@ -175,8 +170,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_figures(args) -> int:
     config = ExperimentConfig(
-        max_instructions=args.budget, use_cache=not args.no_cache,
-        backend=args.backend)
+        max_instructions=args.budget, use_cache=not args.no_cache)
     profiles = collect_profiles(config)
     for failure in getattr(profiles, "failures", ()):
         print(
@@ -201,8 +195,7 @@ def _cmd_figures(args) -> int:
         print()
     if args.fig9:
         fig9_config = ExperimentConfig(
-            max_instructions=args.fig9_budget, use_cache=not args.no_cache,
-            backend=args.backend)
+            max_instructions=args.fig9_budget, use_cache=not args.no_cache)
         print(render(figure9(fig9_config)))
     if getattr(profiles, "manifest_path", None) is not None:
         print(f"run manifest: {profiles.manifest_path}", file=sys.stderr)
@@ -214,7 +207,6 @@ def _cmd_rtm(args) -> int:
         args.workload,
         max_instructions=args.budget,
         use_cache=not args.no_cache,
-        backend=args.backend,
     )
     heuristics = [ILRHeuristic(False), ILRHeuristic(True),
                   FixedLengthHeuristic(4)]
@@ -360,7 +352,6 @@ def _cmd_characterize(args) -> int:
     names = args.workloads or (FP_SUITE + INT_SUITE)
     fig = suite_characterization(
         names, max_instructions=args.budget, use_cache=not args.no_cache,
-        backend=args.backend,
     )
     print(render(fig))
     return 0
@@ -475,8 +466,7 @@ def _print_sweep_outcome(run) -> None:
 def _cmd_sweep(args) -> int:
     from repro.exp.service import ShardQueue, enqueue_sweep, run_service_sweep
 
-    config = ExperimentConfig(
-        max_instructions=args.budget, backend=args.backend)
+    config = ExperimentConfig(max_instructions=args.budget)
     if args.enqueue_only:
         plan = enqueue_sweep(config)
         queue = ShardQueue()
@@ -515,8 +505,7 @@ def _cmd_serve(args) -> int:
     from repro.exp.service.server import serve_forever
     from repro.exp.service.sweep import spawn_worker_process
 
-    defaults = ExperimentConfig(max_instructions=args.budget,
-                                backend=args.backend)
+    defaults = ExperimentConfig(max_instructions=args.budget)
     procs = []
     for k in range(args.workers):
         procs.append(spawn_worker_process(
@@ -633,35 +622,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # shared by every command that executes kernels; None defers to
-    # the REPRO_BACKEND environment variable, then the interpreter
-    backend_parent = argparse.ArgumentParser(add_help=False)
-    backend_parent.add_argument(
-        "--backend", choices=sorted(BACKENDS), default=None,
-        help="execution backend (default: $REPRO_BACKEND or interp)",
-    )
-
     sub.add_parser("workloads", help="list benchmark kernels")
 
-    p_run = sub.add_parser("run", help="execute a kernel", parents=[backend_parent])
+    p_run = sub.add_parser("run", help="execute a kernel")
     p_run.add_argument("workload")
     p_run.add_argument("--budget", type=int, default=20_000)
-    p_run.add_argument("--save-trace", metavar="PATH")
-    p_run.add_argument("--trace-format", choices=["v1", "v2", "v3"],
-                       default=None,
-                       help="on-disk format for --save-trace (default: "
-                       "chunked v3, or v1 for .jsonl/.gz paths)")
+    p_run.add_argument("--save-trace", metavar="PATH",
+                       help="write the trace here: JSON lines (v1) for "
+                       ".jsonl/.gz paths, chunked v3 otherwise")
     p_run.add_argument("--no-cache", action="store_true",
                        help="bypass the persistent trace cache")
 
-    p_an = sub.add_parser("analyze", help="full single-kernel analysis", parents=[backend_parent])
+    p_an = sub.add_parser("analyze", help="full single-kernel analysis")
     p_an.add_argument("workload")
     p_an.add_argument("--budget", type=int, default=20_000)
     p_an.add_argument("--window", type=int, default=256)
     p_an.add_argument("--no-cache", action="store_true",
                       help="bypass the persistent trace cache")
 
-    p_fig = sub.add_parser("figures", help="regenerate the paper's figures", parents=[backend_parent])
+    p_fig = sub.add_parser("figures", help="regenerate the paper's figures")
     p_fig.add_argument("--budget", type=int, default=20_000)
     p_fig.add_argument("--fig9", action="store_true",
                        help="also run the (slow) finite-RTM grid")
@@ -669,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--no-cache", action="store_true",
                        help="bypass the persistent trace/profile cache")
 
-    p_rtm = sub.add_parser("rtm", help="finite-RTM design sweep", parents=[backend_parent])
+    p_rtm = sub.add_parser("rtm", help="finite-RTM design sweep")
     p_rtm.add_argument("workload")
     p_rtm.add_argument("--budget", type=int, default=12_000)
     p_rtm.add_argument("--sizes", nargs="+", default=["512", "4K"],
@@ -680,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dis = sub.add_parser("disasm", help="disassemble a kernel")
     p_dis.add_argument("workload")
 
-    p_ch = sub.add_parser("characterize", help="workload suite statistics", parents=[backend_parent])
+    p_ch = sub.add_parser("characterize", help="workload suite statistics")
     p_ch.add_argument("workloads", nargs="*")
     p_ch.add_argument("--budget", type=int, default=10_000)
     p_ch.add_argument("--no-cache", action="store_true",
@@ -691,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tr = sub.add_parser("trace", help="inspect a saved trace file")
     p_tr.add_argument("action", choices=["info"])
-    p_tr.add_argument("path", help="path to a .trace file (v1/v2/v3)")
+    p_tr.add_argument("path", help="path to a .trace file (v1/v3)")
     p_tr.add_argument("--columns", action="store_true",
                       help="decode the file and report per-column "
                       "encoded size, decode time and codec mode (v3)")
@@ -707,7 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser(
         "sweep", help="run a sweep through the sharded service",
-        parents=[backend_parent],
     )
     p_sw.add_argument("--budget", type=int, default=20_000)
     p_sw.add_argument("--workers", type=int, default=None,
@@ -735,7 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_srv = sub.add_parser(
         "serve", help="async cache-backed profile/figure server",
-        parents=[backend_parent],
     )
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=8023)

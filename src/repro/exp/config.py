@@ -20,9 +20,6 @@ _NON_SEMANTIC_FIELDS = frozenset({
     "task_timeout",
     "task_retries",
     "retry_backoff",
-    # execution backends are bit-identical by contract, so the choice
-    # changes wall-clock time, never the analysed profile
-    "backend",
 })
 
 
@@ -56,9 +53,6 @@ class ExperimentConfig:
     task_retries: int = 1
     #: base seconds slept before attempt n+1 (doubles per retry)
     retry_backoff: float = 0.05
-    #: execution backend for kernel runs (see :mod:`repro.vm.backends`);
-    #: None defers to ``REPRO_BACKEND`` and then the interpreter
-    backend: str | None = None
     #: answer profiles from the simulation-free static estimator
     #: (:mod:`repro.static`) instead of executing — a tier-0 path with
     #: documented per-kernel error bands (``BENCH_static.json``).

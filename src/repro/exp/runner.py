@@ -189,7 +189,6 @@ def run_profile(
                 scale=config.scale,
                 max_instructions=config.max_instructions,
                 use_cache=config.use_cache,
-                backend=config.backend,
             )
         finally:
             opened.append(clock() - start)

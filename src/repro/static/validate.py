@@ -101,12 +101,11 @@ def _dynamic_profile_for_program(
     """
     from repro.dataflow.streaming import StreamingDataflowEngine
     from repro.exp.runner import profile_from_engine
-    from repro.vm import backends
+    from repro.vm.backends import create_machine
     from repro.vm.tracestream import ExecutionChunkStream
 
-    backend = backends.resolve_backend(config.backend)
     engine = StreamingDataflowEngine(ExecutionChunkStream(
-        lambda: backends.create_machine(program, backend),
+        lambda: create_machine(program, config.max_instructions),
         program_name=name,
         max_instructions=config.max_instructions,
     ))

@@ -9,13 +9,7 @@ latency, next PC).
 """
 
 from repro.vm.assembler import AssemblyError, assemble
-from repro.vm.backends import (
-    BACKEND_ENV,
-    BACKENDS,
-    DEFAULT_BACKEND,
-    create_machine,
-    resolve_backend,
-)
+from repro.vm.backends import create_machine
 from repro.vm.errors import VMError
 from repro.vm.fastmachine import FastMachine
 from repro.vm.machine import DEFAULT_STACK_TOP, Machine
@@ -27,11 +21,7 @@ __all__ = [
     "AssemblyError",
     "Machine",
     "FastMachine",
-    "BACKENDS",
-    "BACKEND_ENV",
-    "DEFAULT_BACKEND",
     "create_machine",
-    "resolve_backend",
     "Program",
     "Trace",
     "DynInst",

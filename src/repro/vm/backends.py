@@ -1,69 +1,37 @@
-"""Pluggable execution backends for the VM.
+"""Which machine executes a kernel: chosen from the instruction budget.
 
-Two backends execute assembled programs, with one contract between
+Two machines execute assembled programs, with one contract between
 them: **bit-identical traces**.  For any program, budget and machine
-state, both must produce exactly the same
+state, both produce exactly the same
 :class:`~repro.vm.trace.ColumnarTrace`, final architectural state and
-faults.
+faults, so the choice changes wall-clock time only.
 
-``interp``
-    :class:`~repro.vm.machine.Machine` — the reference interpreter,
-    one closure call per dynamic instruction.  Simple, transparently
-    correct, and the differential oracle for everything else.
-``fast``
-    :class:`~repro.vm.fastmachine.FastMachine` — compiles hot
-    superblock traces into specialised straight-line functions and
-    falls back to the interpreter for cold or irregular code.  About
-    an order of magnitude faster at paper-scale budgets.
-
-Selection precedence: an explicit ``backend=`` argument (e.g. the
-``--backend`` CLI flag) > the ``REPRO_BACKEND`` environment variable >
-:data:`DEFAULT_BACKEND`.  The default stays ``interp`` so that
-nothing changes behaviour unless a caller opts in; batch entry points
-(``collect_profiles``, ``repro run``) pass the resolved name down.
+:class:`~repro.vm.machine.Machine` runs one closure call per dynamic
+instruction and starts at full speed.
+:class:`~repro.vm.fastmachine.FastMachine` compiles hot superblocks
+into straight-line functions; each compile costs a few milliseconds,
+which a short run never earns back, and it is about 5x faster at the
+paper's 50M-instruction budget.  The crossover budget is measured by
+``scripts/bench_engine.py`` (``machine_run.sweep``), whose gate checks
+that :func:`create_machine` picks the faster class wherever the two
+differ by more than 1.25x.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.vm.fastmachine import FastMachine
 from repro.vm.machine import Machine
 from repro.vm.program import Program
 
-#: Registry of backend name -> machine class.  Every class accepts
-#: ``(program)`` and exposes ``run(max_instructions=...)``.
-BACKENDS: dict[str, type[Machine]] = {
-    "interp": Machine,
-    "fast": FastMachine,
-}
-
-#: Environment knob consulted when no explicit backend is given.
-BACKEND_ENV = "REPRO_BACKEND"
-
-#: Used when neither an argument nor the environment selects one.
-DEFAULT_BACKEND = "interp"
+#: Budgets up to this many instructions run on :class:`Machine`;
+#: larger or unbounded ones on :class:`FastMachine`.
+MACHINE_MAX_BUDGET = 200_000
 
 
-def resolve_backend(name: str | None = None) -> str:
-    """Resolve a backend name: argument > ``REPRO_BACKEND`` > default.
-
-    Raises ``ValueError`` for names outside :data:`BACKENDS`, naming
-    the valid choices (covers typos in the env var as well).
-    """
-    if name is None:
-        name = os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
-    if name not in BACKENDS:
-        known = ", ".join(sorted(BACKENDS))
-        raise ValueError(f"unknown backend {name!r}; known: {known}")
-    return name
-
-
-def backend_class(name: str | None = None) -> type[Machine]:
-    """The machine class for a backend name (resolved as above)."""
-    return BACKENDS[resolve_backend(name)]
-
-
-def create_machine(program: Program, backend: str | None = None) -> Machine:
-    """Instantiate the selected backend over ``program``."""
-    return backend_class(backend)(program)
+def create_machine(program: Program,
+                   max_instructions: int | None = None) -> Machine:
+    """The faster machine over ``program`` for a run of
+    ``max_instructions`` (``None``: run to HALT)."""
+    if max_instructions is not None and max_instructions <= MACHINE_MAX_BUDGET:
+        return Machine(program)
+    return FastMachine(program)

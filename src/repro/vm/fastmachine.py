@@ -1,4 +1,4 @@
-"""Block-compiling execution backend: ``FastMachine``.
+"""Block-compiling machine: ``FastMachine``.
 
 :class:`~repro.vm.machine.Machine` already compiles each *static
 instruction* into a closure; at paper-scale budgets (50M dynamic
@@ -80,8 +80,8 @@ from repro.vm.trace import ColumnarTrace, preallocated_pcn
 
 #: Compile a block once it has been entered this many times; earlier
 #: entries run through the interpreter (cold path), which doubles as
-#: the warm-up branch profile that steers trace formation.
-DEFAULT_HOT_THRESHOLD = 8
+#: the warm-up branch profile that steers how traces are formed.
+HOT_THRESHOLD = 8
 
 #: Upper bound on compiled-block length.  Deliberately modest: besides
 #: bounding generated-function compile time, short blocks keep the
@@ -301,7 +301,7 @@ def emission_counts(program: Program) -> tuple[list[int], list[int]]:
     """Per-static-pc ``(reads, writes)`` pair counts of the trace record.
 
     Both are static properties of the decoded instruction (an ``r0``
-    destination discards the write), which is what lets the backends
+    destination discards the write), which is what lets FastMachine
     rebuild the bounds columns after the run instead of maintaining
     them per instruction.
     """
@@ -727,7 +727,7 @@ class _BlockCodegen:
             a = self._fread(rs1, off)
             reads = [(FP_REG_BASE + rs1, a)]
             # computed even for an r0 destination, like the interpreter
-            # (int(inf) raises on both backends)
+            # (int(inf) raises on both machines)
             r = f"cv{off}"
             self.body.append(f"{r} = {_wrap(f'_int({a})')}")
             if rd:
@@ -969,17 +969,15 @@ class FastMachine(Machine):
     """Drop-in ``Machine`` whose :meth:`run` executes hot basic blocks
     as compiled straight-line Python.
 
-    ``hot_threshold`` is the number of block entries before a block is
-    compiled; below it (and for irregular code such as ``jr`` targets
-    into the middle of a block) execution single-steps through the
-    inherited interpreter against the same trace columns.
+    A block is compiled on its :data:`HOT_THRESHOLD`-th entry; before
+    that (and for irregular code such as ``jr`` targets into the middle
+    of a block) execution single-steps through the inherited
+    interpreter against the same trace columns.
     """
 
     def __init__(self, program: Program, *,
-                 stack_top: int = DEFAULT_STACK_TOP,
-                 hot_threshold: int = DEFAULT_HOT_THRESHOLD):
+                 stack_top: int = DEFAULT_STACK_TOP):
         super().__init__(program, stack_top=stack_top)
-        self.hot_threshold = hot_threshold
         self._blocks: dict[int, tuple[int, ...]] | None = None
         self._sizes: list[int] = []
         self._codes: dict[int, object] = {}
@@ -1041,7 +1039,7 @@ class FastMachine(Machine):
         instrs = self.program.instructions
         n_static = len(instrs)
         sizes = self._sizes
-        threshold = self.hot_threshold
+        threshold = HOT_THRESHOLD
 
         count0 = self.instruction_count
         count = count0
@@ -1210,7 +1208,7 @@ class FastMachine(Machine):
                 or len(read_locs) != len(read_vals)
                 or len(write_locs) != len(write_vals)):
             raise RuntimeError(
-                "fast backend emitted inconsistent trace columns "
+                "FastMachine emitted inconsistent trace columns "
                 f"(internal error in {self.program.name})"
             )
         trace.read_locs = read_locs

@@ -204,7 +204,7 @@ class Machine:
         ``chunk_size`` instructions (see
         :func:`repro.vm.tracestream.run_chunks`).
 
-        Both backends resume exactly across :meth:`run` calls (the
+        Both machines resume exactly across :meth:`run` calls (the
         budget is absolute against ``instruction_count``), so the
         concatenated segments are bit-identical to a single ``run``
         with the same budget.

@@ -430,7 +430,7 @@ def trace_identical(a: ColumnarTrace, b: ColumnarTrace) -> bool:
 
     Stricter than element ``==``: values must match in *type* as well
     (``1`` and ``1.0`` are different trace contents), which is the
-    contract the fast backend's differential tests enforce against the
+    contract FastMachine's differential tests enforce against the
     interpreter oracle.
     """
     return (

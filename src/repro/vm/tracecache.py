@@ -12,7 +12,7 @@ analysis.
 Layout (under :func:`cache_dir`, default ``.repro-cache/``)::
 
     .repro-cache/
-        traces/<workload>-s<scale>-n<budget>-<key>.trace   (tracefile v2)
+        traces/<workload>-s<scale>-n<budget>-<key>.trace   (tracefile v3)
         profiles/<workload>-n<budget>-<key>.pkl            (pickled profile)
 
 Keys are sha256 digests over everything the cached value depends on:
@@ -74,13 +74,8 @@ from typing import Any
 from repro.obs import get_logger, incr
 from repro.util import fslock
 from repro.vm.trace import ColumnarTrace
-from repro.vm.tracefile import (
-    MAGIC_V2,
-    TraceFileError,
-    load_trace,
-    save_trace,
-)
-from repro.vm.tracev3 import MAGIC_V3, trace_v3_info
+from repro.vm.tracefile import TraceFileError, load_trace, save_trace
+from repro.vm.tracev3 import trace_v3_info
 
 _log = get_logger("tracecache")
 
@@ -95,22 +90,11 @@ TRACE_MODULES = (
     "repro.vm.program",
     "repro.vm.assembler",
     "repro.vm.machine",
+    "repro.vm.fastmachine",
+    "repro.vm.backends",
     "repro.vm.trace",
     "repro.vm.tracev3",
 )
-
-#: Extra trace-defining modules per non-default execution backend.
-#: Backends are bit-identical by contract, but cache entries stay
-#: segregated per backend: a backend bug must never poison entries
-#: attributed to the reference interpreter, and editing the fast
-#: backend must invalidate exactly the entries it produced.
-BACKEND_TRACE_MODULES: dict[str, tuple[str, ...]] = {
-    "fast": ("repro.vm.fastmachine", "repro.vm.backends"),
-}
-
-
-def _trace_modules(backend: str) -> tuple[str, ...]:
-    return TRACE_MODULES + BACKEND_TRACE_MODULES.get(backend, ())
 
 #: Modules that additionally define what a profile is (the analysis
 #: stack on top of the trace).
@@ -281,22 +265,17 @@ def trace_path(
     scale: int,
     max_instructions: int | None,
     source_text: str,
-    backend: str = "interp",
 ) -> pathlib.Path:
-    """Cache file path for one (workload, scale, budget, backend) trace.
+    """Cache file path for one (workload, scale, budget) trace.
 
     ``source_text`` is the workload's generated assembly (passed in by
     the caller so this module needs no workload-registry import).
-    ``backend`` is the execution backend that produced (or would
-    produce) the trace; entries are keyed per backend even though
-    backends are bit-identical by contract.
     """
     key = _entry_key(
-        _modules_digest(_trace_modules(backend)), name, scale,
-        max_instructions, source_text, backend,
+        _modules_digest(TRACE_MODULES), name, scale, max_instructions,
+        source_text,
     )
-    tag = "" if backend == "interp" else f"-b{backend}"
-    fname = (f"{name}-s{scale}-n{_budget_tag(max_instructions)}{tag}"
+    fname = (f"{name}-s{scale}-n{_budget_tag(max_instructions)}"
              f"-{key}.trace")
     return cache_dir() / "traces" / fname
 
@@ -306,13 +285,12 @@ def load_cached_trace(
     scale: int,
     max_instructions: int | None,
     source_text: str,
-    backend: str = "interp",
 ) -> ColumnarTrace | None:
     """The cached trace, or None on a miss (including corrupt files)."""
     if not cache_enabled():
         return None
     _open_store()
-    path = trace_path(name, scale, max_instructions, source_text, backend)
+    path = trace_path(name, scale, max_instructions, source_text)
     if not path.is_file():
         incr("trace_cache.miss")
         return None
@@ -337,7 +315,6 @@ def store_cached_trace(
     max_instructions: int | None,
     source_text: str,
     trace: ColumnarTrace,
-    backend: str = "interp",
 ) -> None:
     """Persist a trace (no-op when the cache is disabled).
 
@@ -348,7 +325,7 @@ def store_cached_trace(
     if not cache_enabled():
         return
     _open_store()
-    path = trace_path(name, scale, max_instructions, source_text, backend)
+    path = trace_path(name, scale, max_instructions, source_text)
     with _entry_lock(path):
         _atomic_write(path, lambda tmp: save_trace(trace, tmp, format="v3"))
     incr("trace_cache.store")
@@ -359,37 +336,26 @@ def load_cached_trace_stream(
     scale: int,
     max_instructions: int | None,
     source_text: str,
-    backend: str = "interp",
 ):
     """The cached trace as a chunk stream, or None on a miss.
 
-    v3 entries come back as a :class:`~repro.vm.tracestream.
+    Entries come back as a :class:`~repro.vm.tracestream.
     FileTraceStream` — chunks decode on demand with O(chunk) memory,
-    the "zero-copy" cache-hit path.  Legacy v2 entries are loaded and
-    wrapped (they were materialized on disk anyway).  Corrupt entries
-    of either format are a miss, after which the caller re-executes
-    and the store path atomically rewrites the entry.
+    the "zero-copy" cache-hit path.  A corrupt or non-v3 entry is a
+    miss, after which the caller re-executes and the store path
+    atomically rewrites the entry.
     """
     if not cache_enabled():
         return None
     _open_store()
-    path = trace_path(name, scale, max_instructions, source_text, backend)
+    path = trace_path(name, scale, max_instructions, source_text)
     if not path.is_file():
         incr("trace_cache.miss")
         return None
-    from repro.vm.tracestream import ColumnarChunkStream, FileTraceStream
+    from repro.vm.tracestream import FileTraceStream
 
     try:
-        with open(path, "rb") as fh:
-            prefix = fh.read(len(MAGIC_V3))
-        if prefix == MAGIC_V3:
-            stream = FileTraceStream(path)
-        else:
-            trace = load_trace(path)
-            if not isinstance(trace, ColumnarTrace):
-                incr("trace_cache.miss")
-                return None
-            stream = ColumnarChunkStream(trace)
+        stream = FileTraceStream(path)
     except (TraceFileError, OSError) as exc:
         _log.warning("corrupt trace cache entry %s (%s); treating as a miss",
                      path, exc)
@@ -418,7 +384,6 @@ def tee_cached_trace_stream(
     max_instructions: int | None,
     source_text: str,
     stream,
-    backend: str = "interp",
 ):
     """Wrap an execution stream so its first drain *also* persists the
     trace into the cache — the direct execute→analyze cold path.
@@ -441,7 +406,7 @@ def tee_cached_trace_stream(
     from repro.vm.tracev3 import TraceWriter
 
     _open_store()
-    path = trace_path(name, scale, max_instructions, source_text, backend)
+    path = trace_path(name, scale, max_instructions, source_text)
 
     def open_writer():
         try:
@@ -553,31 +518,26 @@ def store_cached_profile(name: str, config_key: tuple, profile: Any) -> None:
 def _trace_entry_info(path: pathlib.Path) -> dict[str, Any]:
     """Per-entry stats for one cached trace file.
 
-    Format version is sniffed from the leading bytes; v3 entries add
-    instruction counts and compression stats read from the footer
-    alone (no chunk decoding).  Unreadable entries report
-    ``format="corrupt"`` rather than raising — info is a diagnostic
-    command and must work on a damaged cache.
+    v3 entries report instruction counts and compression stats read
+    from the footer alone (no chunk decoding).  Anything else — a
+    damaged entry, a retired v2 file — reports ``format="corrupt"``
+    rather than raising: info is a diagnostic command and must work on
+    a damaged cache.
     """
     entry: dict[str, Any] = {
         "file": path.name,
         "bytes": path.stat().st_size,
-        "format": "unknown",
+        "format": "corrupt",
         "instructions": None,
         "compression_ratio": None,
     }
     try:
-        with open(path, "rb") as fh:
-            prefix = fh.read(len(MAGIC_V3))
-        if prefix == MAGIC_V3:
-            info = trace_v3_info(path)
-            entry["format"] = "v3"
-            entry["instructions"] = info["instructions"]
-            entry["compression_ratio"] = info["compression_ratio"]
-        elif prefix == MAGIC_V2:
-            entry["format"] = "v2"
+        info = trace_v3_info(path)
     except (TraceFileError, OSError):
-        entry["format"] = "corrupt"
+        return entry
+    entry["format"] = "v3"
+    entry["instructions"] = info["instructions"]
+    entry["compression_ratio"] = info["compression_ratio"]
     return entry
 
 
@@ -585,7 +545,8 @@ def cache_info(*, per_entry: bool = False) -> dict[str, Any]:
     """Entry counts and byte totals per layer, for ``repro cache info``.
 
     With ``per_entry=True``, adds a ``trace_entries`` list describing
-    every cached trace: format version (v2/v3), on-disk size, and —
+    every cached trace: format version (v3, or corrupt for anything
+    the cache cannot read), on-disk size, and —
     for v3 — instruction count and compression ratio.
     """
     _open_store()

@@ -2,7 +2,7 @@
 
 Dynamic traces are expensive to regenerate for big budgets, and
 shipping them between machines (or caching them between experiment
-runs) wants a stable on-disk format.  Three formats coexist:
+runs) wants a stable on-disk format.  Two formats coexist:
 
 - **v1** (default): line-oriented JSON — line 1 is a header object
   (format tag, program name, flags, count) followed by one compact
@@ -10,9 +10,6 @@ runs) wants a stable on-disk format.  Three formats coexist:
   ``[pc, opcode, [loc, value, ...], [loc, value, ...], latency,
   next_pc]`` with the read/write pair lists flattened.  Portable and
   diffable.
-- **v2**: a binary magic prefix followed by the pickled
-  :class:`~repro.vm.trace.ColumnarTrace` columns.  Roughly an order
-  of magnitude faster to write and read than v1.
 - **v3**: the chunked streaming format of :mod:`repro.vm.tracev3` —
   delta/bitmap/typed-column encoded, per-chunk zlib frames, footer
   index.  Much smaller on disk, written incrementally during
@@ -20,12 +17,14 @@ runs) wants a stable on-disk format.  Three formats coexist:
   persistent trace cache (:mod:`repro.vm.tracecache`) stores v3.
 
 ``load_trace`` sniffs the format from the leading bytes, so callers
-never need to know which one a file uses (v2 files remain readable
-forever).  ``.gz`` paths are transparently gzip-compressed for
-v1/v2; v3 compresses its own chunks, so it rejects ``.gz`` paths
-rather than double-compressing into an unseekable wrapper.
-Round-tripping preserves every field bit-for-bit (ints stay ints,
-floats stay floats), which the property tests assert.
+never need to know which one a file uses.  The retired v2 format (a
+serialized :class:`~repro.vm.trace.ColumnarTrace` object) is
+recognised by its magic and refused with a :class:`TraceFileError`;
+its payload is never deserialized.  ``.gz`` paths are transparently
+gzip-compressed for v1; v3 compresses its own chunks, so it rejects
+``.gz`` paths rather than double-compressing into an unseekable
+wrapper.  Round-tripping preserves every field bit-for-bit (ints stay
+ints, floats stay floats), which the property tests assert.
 """
 
 from __future__ import annotations
@@ -33,35 +32,18 @@ from __future__ import annotations
 import gzip
 import json
 import pathlib
-import pickle
 from collections.abc import Iterable
 
 from repro.isa.opcodes import Opcode
 from repro.obs import get_logger
 from repro.vm.errors import TraceFileError
-from repro.vm.trace import AnyTrace, ColumnarTrace, DynInst, Trace, as_columnar
+from repro.vm.trace import AnyTrace, DynInst, Trace
 from repro.vm.tracev3 import MAGIC_V3
 
 FORMAT_TAG = "repro-trace-v1"
 
-#: Leading bytes of a v2 (binary columnar) trace file.
+#: Leading bytes of a retired v2 (serialized columnar) trace file.
 MAGIC_V2 = b"repro-trace-v2\x00"
-
-#: What a malformed/truncated v2 payload can legitimately raise:
-#: ``pickle.load``'s documented failure modes plus ``ValueError``
-#: (struct-level garbage) and ``OSError`` (short reads, bad gzip
-#: streams).  Anything outside this set — ``MemoryError``, interpreter
-#: state errors, genuine format-handling bugs — is *not* a corrupt
-#: file and must propagate instead of masquerading as a cache miss.
-EXPECTED_V2_ERRORS = (
-    pickle.UnpicklingError,
-    EOFError,
-    AttributeError,
-    ImportError,
-    IndexError,
-    ValueError,
-    OSError,
-)
 
 _log = get_logger("tracefile")
 
@@ -94,11 +76,11 @@ def _unflatten(flat: list) -> tuple[tuple[int, int | float], ...]:
 
 def save_trace(trace: AnyTrace, path: str | pathlib.Path, *,
                format: str = "v1") -> None:
-    """Write a trace; ``.gz`` suffixes enable compression (v1/v2).
+    """Write a trace; a ``.gz`` suffix enables compression (v1).
 
     ``format="v3"`` selects the chunked streaming layout (smallest,
-    seekable; used by the trace cache), ``"v2"`` the pickled columnar
-    layout; the default ``"v1"`` stays the portable JSON-lines format.
+    seekable; used by the trace cache); the default ``"v1"`` stays the
+    portable JSON-lines format.
     """
     path = pathlib.Path(path)
     if format == "v3":
@@ -111,14 +93,8 @@ def save_trace(trace: AnyTrace, path: str | pathlib.Path, *,
 
         write_v3(trace, path)
         return
-    if format == "v2":
-        with _open_binary(path, "wb") as bfh:
-            bfh.write(MAGIC_V2)
-            pickle.dump(as_columnar(trace), bfh,
-                        protocol=pickle.HIGHEST_PROTOCOL)
-        return
     if format != "v1":
-        raise TraceFileError(f"unknown trace format {format!r}")
+        raise TraceFileError(f"unknown trace file format {format!r}; use v1 or v3")
     header = {
         "format": FORMAT_TAG,
         "program": trace.program_name,
@@ -143,9 +119,10 @@ def save_trace(trace: AnyTrace, path: str | pathlib.Path, *,
 def load_trace(path: str | pathlib.Path) -> AnyTrace:
     """Read a trace written by :func:`save_trace` (either format).
 
-    The format is sniffed from the file's leading bytes: v2 files
-    deserialize straight into a :class:`ColumnarTrace`; v1 files come
-    back as the row-layout :class:`Trace`.
+    The format is sniffed from the file's leading bytes: v3 files come
+    back as a :class:`~repro.vm.trace.ColumnarTrace`, v1 files as the
+    row-layout :class:`Trace`, and retired v2 files raise
+    :class:`TraceFileError`.
     """
     path = pathlib.Path(path)
     with _open_binary(path, "rb") as bfh:
@@ -164,14 +141,8 @@ def load_trace(path: str | pathlib.Path) -> AnyTrace:
             with TraceReader(path) as reader:
                 return reader.materialize()
         if prefix == MAGIC_V2:
-            try:
-                trace = pickle.load(bfh)
-            except EXPECTED_V2_ERRORS as exc:
-                _log.warning("unreadable v2 trace file %s: %s", path, exc)
-                raise TraceFileError(f"{path}: bad v2 payload: {exc}") from exc
-            if not isinstance(trace, ColumnarTrace):
-                raise TraceFileError(f"{path}: v2 payload is not a trace")
-            return trace
+            _log.warning("legacy v2 trace file %s refused", path)
+            raise TraceFileError(f"{path}: legacy v2 trace, regenerate it")
     with _open(path, "r") as fh:
         try:
             header_line = fh.readline()
@@ -232,9 +203,9 @@ def trace_file_info(path: str | pathlib.Path, *, columns: bool = False,
 
     v3 files report chunk/encoding stats from the footer alone —
     ``columns``/``per_chunk`` additionally decode the file for
-    per-column and per-chunk size/time breakdowns; v1/v2 files are
-    loaded to count instructions (they are materialized formats, so
-    reading them costs what using them costs).
+    per-column and per-chunk size/time breakdowns; v1 files are
+    loaded to count instructions (a materialized format, so reading
+    one costs what using it costs).
     """
     path = pathlib.Path(path)
     file_bytes = path.stat().st_size
@@ -248,10 +219,9 @@ def trace_file_info(path: str | pathlib.Path, *, columns: bool = False,
 
         return trace_v3_info(path, columns=columns, per_chunk=per_chunk)
     trace = load_trace(path)
-    version = "v2" if prefix == MAGIC_V2 else "v1"
     count = len(trace)
     return {
-        "format": version,
+        "format": "v1",
         "path": str(path),
         "program": trace.program_name,
         "halted": trace.halted,

@@ -56,7 +56,7 @@ def run_chunks(machine, max_instructions: int | None = None, *,
     """Execute a machine incrementally, yielding one columnar segment
     per ``chunk_size`` instructions.
 
-    Works with any backend whose ``run(max_instructions)`` treats the
+    Works with any machine whose ``run(max_instructions)`` treats the
     budget as *absolute* against ``instruction_count`` (both
     ``Machine`` and ``FastMachine`` do — repeated calls with growing
     budgets resume execution exactly).  Concatenating the yielded

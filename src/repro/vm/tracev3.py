@@ -1,6 +1,6 @@
 """Tracefile v3: chunked, compactly encoded, streamable trace files.
 
-The v1/v2 formats in :mod:`repro.vm.tracefile` serialize a whole
+The v1 format in :mod:`repro.vm.tracefile` serializes a whole
 materialized trace, which caps the analyzable budget at process RAM.
 v3 is a *chunked* binary format built for streaming:
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.vm import backends, tracecache
+from repro.vm import tracecache
+from repro.vm.backends import create_machine
 from repro.vm.assembler import assemble
 from repro.vm.program import Program
 from repro.vm.trace import ColumnarTrace
@@ -84,7 +85,6 @@ def run_workload(
     scale: int = 1,
     max_instructions: int | None = 60_000,
     use_cache: bool = True,
-    backend: str | None = None,
 ) -> ColumnarTrace:
     """Assemble and execute a kernel, capturing its dynamic trace.
 
@@ -93,34 +93,27 @@ def run_workload(
     ``max_instructions`` — the analogue of the paper's fixed 50M
     instruction window per program.
 
-    ``backend`` picks the execution backend (see
-    :mod:`repro.vm.backends`): ``None`` defers to the
-    ``REPRO_BACKEND`` environment variable and then the default
-    interpreter.  Backends are bit-identical by contract, so the
-    choice affects wall-clock time only; cache entries are
-    nevertheless keyed per backend.
+    The budget also picks the machine that runs the kernel (see
+    :func:`repro.vm.backends.create_machine`).
 
     Kernels are deterministic, so the trace is memoised on disk via
     :mod:`repro.vm.tracecache` (keyed by the generated assembly source
     and the VM code fingerprint); pass ``use_cache=False`` — or set
     ``REPRO_TRACE_CACHE=0`` — to force re-execution.
     """
-    resolved = backends.resolve_backend(backend)
     workload = get_workload(name)
     source = workload.source(scale)
     if use_cache:
         cached = tracecache.load_cached_trace(
-            name, scale, max_instructions, source, resolved
+            name, scale, max_instructions, source
         )
         if cached is not None:
             return cached
-    machine = backends.create_machine(
-        assemble(source, name=name), resolved
-    )
+    machine = create_machine(assemble(source, name=name), max_instructions)
     trace = machine.run(max_instructions=max_instructions)
     if use_cache:
         tracecache.store_cached_trace(
-            name, scale, max_instructions, source, trace, resolved
+            name, scale, max_instructions, source, trace
         )
     return trace
 
@@ -131,7 +124,6 @@ def stream_workload(
     scale: int = 1,
     max_instructions: int | None = 60_000,
     use_cache: bool = True,
-    backend: str | None = None,
     chunk_size: int | None = None,
 ):
     """Like :func:`run_workload`, but returns a **chunk stream** — the
@@ -151,18 +143,17 @@ def stream_workload(
 
     if chunk_size is None:
         chunk_size = DEFAULT_CHUNK_SIZE
-    resolved = backends.resolve_backend(backend)
     workload = get_workload(name)
     source = workload.source(scale)
     if use_cache:
         cached = tracecache.load_cached_trace_stream(
-            name, scale, max_instructions, source, resolved
+            name, scale, max_instructions, source
         )
         if cached is not None:
             return cached
 
     def factory():
-        return backends.create_machine(assemble(source, name=name), resolved)
+        return create_machine(assemble(source, name=name), max_instructions)
 
     exec_stream = ExecutionChunkStream(
         factory,
@@ -172,6 +163,6 @@ def stream_workload(
     )
     if use_cache:
         return tracecache.tee_cached_trace_stream(
-            name, scale, max_instructions, source, exec_stream, resolved
+            name, scale, max_instructions, source, exec_stream
         )
     return exec_stream

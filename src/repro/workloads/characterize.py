@@ -97,14 +97,9 @@ def characterize(trace: AnyTrace | Sequence[DynInst]) -> WorkloadCharacter:
 
 def suite_characterization(
     workloads: Sequence[str], *, max_instructions: int = 10_000,
-    use_cache: bool = True, backend: str | None = None,
+    use_cache: bool = True,
 ) -> FigureResult:
-    """Characterisation table over a set of kernels.
-
-    ``backend`` selects the execution backend for uncached runs (see
-    :mod:`repro.vm.backends`); the table itself is backend-independent
-    because backends produce bit-identical traces.
-    """
+    """Characterisation table over a set of kernels."""
     from repro.workloads.base import get_workload, run_workload
 
     result = FigureResult(
@@ -117,7 +112,7 @@ def suite_characterization(
     )
     for name in workloads:
         trace = run_workload(name, max_instructions=max_instructions,
-                             use_cache=use_cache, backend=backend)
+                             use_cache=use_cache)
         ch = characterize(trace)
         result.rows.append(
             [

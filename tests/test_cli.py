@@ -18,6 +18,16 @@ class TestParser:
         args = build_parser().parse_args(["analyze", "compress"])
         assert args.budget == 20_000 and args.window == 256
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "li", "--backend", "fast"],
+        ["figures", "--backend", "interp"],
+        ["sweep", "--backend", "fast"],
+    ])
+    def test_no_backend_option(self, argv):
+        # the instruction budget picks the machine
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestCommands:
     def test_workloads(self, capsys):
@@ -32,11 +42,17 @@ class TestCommands:
         assert "INT_ALU" in out
 
     def test_run_save_trace(self, tmp_path, capsys):
-        path = tmp_path / "t.jsonl.gz"
-        assert main(["run", "li", "--budget", "300", "--save-trace", str(path)]) == 0
-        from repro.vm.tracefile import load_trace
+        """The file's suffix picks its format."""
+        from repro.vm.tracefile import trace_file_info
 
-        assert len(load_trace(path)) == 300
+        for name, fmt in (("t.jsonl.gz", "v1"), ("t.jsonl", "v1"),
+                          ("t.trace", "v3")):
+            path = tmp_path / name
+            assert main(["run", "li", "--budget", "300",
+                         "--save-trace", str(path)]) == 0
+            assert f"({fmt})" in capsys.readouterr().out
+            info = trace_file_info(path)
+            assert (info["format"], info["instructions"]) == (fmt, 300)
 
     def test_analyze(self, capsys):
         assert main(["analyze", "compress", "--budget", "2000"]) == 0

@@ -1,14 +1,14 @@
 """FastMachine differential suite: ``Machine`` is the oracle.
 
-The fast backend's whole contract is *bit-identical traces*: for any
+FastMachine's whole contract is *bit-identical traces*: for any
 program, budget and machine state it must produce exactly the trace,
 final architectural state and faults of the reference interpreter.
-Every test here runs both backends and compares — over handwritten
+Every test here runs both machines and compares — over handwritten
 edge cases, every workload kernel, and hypothesis-generated
 ``repro.lang`` programs.
 """
 
-import os
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 import repro.workloads  # registers the kernels
 from repro.lang import compile_source
-from repro.vm import backends
+from repro.vm import backends, fastmachine
 from repro.vm.assembler import assemble
 from repro.vm.errors import VMError
 from repro.vm.fastmachine import (
-    DEFAULT_HOT_THRESHOLD,
+    HOT_THRESHOLD,
     FastMachine,
     discover_blocks,
     form_trace,
@@ -43,15 +43,25 @@ def assert_state_identical(ref: Machine, fast: Machine) -> None:
     assert fast.halted == ref.halted
 
 
-def differential(program, budget, *, hot_threshold=1):
-    """Run both backends; assert identical traces, state and faults.
+def low_threshold(threshold=1):
+    """Patch FastMachine's compile threshold for the enclosed runs.
 
-    ``hot_threshold=1`` compiles every block on its second entry, so
-    even short runs exercise the compiled path, not the interpreter
-    fallback.  Returns the (shared) outcome for further assertions.
+    A threshold of 1 compiles every block on its first entry, so even
+    short runs exercise the compiled path, not the interpreter
+    fallback.
+    """
+    return mock.patch.object(fastmachine, "HOT_THRESHOLD", threshold)
+
+
+def differential(program, budget, *, threshold=1):
+    """Run both machines; assert identical traces, state and faults.
+
+    ``threshold`` is FastMachine's compile threshold for the run (see
+    :func:`low_threshold`).  Returns the (shared) outcome for further
+    assertions.
     """
     ref = Machine(program)
-    fast = FastMachine(program, hot_threshold=hot_threshold)
+    fast = FastMachine(program)
     ref_err = fast_err = None
     ref_trace = fast_trace = None
     try:
@@ -59,7 +69,8 @@ def differential(program, budget, *, hot_threshold=1):
     except VMError as exc:
         ref_err = exc
     try:
-        fast_trace = fast.run(max_instructions=budget)
+        with low_threshold(threshold):
+            fast_trace = fast.run(max_instructions=budget)
     except VMError as exc:
         fast_err = exc
     assert (ref_err is None) == (fast_err is None), (
@@ -116,10 +127,11 @@ class TestEdgeCases:
             "halt\n"
         )
         ref = Machine(assemble(src))
-        fast = FastMachine(assemble(src), hot_threshold=1)
+        fast = FastMachine(assemble(src))
         for budget in (1000, 7777, 50_001):
             a = ref.run(max_instructions=budget)
-            b = fast.run(max_instructions=budget)
+            with low_threshold():
+                b = fast.run(max_instructions=budget)
             assert trace_identical(a, b)
             assert_state_identical(ref, fast)
 
@@ -260,14 +272,14 @@ class TestKernelDifferential:
     @pytest.mark.parametrize("name", KERNELS)
     def test_kernel_smoke(self, name):
         prog = build_program(name, scale=1)
-        differential(prog, 25_000, hot_threshold=DEFAULT_HOT_THRESHOLD)
+        differential(prog, 25_000, threshold=HOT_THRESHOLD)
 
     @pytest.mark.parametrize("name", ["compress", "tomcatv", "go"])
     def test_kernel_odd_budget_low_threshold(self, name):
         # low threshold maximises compiled coverage; odd budget lands
         # mid-block
         prog = build_program(name, scale=1)
-        differential(prog, 7_777, hot_threshold=1)
+        differential(prog, 7_777, threshold=1)
 
 
 # ----------------------------------------------------------------------
@@ -412,50 +424,28 @@ class TestBlockFormation:
 
 
 # ----------------------------------------------------------------------
-# backend registry and wiring
+# machine selection and wiring
 # ----------------------------------------------------------------------
 
 class TestBackendRegistry:
-    def test_registry_contents(self):
-        assert backends.BACKENDS["interp"] is Machine
-        assert backends.BACKENDS["fast"] is FastMachine
-
-    def test_resolution_precedence(self, monkeypatch):
-        monkeypatch.delenv(backends.BACKEND_ENV, raising=False)
-        assert backends.resolve_backend(None) == backends.DEFAULT_BACKEND
-        monkeypatch.setenv(backends.BACKEND_ENV, "fast")
-        assert backends.resolve_backend(None) == "fast"
-        # an explicit argument beats the environment
-        assert backends.resolve_backend("interp") == "interp"
-
-    def test_unknown_names_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown backend"):
-            backends.resolve_backend("jit")
-        monkeypatch.setenv(backends.BACKEND_ENV, "typo")
-        with pytest.raises(ValueError, match="unknown backend"):
-            backends.resolve_backend(None)
-
     def test_create_machine(self):
+        """The budget alone picks the machine."""
         prog = assemble("halt")
-        assert type(backends.create_machine(prog)) is Machine
-        assert type(backends.create_machine(prog, "fast")) is FastMachine
+        limit = backends.MACHINE_MAX_BUDGET
+        assert type(backends.create_machine(prog, limit)) is Machine
+        assert type(backends.create_machine(prog, limit + 1)) is FastMachine
+        assert type(backends.create_machine(prog, None)) is FastMachine
+        assert type(backends.create_machine(prog)) is FastMachine
 
     def test_run_workload_backends_agree(self, tmp_path, monkeypatch):
+        """A budget that selects FastMachine yields the Machine trace,
+        cached under one entry."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
-        a = run_workload("compress", max_instructions=20_000,
-                         backend="interp")
-        b = run_workload("compress", max_instructions=20_000, backend="fast")
-        assert trace_identical(a, b)
-        # cache entries are segregated per backend
-        names = sorted(p.name for p in (tmp_path / "traces").iterdir())
-        assert len(names) == 2
-        assert any("-bfast-" in n for n in names)
-
-    def test_run_workload_env_knob(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv(backends.BACKEND_ENV, "fast")
-        trace = run_workload("go", max_instructions=5_000)
-        monkeypatch.delenv(backends.BACKEND_ENV)
-        ref = run_workload("go", max_instructions=5_000, use_cache=False)
-        assert trace_identical(ref, trace)
+        budget = backends.MACHINE_MAX_BUDGET + 1
+        got = run_workload("compress", max_instructions=budget)
+        ref = Machine(build_program("compress")).run(max_instructions=budget)
+        assert trace_identical(ref, got)
+        assert len(list((tmp_path / "traces").iterdir())) == 1
+        assert trace_identical(ref, run_workload("compress",
+                                                 max_instructions=budget))

@@ -201,11 +201,11 @@ class TestStreamingProfiles:
 
     def test_cache_key_shared_across_pipelines(self):
         """Shard records written while the config still carried the
-        ``streaming``/``direct_stream``/``stream_chunk_size`` knobs load
-        and resolve to the same profile cache key."""
+        ``streaming``/``direct_stream``/``stream_chunk_size``/``backend``
+        knobs load and resolve to the same profile cache key."""
         record = self.CONFIG.to_dict()
         old = dict(record, streaming=True, direct_stream=False,
-                   stream_chunk_size=777)
+                   stream_chunk_size=777, backend="fast")
         loaded = ExperimentConfig.from_dict(json.loads(json.dumps(old)))
         assert loaded == self.CONFIG
         assert loaded.cache_key() == self.CONFIG.cache_key()
@@ -263,8 +263,7 @@ resource.setrlimit(resource.RLIMIT_AS,
                    ({limit}, {limit}))
 from repro.workloads.base import run_workload
 from repro.dataflow.model import DataflowModel
-t = run_workload("compress", max_instructions={budget},
-                 use_cache=False, backend="fast")
+t = run_workload("compress", max_instructions={budget}, use_cache=False)
 DataflowModel(256).analyze(t)
 print("materialized unexpectedly fit")
 """
@@ -280,12 +279,12 @@ from repro.core.rtm.memory import RTM_PRESETS
 from repro.core.rtm.simulator import FiniteReuseSimulator
 from repro.core.rtm.collector import ILRHeuristic
 e = StreamingDataflowEngine(
-    stream_workload("compress", max_instructions={budget}, backend="fast"))
+    stream_workload("compress", max_instructions={budget}))
 res = e.analyze_all([Scenario("base", window_size=256),
                      Scenario("tlr", window_size=256, latency=1.0)])
 sim = FiniteReuseSimulator(RTM_PRESETS["512"], ILRHeuristic(False))
 rtm = sim.run(
-    stream_workload("compress", max_instructions={budget}, backend="fast"))
+    stream_workload("compress", max_instructions={budget}))
 print(json.dumps({{
     "n": e.n,
     "percent_reusable": e.reuse.percent_reusable,
@@ -314,6 +313,11 @@ class TestBeyondRAM:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS"):
             env[var] = "1"
+        # glibc gives a thread that allocates its own malloc arena,
+        # reserving 64 MiB of address space, so whether a codec thread
+        # wins one is timing-dependent; one arena keeps the bound on
+        # what the pipeline allocates
+        env["MALLOC_ARENA_MAX"] = "1"
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -338,8 +342,7 @@ class TestBeyondRAM:
         # (the subprocess populated the trace cache, so this is a
         # streamed-v3 cache hit, not a re-execution)
         trace = run_workload("compress",
-                             max_instructions=_BEYOND_RAM_BUDGET,
-                             backend="fast")
+                             max_instructions=_BEYOND_RAM_BUDGET)
         r = instruction_reusability(trace)
         s = maximal_reusable_spans(trace, r.flags)
         base = reference_result(
@@ -379,26 +382,44 @@ class TestDirectStream:
         ``write_stream`` file of the same execution (the writer
         re-chunks, so execution segmentation never leaks into the
         file)."""
-        from repro.vm.backends import create_machine, resolve_backend
-        from repro.vm.tracestream import ExecutionChunkStream, write_stream
-        from repro.workloads.base import build_program
-
         oracle_config = dataclasses.replace(self.CONFIG, use_cache=False)
         for name in KERNELS:
             monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / name))
             got = run_profile(name, self.CONFIG)
-            (entry,) = (tmp_path / name / "traces").glob("*.trace")
             expected = run_profile_reference(name, oracle_config)
             assert dataclasses.asdict(got) == dataclasses.asdict(expected), name
+            self._assert_entry_is_machine_trace(
+                tmp_path, name, self.CONFIG.max_instructions)
 
-            written = tmp_path / f"{name}.written.trace"
-            write_stream(ExecutionChunkStream(
-                lambda: create_machine(build_program(name),
-                                       resolve_backend(None)),
-                program_name=name,
-                max_instructions=self.CONFIG.max_instructions,
-            ), written)
-            assert entry.read_bytes() == written.read_bytes(), name
+    def test_tee_entry_above_machine_budget(self, tmp_path, monkeypatch):
+        """Above ``MACHINE_MAX_BUDGET`` the tee executes on FastMachine,
+        and its cache entry is still byte-identical to a ``write_stream``
+        file of a ``Machine`` execution."""
+        from repro.vm.backends import MACHINE_MAX_BUDGET
+
+        budget = MACHINE_MAX_BUDGET + 1
+        for name in ("compress", "tomcatv"):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / name))
+            stream = stream_workload(name, max_instructions=budget)
+            assert sum(len(c) for c in stream.chunks()) == budget
+            self._assert_entry_is_machine_trace(tmp_path, name, budget)
+
+    @staticmethod
+    def _assert_entry_is_machine_trace(tmp_path, name, budget):
+        """The kernel's one cache entry under ``tmp_path / name`` has
+        the bytes of a ``write_stream`` file of a ``Machine`` run."""
+        from repro.vm.machine import Machine
+        from repro.vm.tracestream import ExecutionChunkStream, write_stream
+        from repro.workloads.base import build_program
+
+        (entry,) = (tmp_path / name / "traces").glob("*.trace")
+        written = tmp_path / f"{name}.written.trace"
+        write_stream(ExecutionChunkStream(
+            lambda: Machine(build_program(name)),
+            program_name=name,
+            max_instructions=budget,
+        ), written)
+        assert entry.read_bytes() == written.read_bytes(), name
 
     def test_tee_persists_and_replays(self, tmp_path, monkeypatch):
         from repro.vm.tracestream import TeeChunkStream

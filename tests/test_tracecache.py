@@ -58,6 +58,23 @@ class TestTraceLayer:
         recomputed = run_workload("li", max_instructions=300)
         assert traces_equal(cold, recomputed)
 
+    def test_legacy_v2_entry_is_a_corrupt_miss_and_rewritten(self, cache_dir):
+        from repro.vm.tracefile import MAGIC_V2
+        from repro.vm.tracestream import FileTraceStream, as_columnar
+        from repro.workloads.base import stream_workload
+
+        cold = run_workload("li", max_instructions=300)
+        (entry,) = (cache_dir / "traces").iterdir()
+        entry.write_bytes(MAGIC_V2 + b"\x80\x05payload")
+        info = tracecache.cache_info(per_entry=True)
+        assert [e["format"] for e in info["trace_entries"]] == ["corrupt"]
+        stream = stream_workload("li", max_instructions=300)
+        assert not isinstance(stream, FileTraceStream)
+        assert traces_equal(cold, as_columnar(stream))
+        # the drain rewrote the entry as v3
+        info = tracecache.cache_info(per_entry=True)
+        assert [e["format"] for e in info["trace_entries"]] == ["v3"]
+
     def test_no_tmp_files_left_behind(self, cache_dir):
         run_workload("li", max_instructions=300)
         leftovers = [

@@ -70,105 +70,102 @@ class TestRoundTrip:
         )
 
 
-class TestColumnarV2:
-    def test_v2_round_trip(self, tmp_path):
-        from repro.vm.trace import ColumnarTrace
+def _legacy_v2_file(path, payload=b"\x80\x05payload"):
+    """A file in the retired v2 layout: its magic, then a payload."""
+    from repro.vm.tracefile import MAGIC_V2
 
+    if path.suffix == ".gz":
+        import gzip
+
+        with gzip.open(path, "wb") as fh:
+            fh.write(MAGIC_V2 + payload)
+    else:
+        path.write_bytes(MAGIC_V2 + payload)
+    return path
+
+
+class TestColumnarV2:
+    """v2 (a serialized ``ColumnarTrace``) is retired: writing one is
+    refused, and reading one raises a typed error without ever
+    deserializing its payload."""
+
+    def test_v2_round_trip(self, tmp_path):
         _, trace = run_asm("li r1, 5\nmuli r2, r1, 3\nfli f1, 0.5\nhalt")
-        path = tmp_path / "t.trace"
-        save_trace(trace, path, format="v2")
-        loaded = load_trace(path)
-        assert isinstance(loaded, ColumnarTrace)
-        assert loaded.program_name == trace.program_name
-        assert loaded.halted == trace.halted
-        assert loaded.truncated == trace.truncated
-        assert [repr(d) for d in loaded] == [repr(d) for d in trace]
+        with pytest.raises(TraceFileError, match="unknown trace file format"):
+            save_trace(trace, tmp_path / "t.trace", format="v2")
+        with pytest.raises(TraceFileError, match="legacy v2 trace"):
+            load_trace(_legacy_v2_file(tmp_path / "old.trace"))
 
     def test_v2_gzip_round_trip(self, tmp_path):
-        _, trace = run_asm("li r1, 5\nhalt")
-        path = tmp_path / "t.trace.gz"
-        save_trace(trace, path, format="v2")
-        assert [repr(d) for d in load_trace(path)] == [repr(d) for d in trace]
+        with pytest.raises(TraceFileError, match="legacy v2 trace"):
+            load_trace(_legacy_v2_file(tmp_path / "t.trace.gz"))
 
     def test_cross_format_same_stream(self, tmp_path):
-        """v1 and v2 files of the same trace decode to the same stream."""
+        """v1 and v3 files of the same trace decode to the same stream."""
         trace = run_workload("li", max_instructions=400, use_cache=False)
-        v1, v2 = tmp_path / "t.jsonl", tmp_path / "t.trace"
+        v1, v3 = tmp_path / "t.jsonl", tmp_path / "t.trace"
         save_trace(trace, v1, format="v1")
-        save_trace(trace, v2, format="v2")
-        a, b = load_trace(v1), load_trace(v2)
+        save_trace(trace, v3, format="v3")
+        a, b = load_trace(v1), load_trace(v3)
         assert [repr(d) for d in a] == [repr(d) for d in b]
         assert a.program_name == b.program_name == "li"
 
-    def test_v2_analyses_agree(self, tmp_path):
-        from repro.baselines.ilr import instruction_reusability
-
-        trace = run_workload("compress", max_instructions=2_000, use_cache=False)
-        path = tmp_path / "c.trace"
-        save_trace(trace, path, format="v2")
-        assert (
-            instruction_reusability(load_trace(path)).percent_reusable
-            == instruction_reusability(trace).percent_reusable
-        )
-
     def test_unknown_format_rejected(self, tmp_path):
         _, trace = run_asm("halt")
-        with pytest.raises(TraceFileError, match="unknown trace format"):
+        with pytest.raises(TraceFileError, match="unknown trace file format"):
             save_trace(trace, tmp_path / "t.bin", format="v9")
 
     def test_bad_v2_payload(self, tmp_path):
-        from repro.vm.tracefile import MAGIC_V2
-
-        path = tmp_path / "bad.trace"
-        path.write_bytes(MAGIC_V2 + b"\x00not a pickle")
-        with pytest.raises(TraceFileError, match="bad v2 payload"):
+        path = _legacy_v2_file(tmp_path / "bad.trace", b"\x00not a trace")
+        with pytest.raises(TraceFileError, match="legacy v2 trace"):
             load_trace(path)
 
-    def test_v2_payload_wrong_type(self, tmp_path):
+    def test_v2_payload_wrong_type(self, tmp_path, monkeypatch):
+        """The payload is refused by its magic alone: nothing is
+        deserialized, whatever it holds."""
         import pickle
 
-        from repro.vm.tracefile import MAGIC_V2
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a v2 payload was deserialized")
 
-        path = tmp_path / "wrong.trace"
-        path.write_bytes(MAGIC_V2 + pickle.dumps([1, 2, 3]))
-        with pytest.raises(TraceFileError, match="not a trace"):
+        monkeypatch.setattr(pickle, "load", refuse)
+        monkeypatch.setattr(pickle, "loads", refuse)
+        path = _legacy_v2_file(tmp_path / "wrong.trace", b"\x80\x05]q\x00.")
+        with pytest.raises(TraceFileError, match="legacy v2 trace"):
             load_trace(path)
 
     def test_truncated_v2_payload(self, tmp_path):
-        _, trace = run_asm("li r1, 5\nhalt")
-        path = tmp_path / "t.trace"
-        save_trace(trace, path, format="v2")
-        path.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(TraceFileError, match="bad v2 payload"):
+        path = _legacy_v2_file(tmp_path / "t.trace", b"")
+        with pytest.raises(TraceFileError, match="legacy v2 trace"):
             load_trace(path)
 
     def test_bad_v2_payload_logs_warning(self, tmp_path, caplog):
         import logging
 
-        from repro.vm.tracefile import MAGIC_V2
-
-        path = tmp_path / "bad.trace"
-        path.write_bytes(MAGIC_V2 + b"\x00not a pickle")
+        path = _legacy_v2_file(tmp_path / "bad.trace")
         with caplog.at_level(logging.WARNING, logger="repro.obs"):
             with pytest.raises(TraceFileError):
                 load_trace(path)
-        assert any("unreadable v2 trace file" in r.message
+        assert any("legacy v2 trace file" in r.message
                    for r in caplog.records)
 
     def test_unexpected_error_propagates(self, tmp_path, monkeypatch):
-        """Only *expected* unpickling/IO failures become
-        TraceFileError; interpreter-level errors must not be
-        swallowed as if the file were corrupt."""
+        """Only malformed records become TraceFileError; interpreter-
+        level errors must not be swallowed as if the file were
+        corrupt."""
         import repro.vm.tracefile as tracefile
 
         _, trace = run_asm("li r1, 5\nhalt")
-        path = tmp_path / "t.trace"
-        save_trace(trace, path, format="v2")
+        path = tmp_path / "t.jsonl"
+        save_trace(trace, path)
+        real_loads = json.loads
 
-        def explode(_fh):
-            raise MemoryError("interpreter out of memory")
+        def explode(line):
+            if line.startswith("["):
+                raise MemoryError("interpreter out of memory")
+            return real_loads(line)
 
-        monkeypatch.setattr(tracefile.pickle, "load", explode)
+        monkeypatch.setattr(tracefile.json, "loads", explode)
         with pytest.raises(MemoryError):
             load_trace(path)
 

@@ -87,16 +87,13 @@ class TestRoundTrip:
         assert batch.read_bytes() == rowwise.read_bytes()
 
     def test_v2_v3_differential_all_kernels(self, tmp_path):
-        """v2 and v3 encodings of every kernel decode identically."""
+        """The v3 encoding of every kernel decodes to the executed
+        trace (v2, its former reference, is retired)."""
         for name in KERNELS:
             trace = run_workload(name, max_instructions=1_500)
-            v2 = tmp_path / f"{name}.v2.trace"
             v3 = tmp_path / f"{name}.v3.trace"
-            save_trace(trace, v2, format="v2")
             save_trace(trace, v3, format="v3")
-            from_v2 = load_trace(v2)
             from_v3 = load_trace(v3)
-            assert trace_identical(from_v2, from_v3), name
             assert trace_identical(trace, from_v3), name
 
 
@@ -188,7 +185,7 @@ class TestCorruption:
         name, budget = "li", 1_200
         fresh = run_workload(name, max_instructions=budget, use_cache=True)
         source = get_workload(name).source(1)
-        path = tracecache.trace_path(name, 1, budget, source, "interp")
+        path = tracecache.trace_path(name, 1, budget, source)
         assert path.is_file()
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2])  # torn write
@@ -204,7 +201,7 @@ class TestCorruption:
         name, budget = "perl", 1_000
         fresh = run_workload(name, max_instructions=budget, use_cache=True)
         source = get_workload(name).source(1)
-        path = tracecache.trace_path(name, 1, budget, source, "interp")
+        path = tracecache.trace_path(name, 1, budget, source)
         path.write_bytes(path.read_bytes()[:40])
         stream = stream_workload(name, max_instructions=budget,
                                  use_cache=True)
@@ -258,7 +255,7 @@ class TestValueModes:
         name, budget = "li", 800
         fresh = run_workload(name, max_instructions=budget, use_cache=True)
         source = get_workload(name).source(1)
-        path = tracecache.trace_path(name, 1, budget, source, "interp")
+        path = tracecache.trace_path(name, 1, budget, source)
         _write_value_mode_1(monkeypatch, fresh, path)
 
         stream = stream_workload(name, max_instructions=budget,
@@ -267,7 +264,7 @@ class TestValueModes:
             as_columnar(stream)
         with obs.scope() as registry:
             assert tracecache.load_cached_trace(
-                name, 1, budget, source, "interp") is None
+                name, 1, budget, source) is None
             counters = registry.snapshot()["counters"]
         assert counters["trace_cache.corrupt"] == 1
         assert counters["trace_cache.miss"] == 1
@@ -293,7 +290,7 @@ class TestValueModes:
                                   proportional_ks=(1.0,))
         fresh = run_workload(name, max_instructions=budget, use_cache=True)
         source = get_workload(name).source(1)
-        path = tracecache.trace_path(name, 1, budget, source, "interp")
+        path = tracecache.trace_path(name, 1, budget, source)
         _write_value_mode_1(monkeypatch, fresh, path)
         with obs.scope() as registry:
             got = run_profile(name, config)
@@ -371,14 +368,13 @@ class TestInfo:
         assert info["file_bytes"] == path.stat().st_size
         assert info["program"] == trace.program_name
 
-    def test_v2_info_fields(self, tmp_path):
-        trace = run_workload("compress", max_instructions=1_000)
+    def test_v2_info_is_legacy_error(self, tmp_path):
+        from repro.vm.tracefile import MAGIC_V2
+
         path = tmp_path / "t2.trace"
-        save_trace(trace, path, format="v2")
-        info = trace_file_info(path)
-        assert info["format"] == "v2"
-        assert info["instructions"] == 1_000
-        assert info["chunk_count"] is None
+        path.write_bytes(MAGIC_V2 + b"\x80\x05payload")
+        with pytest.raises(TraceFileError, match="legacy v2 trace"):
+            trace_file_info(path)
 
     def test_write_stream_rechunks(self, tmp_path):
         trace = run_workload("li", max_instructions=700)
