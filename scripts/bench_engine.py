@@ -4,17 +4,16 @@
 Measures the three layers of a profile run, against the retained
 per-scenario reference pipeline:
 
-- ``machine_run``: raw VM throughput (instr/s) of both machine
-  classes — the ``Machine`` interpreter and the trace-compiling
-  ``FastMachine`` — at the paper-scale instruction budget, plus the
-  per-kernel and aggregate speed-ups and a bit-identity check (run at
-  a smaller ``verify_budget`` so the differential comparison does not
-  hold two paper-scale traces in memory at once).  Its ``sweep``
-  times both classes over all 14 kernels at budgets from 2k to 1M and
-  records the class ``create_machine`` picks at each.  Each timing is
-  the best of two chunked runs (``run_chunks``, O(chunk) memory), each
-  in a fresh process, so one measurement's heap does not pollute the
-  next and scheduler noise is rejected;
+- ``machine_run``: raw VM throughput (instr/s) of the tiered
+  ``Machine`` against its tier 0 alone (nothing compiled) at the
+  paper-scale instruction budget, plus the per-kernel and aggregate
+  speed-ups and a tier-1-vs-tier-0 bit-identity check (run at a
+  smaller ``verify_budget`` so the comparison does not hold two
+  paper-scale traces in memory at once).  Its ``tiering`` section
+  holds the ratio gates of :data:`TIER_GATES` over all 14 kernels.
+  Each timing is the best of two runs, each in a fresh process, so one
+  measurement's heap does not pollute the next and scheduler noise is
+  rejected;
 - ``streaming_engine``: scenario throughput (scenarios/s) of
   ``StreamingDataflowEngine`` over the figure-3..8 scenario set
   (``repro.exp.runner.profile_scenarios``), split into the
@@ -79,13 +78,12 @@ defaults to the paper's 50M-instruction scale.  The cache
 measurements use a throwaway directory, so the run neither reads nor
 pollutes ``.repro-cache/``.
 
-The script exits non-zero when ``FastMachine`` fails bit-identity,
-when it is *slower* than the interpreter at ``--machine-budget``,
-when ``create_machine`` picks the slower class at a sweep budget where
-the two differ by more than 1.25x, when the streaming engine disagrees
-with the oracle, or when profile collection regresses — so a CI
-hook-up fails loudly instead of silently shipping a slow or wrong
-machine.
+The script exits non-zero when tier 1 fails bit-identity against tier
+0, when the tiered machine is *slower* than tier 0 alone at
+``--machine-budget``, when a tiering gate fails, when the streaming
+engine disagrees with the oracle, or when profile collection
+regresses — so a CI hook-up fails loudly instead of silently shipping
+a slow or wrong machine.
 """
 
 from __future__ import annotations
@@ -99,6 +97,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from unittest import mock
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -125,8 +124,7 @@ from repro.workloads.base import (  # noqa: E402
     build_program,
     run_workload,
 )
-from repro.vm.backends import MACHINE_MAX_BUDGET, create_machine  # noqa: E402
-from repro.vm.fastmachine import FastMachine  # noqa: E402
+from repro.vm import machine  # noqa: E402
 from repro.vm.machine import Machine  # noqa: E402
 from repro.vm.trace import trace_identical  # noqa: E402
 from repro.vm.tracestream import (  # noqa: E402
@@ -160,25 +158,33 @@ def oracle_results(trace, scenarios: list[Scenario]) -> list:
 _RUN_SNIPPET = """\
 import sys, time
 from repro.workloads.base import build_program
-from repro.vm.fastmachine import FastMachine
-from repro.vm.machine import Machine
-cls = {"Machine": Machine, "FastMachine": FastMachine}[sys.argv[1]]
-budget = int(sys.argv[2])
-programs = [build_program(name) for name in sys.argv[3:]]
+from repro.vm import machine
+mode, how, budget, rounds = sys.argv[1:3] + [int(a) for a in sys.argv[3:5]]
+if mode == "tier0":
+    machine.COMPILE_BAR = sys.maxsize  # nothing ever compiles
+programs = [build_program(name) for name in sys.argv[5:]]
 start = time.perf_counter()
 count = 0
-for program in programs:
-    for segment in cls(program).run_chunks(budget):
-        count += len(segment)
+for _ in range(rounds):
+    for program in programs:
+        m = machine.Machine(program)
+        if how == "chunked":
+            for segment in m.run_chunks(budget):
+                count += len(segment)
+        else:
+            count += len(m.run(budget))
 print(count, time.perf_counter() - start)
 """
 
 
-def _timed_run(cls: str, names, budget: int,
-               repeats: int = 2) -> tuple[int, float]:
-    """Best-of-N wall clock of machine class ``cls`` running each of
-    ``names`` (one fresh machine per kernel) at ``budget``, each
-    repeat in a fresh process.
+def _timed_run(mode: str, names, budget: int, how: str = "chunked",
+               repeats: int = 2, rounds: int = 1) -> tuple[int, float]:
+    """Best-of-N wall clock of the machine running each of ``names``
+    (one fresh machine per kernel, ``rounds`` times over) at
+    ``budget``, each repeat in a fresh process.  ``mode`` is
+    ``"tiered"`` (production) or ``"tier0"`` (nothing compiles);
+    ``how`` is ``"chunked"`` (``run_chunks``, O(chunk) memory) or
+    ``"single"`` (one ``run()``).
 
     Process isolation keeps one measurement's heap from polluting the
     next: a retired paper-scale trace leaves the allocator arenas
@@ -192,12 +198,13 @@ def _timed_run(cls: str, names, budget: int,
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-    label = f"{cls}/{'+'.join(names)}@{budget}"
+    label = f"{mode}/{how}/{'+'.join(names)}@{budget}"
     n = None
     best = float("inf")
     for _ in range(repeats):
         proc = subprocess.run(
-            [sys.executable, "-c", _RUN_SNIPPET, cls, str(budget), *names],
+            [sys.executable, "-c", _RUN_SNIPPET, mode, how, str(budget),
+             str(rounds), *names],
             capture_output=True, text=True, env=env,
         )
         if proc.returncode != 0:
@@ -211,79 +218,82 @@ def _timed_run(cls: str, names, budget: int,
     return n, best
 
 
-def _picked(budget: int) -> str:
-    """The machine class ``create_machine`` picks for ``budget``."""
-    return type(create_machine(build_program("li"), budget)).__name__
+#: The tiering gates, each a ratio of two timings of the same kernels
+#: in one run: ``(name, budget, rounds, numerator, denominator, bound,
+#: sense)`` with ``(mode, how)`` legs.  At 2k nothing should compile
+#: that does not pay, so the tiered machine stays within 1.1x of tier
+#: 0 alone (20 rounds, so each leg times ~0.5M instructions instead of
+#: a noise-sized 30 ms); at 1M compiled blocks must make it at least
+#: 2x faster; and splitting a 1M run into chunks must cost under 1.1x
+#: one ``run()``.
+TIER_GATES = (
+    ("short_run_overhead", 2_000, 20, ("tiered", "chunked"),
+     ("tier0", "chunked"), 1.1, "max"),
+    ("long_run_speedup", 1_000_000, 1, ("tier0", "chunked"),
+     ("tiered", "chunked"), 2.0, "min"),
+    ("chunking_overhead", 1_000_000, 1, ("tiered", "chunked"),
+     ("tiered", "single"), 1.1, "max"),
+)
 
 
-#: Budgets of the selection sweep: small runs where FastMachine's block
-#: compiles dominate, the crossover, and a budget where they are long
-#: amortised.
-SWEEP_BUDGETS = (2_000, 20_000, 50_000, 100_000, 150_000, 250_000,
-                 1_000_000)
-
-#: Where one class beats the other by more than this factor,
-#: ``create_machine`` must pick it.
-SWEEP_MARGIN = 1.25
-
-
-def bench_budget_sweep() -> dict:
-    """Both machine classes over every kernel at each sweep budget."""
+def bench_tier_gates() -> dict:
+    """Every tiering gate over all kernels; see :data:`TIER_GATES`."""
     names = [w.name for w in all_workloads()]
-    rows = []
-    for budget in SWEEP_BUDGETS:
-        n, machine_s = _timed_run("Machine", names, budget)
-        n_fast, fast_s = _timed_run("FastMachine", names, budget)
-        assert n == n_fast, f"{budget}: classes retired {n} vs {n_fast}"
-        ratio = machine_s / fast_s
-        faster = ("FastMachine" if ratio > SWEEP_MARGIN
-                  else "Machine" if 1 / ratio > SWEEP_MARGIN else None)
-        picked = _picked(budget)
-        rows.append({
+    gates = {}
+    for gate, budget, rounds, num, den, bound, sense in TIER_GATES:
+        n, num_s = _timed_run(num[0], names, budget, how=num[1],
+                              repeats=3, rounds=rounds)
+        n_den, den_s = _timed_run(den[0], names, budget, how=den[1],
+                                  repeats=3, rounds=rounds)
+        assert n == n_den, f"{gate}: legs retired {n} vs {n_den}"
+        ratio = num_s / den_s
+        gates[gate] = {
             "budget": budget,
+            "rounds": rounds,
             "instructions": n,
-            "machine_seconds": round(machine_s, 4),
-            "fast_seconds": round(fast_s, 4),
-            "machine_over_fast": round(ratio, 2),
-            "picked": picked,
-            "picks_faster": faster in (None, picked),
-        })
+            f"{num[0]}_{num[1]}_seconds": round(num_s, 4),
+            f"{den[0]}_{den[1]}_seconds": round(den_s, 4),
+            "ratio": round(ratio, 3),
+            "bound": bound,
+            "sense": sense,
+            "ok": ratio <= bound if sense == "max" else ratio >= bound,
+        }
     return {
         "kernels": len(names),
-        "machine_max_budget": MACHINE_MAX_BUDGET,
-        "margin": SWEEP_MARGIN,
-        "protocol": "best-of-2, fresh process per class and budget, "
-                    "all kernels in one process",
-        "budgets": rows,
-        "picks_faster": all(row["picks_faster"] for row in rows),
+        "protocol": "best-of-3, fresh process per leg, all kernels in "
+                    "one process",
+        "gates": gates,
+        "ok": all(g["ok"] for g in gates.values()),
     }
 
 
 def bench_machine_run(budget: int, verify_budget: int) -> dict:
     kernels = ("compress", "tomcatv", "go")
     per_kernel = {}
-    interp_total = fast_total = 0.0
+    tier0_total = tiered_total = 0.0
     total_instr = 0
     identical = True
     for name in kernels:
-        ni, ti = _timed_run("Machine", [name], budget)
-        nf, tf = _timed_run("FastMachine", [name], budget)
-        assert ni == nf, f"{name}: classes retired {ni} vs {nf} instructions"
-        interp_total += ti
-        fast_total += tf
-        total_instr += ni
+        n0, t0 = _timed_run("tier0", [name], budget)
+        n1, t1 = _timed_run("tiered", [name], budget)
+        assert n0 == n1, f"{name}: tiers retired {n0} vs {n1} instructions"
+        tier0_total += t0
+        tiered_total += t1
+        total_instr += n0
         per_kernel[name] = {
-            "instructions": ni,
-            "interp_seconds": round(ti, 4),
-            "fast_seconds": round(tf, 4),
-            "interp_instr_per_sec": round(ni / ti),
-            "fast_instr_per_sec": round(nf / tf),
-            "speedup": round(ti / tf, 2),
+            "instructions": n0,
+            "tier0_seconds": round(t0, 4),
+            "tiered_seconds": round(t1, 4),
+            "tier0_instr_per_sec": round(n0 / t0),
+            "tiered_instr_per_sec": round(n1 / t1),
+            "speedup": round(t0 / t1, 2),
         }
-        # differential oracle at a budget small enough to hold both
+        # tier 1 against tier 0 at a budget small enough to hold both
         # traces in memory at once
-        a = Machine(build_program(name)).run(max_instructions=verify_budget)
-        b = FastMachine(build_program(name)).run(max_instructions=verify_budget)
+        with mock.patch.object(machine, "COMPILE_BAR", sys.maxsize):
+            a = Machine(build_program(name)).run(
+                max_instructions=verify_budget)
+        b = Machine(build_program(name)).run(max_instructions=verify_budget)
         identical = identical and trace_identical(a, b)
         del a, b
         gc.collect()
@@ -293,15 +303,14 @@ def bench_machine_run(budget: int, verify_budget: int) -> dict:
         "verify_budget": verify_budget,
         "protocol": "best-of-2 chunked runs, fresh process per measurement",
         "instructions": total_instr,
-        "interp_seconds": round(interp_total, 4),
-        "fast_seconds": round(fast_total, 4),
-        "interp_instr_per_sec": round(total_instr / interp_total),
-        "fast_instr_per_sec": round(total_instr / fast_total),
-        "speedup": round(interp_total / fast_total, 2),
-        "picked": _picked(budget),
+        "tier0_seconds": round(tier0_total, 4),
+        "tiered_seconds": round(tiered_total, 4),
+        "tier0_instr_per_sec": round(total_instr / tier0_total),
+        "tiered_instr_per_sec": round(total_instr / tiered_total),
+        "speedup": round(tier0_total / tiered_total, 2),
         "bit_identical": identical,
         "per_kernel": per_kernel,
-        "sweep": bench_budget_sweep(),
+        "tiering": bench_tier_gates(),
     }
 
 
@@ -393,7 +402,7 @@ def bench_tracev3(trace_budget: int, engine_budget: int,
     for name in kernels:
         path = tmp / f"{name}.trace"
         stream = ExecutionChunkStream(
-            lambda name=name: FastMachine(build_program(name)),
+            lambda name=name: Machine(build_program(name)),
             program_name=name,
             max_instructions=trace_budget,
         )
@@ -424,7 +433,7 @@ def bench_tracev3(trace_budget: int, engine_budget: int,
 
         # v2 size of the same trace: pickle the materialized columnar
         # layout into a counting sink (no disk, freed immediately)
-        trace = FastMachine(build_program(name)).run(
+        trace = Machine(build_program(name)).run(
             max_instructions=trace_budget
         )
         sink = _CountingSink()
@@ -515,15 +524,13 @@ def bench_coldpath(trace_budget: int, verify_budget: int,
     all_identical = True
     max_encode_overhead = 0.0
     for name in kernels:
-        # leg 1: pure execution on the machine the budget selects
-        # (fresh-process best-of-2)
-        n, exec_s = _timed_run(_picked(trace_budget), [name], trace_budget)
+        # leg 1: pure execution (fresh-process best-of-2)
+        n, exec_s = _timed_run("tiered", [name], trace_budget)
 
         # leg 2: execute + encode through the incremental writer
         path = tmp / f"{name}.coldpath.trace"
         stream = ExecutionChunkStream(
-            lambda name=name: create_machine(build_program(name),
-                                             trace_budget),
+            lambda name=name: Machine(build_program(name)),
             program_name=name, max_instructions=trace_budget)
         start = time.perf_counter()
         wrote = write_stream(stream, path)
@@ -550,7 +557,7 @@ def bench_coldpath(trace_budget: int, verify_budget: int,
         (entry,) = (tmp / "verify" / name / "traces").glob("*.trace")
         written = tmp / f"{name}.verify.trace"
         write_stream(ExecutionChunkStream(
-            lambda name=name: FastMachine(build_program(name)),
+            lambda name=name: Machine(build_program(name)),
             program_name=name, max_instructions=verify_budget,
         ), written)
         identical = profile_ok and entry.read_bytes() == written.read_bytes()
@@ -602,15 +609,14 @@ def _write_report(report: dict, output: str) -> None:
     print(f"\nwritten to {out}", file=sys.stderr)
 
 
-def _sweep_ok(sweep: dict) -> bool:
-    for row in sweep["budgets"]:
-        if not row["picks_faster"]:
-            print(f"FAIL: create_machine picks {row['picked']} at "
-                  f"{row['budget']} instructions, but the other class is "
-                  f"more than {sweep['margin']}x faster there "
-                  f"(Machine/FastMachine = {row['machine_over_fast']})",
-                  file=sys.stderr)
-    return sweep["picks_faster"]
+def _tiering_ok(tiering: dict) -> bool:
+    for name, gate in tiering["gates"].items():
+        if not gate["ok"]:
+            bound = "at most" if gate["sense"] == "max" else "at least"
+            print(f"FAIL: tiering gate {name} at {gate['budget']} "
+                  f"instructions: ratio {gate['ratio']}, must be {bound} "
+                  f"{gate['bound']}", file=sys.stderr)
+    return tiering["ok"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -632,7 +638,7 @@ def main(argv: list[str] | None = None) -> int:
         "--verify-budget", type=int,
         default=int(os.environ.get("REPRO_BENCH_VERIFY_BUDGET",
                                    "1000000")),
-        help="budget for the FastMachine bit-identity check (default 1M)",
+        help="budget for the tier-1 bit-identity check (default 1M)",
     )
     parser.add_argument(
         "--tracev3", action="store_true",
@@ -732,13 +738,13 @@ def main(argv: list[str] | None = None) -> int:
     _write_report(report, args.output)
 
     mr = report["machine_run"]
-    ok = _sweep_ok(mr["sweep"])
+    ok = _tiering_ok(mr["tiering"])
     if not mr["bit_identical"]:
-        print("FAIL: FastMachine traces are not bit-identical",
+        print("FAIL: tier-1 traces are not bit-identical to tier 0",
               file=sys.stderr)
         ok = False
     if mr["speedup"] < 1.0:
-        print(f"FAIL: FastMachine is slower than the interpreter "
+        print(f"FAIL: the tiered machine is slower than tier 0 alone "
               f"({mr['speedup']}x)", file=sys.stderr)
         ok = False
     if not report["streaming_engine"]["bit_identical"]:

@@ -94,6 +94,7 @@ from repro.exp.report import render
 from repro.exp.runner import collect_profiles
 from repro.isa.disasm import disassemble
 from repro.util.tables import format_table
+from repro.vm import tracecache
 from repro.vm.tracefile import save_trace
 from repro.workloads.base import (
     all_workloads,
@@ -142,18 +143,21 @@ def _cmd_analyze(args) -> int:
     inside one :class:`StreamingDataflowEngine` drain (O(chunk)
     memory).
     """
-    stream = stream_workload(
-        args.workload,
-        max_instructions=args.budget,
-        use_cache=not args.no_cache,
-    )
-    engine = StreamingDataflowEngine(stream)
     scenarios = []
     for window in (None, args.window):
         scenarios.append(Scenario("base", window_size=window))
         scenarios.append(Scenario("ilr", window_size=window, latency=1.0))
         scenarios.append(Scenario("tlr", window_size=window, latency=1.0))
-    results = engine.analyze_all(scenarios)
+
+    def drain(stream):
+        engine = StreamingDataflowEngine(stream)
+        return engine, engine.analyze_all(scenarios)
+
+    engine, results = tracecache.drain_healing(
+        lambda: stream_workload(args.workload, max_instructions=args.budget,
+                                use_cache=not args.no_cache),
+        drain,
+    )
     stats = engine.io_stats
     print(f"{args.workload}: {engine.n} instructions, "
           f"{engine.reuse.percent_reusable:.1f}% reusable, "
@@ -238,8 +242,6 @@ def _cmd_disasm(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.vm import tracecache
-
     if args.action == "clear":
         removed = tracecache.clear_cache()
         print(f"removed {removed} cache entries from {tracecache.cache_dir()}")

@@ -53,9 +53,9 @@ getter over a list.
 The generated fold.  For each scenario-list signature (kind,
 fetch-freedom, latency model and window group per scenario) the engine
 emits, compiles and caches one loop that folds every scenario per
-instruction, with each scenario's kind inlined (the way
-:class:`repro.vm.fastmachine.FastMachine` compiles blocks), so no
-scenario pays a per-instruction type dispatch or slot branch.
+instruction, with each scenario's kind inlined (the way the
+machine's tier 1, :mod:`repro.vm.fastmachine`, compiles blocks), so
+no scenario pays a per-instruction type dispatch or slot branch.
 
 Windows.  A windowed scenario's ring starts filled with ``0.0``, as
 ``DataflowModel``'s does.  Reading a 0.0 gate for the first W fetched

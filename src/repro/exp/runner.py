@@ -55,8 +55,6 @@ from repro.exp.config import ExperimentConfig
 from repro.obs.manifest import RunManifest
 from repro.util.parallel import default_worker_count
 from repro.vm import tracecache
-from repro.vm.errors import TraceFileError
-from repro.vm.tracestream import FileTraceStream
 from repro.workloads.base import build_program, get_workload, stream_workload
 
 _log = obs.get_logger("runner")
@@ -195,31 +193,29 @@ def run_profile(
 
     # The stream is lazy: execute, the tee hand-off and decode run inside
     # the engine's drain, which times its stream's next() calls.  That
-    # time and stream construction are billed to stage.trace, the rest
-    # of the drain to stage.analysis.
-    stream = open_stream()
-    with obs.time_stage("stage.engine_init"):
-        engine = StreamingDataflowEngine(stream)
-    engines = [engine]
+    # time and stream construction are billed to stage.trace, engine
+    # construction to stage.engine_init and the rest of the drain to
+    # stage.analysis.
+    engines: list[StreamingDataflowEngine] = []
+    inits: list[float] = []
+
+    def drain(stream):
+        init = clock()
+        engines.append(StreamingDataflowEngine(stream))
+        inits.append(clock() - init)
+        return profile_from_engine(name, workload.suite, engines[-1], config)
+
     start = clock()
     try:
-        profile = profile_from_engine(name, workload.suite, engine, config)
-    except TraceFileError as exc:
-        if not isinstance(stream, FileTraceStream):
-            raise
-        # a cache hit whose chunks do not decode: drop the entry and
-        # recompute through the tee, which rewrites it
-        tracecache.discard_corrupt_trace(stream.path, exc)
-        engines.append(StreamingDataflowEngine(open_stream()))
-        profile = profile_from_engine(
-            name, workload.suite, engines[-1], config)
+        profile = tracecache.drain_healing(open_stream, drain)
     finally:
         drained = clock() - start
         producer = sum(opened) + sum(e.producer_seconds for e in engines)
         telemetry = obs.current()
         telemetry.add_time("stage.trace", producer)
+        telemetry.add_time("stage.engine_init", sum(inits))
         telemetry.add_time("stage.analysis",
-                           drained - (producer - opened[0]))
+                           drained - producer - sum(inits))
     obs.incr("profiles.computed")
     if config.use_cache:
         tracecache.store_cached_profile(name, config.cache_key(), profile)

@@ -3,8 +3,8 @@
 The :class:`StaticReuseEstimator` predicts every figure-level metric a
 dynamic :class:`~repro.exp.runner.BenchmarkProfile` carries — percent
 reusable, trace count/size, base IPC, ILR/TLR speed-up sweeps —
-purely from the structure the CFG passes recover.  No VM (neither
-:class:`Machine` nor :class:`FastMachine`) is ever constructed.
+purely from the structure the CFG passes recover.  No
+:class:`~repro.vm.machine.Machine` ever runs.
 
 The model rests on two observations about loop programs:
 

@@ -101,11 +101,11 @@ def _dynamic_profile_for_program(
     """
     from repro.dataflow.streaming import StreamingDataflowEngine
     from repro.exp.runner import profile_from_engine
-    from repro.vm.backends import create_machine
+    from repro.vm.machine import Machine
     from repro.vm.tracestream import ExecutionChunkStream
 
     engine = StreamingDataflowEngine(ExecutionChunkStream(
-        lambda: create_machine(program, config.max_instructions),
+        lambda: Machine(program),
         program_name=name,
         max_instructions=config.max_instructions,
     ))

@@ -1,66 +1,44 @@
-"""Block-compiling machine: ``FastMachine``.
+"""Tier 1 of :class:`~repro.vm.machine.Machine`: compiled superblocks.
 
-:class:`~repro.vm.machine.Machine` already compiles each *static
-instruction* into a closure; at paper-scale budgets (50M dynamic
-instructions) the remaining cost is the per-instruction closure call
-plus ten bound-method appends per trace record.  ``FastMachine``
-removes both: any pc that becomes *hot* seeds a superblock trace
-(profile-biased, optionally loop-unrolled) which compiles once into
-one specialised Python function of straight-line code (register
-indices constant-folded, ``r0`` reads folded to ``0``, 64-bit wraps
-inlined, trace emission batched per exit site), while cold or
-irregular code — including mid-block entries via ``jr`` — runs
-through the inherited one-at-a-time interpreter.
+``Machine`` runs cold code one closure per instruction (tier 0).  A pc
+whose tier-0 work passes the machine's compile bar seeds a superblock
+trace here (profile-biased, optionally loop-unrolled), which compiles
+once into one specialised Python function of straight-line code
+(register indices constant-folded, ``r0`` reads folded to ``0``,
+64-bit wraps inlined, trace emission batched per exit site).  The
+machine binds each compiled block to its own state and trace columns
+once, and calls it until the block retires.
 
-The contract is **bit-identical traces**: for any program, budget and
-machine state, ``FastMachine.run`` must produce exactly the trace,
-final architectural state and errors of ``Machine.run``.  The
-differential suite (``tests/test_fastmachine.py``) enforces this with
-``Machine`` as the oracle, over every workload kernel and over
-generated ``repro.lang`` programs.
+The contract is **bit-identical traces**: a compiled block emits
+exactly the records, state changes and faults of the tier-0 closures
+for the instructions it retires, which the differential suite
+(``tests/test_fastmachine.py``) checks against the one-at-a-time
+interpreter (``Machine.step`` / ``Machine.run_rows``) over every
+workload kernel and generated ``repro.lang`` programs.
 
 Mechanics worth knowing:
 
 - Blocks are *superblocks*: a conditional branch does not end one.
   Normally its taken side compiles to an early exit and the
-  fallthrough continues straight-line; when the interpreter's warm-up
-  branch profile says the branch is mostly *taken*, :func:`form_trace`
-  follows the taken side instead and the emitted compare is inverted —
-  which is what keeps loop-shaped code inside one trace.  A pure loop
-  trace (sole backedge is the final transition) is additionally
-  unrolled (:func:`unroll_loop_path`) and compiles to an internal loop
-  that re-enters itself while budget remains.
-- Trace emission happens exactly once per block invocation, at
-  whichever exit is taken: the dynamic fixed-width columns (pc and
-  next-pc) are staged as one interleaved pair array sliced from
-  bind-time constants — one slice-assign per exit site — while the
-  static ones (op, latency) are never staged at all, being gathered
-  from per-pc tables at the end; the variable-width pair columns get
-  at most one
-  ``list.extend``/``array.extend`` per column per site, with dynamic
-  memory locations patched in by negative index.  A fault exit
-  flushes every instruction before the faulting one and raises the
-  interpreter's exact ``VMError`` (message, pc, line).
-- ``read_bounds``/``write_bounds`` are not maintained in the hot loop
-  at all: the number of read/write pairs an instruction emits is a
-  static property of its opcode and destination, so both columns are
-  reconstructed in one vectorised (numpy) or
-  :func:`itertools.accumulate` pass at the end.
-- A block whose executions keep exiting in its first quarter was
-  formed from a stale profile; after 64 short exits the driver
-  retires it, feeds the observed exit direction back into the branch
-  profile and recompiles (at most 4 times per head), so mispredicted
-  traces self-correct even when the divergent branch only ever
-  executes inside compiled code.
-- Cyclic GC is disabled for the duration of :meth:`FastMachine.run`
-  (steady-state allocations are acyclic; generational passes over the
-  ever-growing trace columns are what makes the plain interpreter
-  *degrade* at paper-scale budgets) and restored on exit.
+  fallthrough continues straight-line; when the tier-0 branch profile
+  says the branch is mostly *taken*, :func:`form_trace` follows the
+  taken side instead and the emitted compare is inverted — which is
+  what keeps loop-shaped code inside one trace.  A pure loop trace
+  (sole backedge is the final transition) is additionally unrolled
+  (:func:`unroll_loop_path`) and compiles to an internal loop that
+  re-enters itself while budget remains.
+- Both tiers write one column layout: an interleaved ``[pc, next_pc]``
+  ``array('i')`` plus the read/write ``(loc, value)`` pair columns.
+  A block extends the pc column once per exit site from an array
+  sliced at bind time, and each pair column at most once, with dynamic
+  memory locations patched in by negative index.  Opcode, latency and
+  the ``*_bounds`` columns are static per-pc properties, rebuilt at the
+  end of a run by :func:`_split_pcn` and :func:`_bounds_from_counts`.
+  A fault exit flushes every instruction before the faulting one and
+  raises the interpreter's exact ``VMError`` (message, pc, line).
 """
 
 from __future__ import annotations
-
-import gc
 
 from array import array
 from itertools import accumulate
@@ -74,14 +52,7 @@ except ImportError:  # pragma: no cover - numpy is present in CI
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import FP_REG_BASE, MEM_LOC_BASE
 from repro.vm.errors import VMError
-from repro.vm.machine import DEFAULT_STACK_TOP, Machine
 from repro.vm.program import Program
-from repro.vm.trace import ColumnarTrace, preallocated_pcn
-
-#: Compile a block once it has been entered this many times; earlier
-#: entries run through the interpreter (cold path), which doubles as
-#: the warm-up branch profile that steers how traces are formed.
-HOT_THRESHOLD = 8
 
 #: Upper bound on compiled-block length.  Deliberately modest: besides
 #: bounding generated-function compile time, short blocks keep the
@@ -179,86 +150,23 @@ _FP_CMP_SYM = {Opcode.FEQ: "==", Opcode.FLT: "<", Opcode.FLE: "<="}
 #: the fallthrough side continues in the same block.
 _UNCOND_CTRL = frozenset({Opcode.J, Opcode.JAL, Opcode.JR, Opcode.HALT})
 
-#: All control-transfer opcodes (kept for external callers/tests).
-_CTRL_OPS = frozenset(_BRANCH_SYM) | _UNCOND_CTRL
-
 #: Upper bound on conditional-branch exits per superblock; bounds the
 #: per-exit flush code the block factory carries.
 MAX_BLOCK_EXITS = 16
 
 
-# ----------------------------------------------------------------------
-# static program analysis
-# ----------------------------------------------------------------------
-
-def discover_blocks(
-    program: Program, max_len: int = MAX_BLOCK_LEN,
-    max_exits: int = MAX_BLOCK_EXITS,
-) -> dict[int, tuple[int, ...]]:
-    """Superblock traces as ``{leader_pc: (pc, pc, ...)}`` paths.
-
-    Leaders are the entry point, every branch/jump target and the
-    instruction after an unconditional transfer.  From each leader the
-    trace follows the static fallthrough path: a conditional branch
-    does *not* end it (the taken side becomes an early exit), and
-    neither does an unconditional ``j``/``jal`` with an in-range
-    target — the jump is *folded* into the trace and formation
-    continues at its target, so a path is not necessarily contiguous
-    and may duplicate the tail of another block.  Formation stops at
-    ``jr``/``halt``, at a backedge into the path itself, and at the
-    ``max_len``/``max_exits`` bounds.  ``jr`` targets are dynamic and
-    therefore not leaders; entering the middle of a path that way
-    simply runs on the interpreter until the next leader.
-    """
-    instrs = program.instructions
-    n = len(instrs)
-    if n == 0:
-        return {}
-    leaders = {0, program.text_labels.get("main", 0)} & set(range(n))
-    for pc, inst in enumerate(instrs):
-        op = inst.op
-        if op in _UNCOND_CTRL:
-            if pc + 1 < n:
-                leaders.add(pc + 1)
-            if op is Opcode.J or op is Opcode.JAL:
-                target = int(inst.imm)
-                if 0 <= target < n:
-                    leaders.add(target)
-        elif op in _BRANCH_SYM:
-            target = int(inst.imm)
-            if 0 <= target < n:
-                leaders.add(target)
-    blocks: dict[int, tuple[int, ...]] = {}
-    work = sorted(leaders)
-    while work:
-        start = work.pop()
-        if start in blocks:
-            continue
-        path, cont = form_trace(program, start, max_len=max_len,
-                                max_exits=max_exits)
-        blocks[start] = path
-        # a cut not at an unconditional terminator starts a
-        # continuation block, so long stretches chain instead of
-        # falling back to the interpreter
-        if 0 <= cont < n and cont not in blocks:
-            work.append(cont)
-    return blocks
-
-
-def form_trace(
-    program: Program, start: int, *, max_len: int = MAX_BLOCK_LEN,
-    max_exits: int = MAX_BLOCK_EXITS, bias=None,
-) -> tuple[tuple[int, ...], int]:
-    """One superblock trace from ``start``: ``(path, continuation)``.
+def form_trace(program: Program, start: int, *, bias=None) -> tuple[int, ...]:
+    """The superblock trace from ``start``, as a path of pcs.
 
     Walks the static fallthrough path, folding unconditional
     ``j``/``jal`` jumps into the trace.  With ``bias`` (a
-    ``pc -> bool`` predicate fed by the interpreter's warm-up branch
-    profile), a conditional branch observed to be mostly *taken* is
-    followed along its taken side instead — the block then exits on
-    the fallthrough condition — which is what keeps loop-shaped code
-    inside one trace.  ``continuation`` is the pc where a
-    length/exit-bound cut left off (−1 when the trace closed itself).
+    ``pc -> bool`` predicate fed by the tier-0 branch profile), a
+    conditional branch observed to be mostly *taken* is followed along
+    its taken side instead — the block then exits on the fallthrough
+    condition — which is what keeps loop-shaped code inside one trace.
+    Formation stops at ``jr``/``halt``, at a backedge into the path
+    itself, and at the :data:`MAX_BLOCK_LEN` / :data:`MAX_BLOCK_EXITS`
+    bounds.
     """
     instrs = program.instructions
     n = len(instrs)
@@ -266,7 +174,6 @@ def form_trace(
     seen: set[int] = set()
     exits = 0
     pc = start
-    cont = -1  # continuation leader when cut mid-stream
     while True:
         path.append(pc)
         seen.add(pc)
@@ -275,35 +182,32 @@ def form_trace(
         if op in _UNCOND_CTRL:
             if op is Opcode.J or op is Opcode.JAL:
                 t = int(inst.imm)
-                if 0 <= t < n and t not in seen and len(path) < max_len:
+                if 0 <= t < n and t not in seen and len(path) < MAX_BLOCK_LEN:
                     pc = t  # fold the jump; continue at its target
                     continue
             break  # jr/halt, or a jump we do not fold
         if op in _BRANCH_SYM:
             exits += 1
-            if exits >= max_exits:
-                cont = pc + 1
+            if exits >= MAX_BLOCK_EXITS:
                 break
             if bias is not None and bias(pc):
                 t = int(inst.imm)
-                if 0 <= t < n and t not in seen and len(path) < max_len:
+                if 0 <= t < n and t not in seen and len(path) < MAX_BLOCK_LEN:
                     pc = t  # follow the taken side; exit on fallthrough
                     continue
-        nxt = pc + 1
-        if nxt >= n or nxt in seen or len(path) >= max_len:
-            cont = nxt
+        pc += 1
+        if pc >= n or pc in seen or len(path) >= MAX_BLOCK_LEN:
             break
-        pc = nxt
-    return tuple(path), cont
+    return tuple(path)
 
 
 def emission_counts(program: Program) -> tuple[list[int], list[int]]:
     """Per-static-pc ``(reads, writes)`` pair counts of the trace record.
 
     Both are static properties of the decoded instruction (an ``r0``
-    destination discards the write), which is what lets FastMachine
-    rebuild the bounds columns after the run instead of maintaining
-    them per instruction.
+    destination discards the write), which is what lets both tiers
+    skip the bounds columns and the machine rebuild them after the
+    run.
     """
     rcounts: list[int] = []
     wcounts: list[int] = []
@@ -357,14 +261,14 @@ def emission_counts(program: Program) -> tuple[list[int], list[int]]:
 class _BlockCodegen:
     """Generates the factory source for one superblock.
 
-    The factory binds machine state and column sinks once per run and
-    returns ``_block(c)``: execute from the block leader with the trace
-    cursor at ``c``, mutate architectural state in place, and return an
-    ``(executed, next_pc)`` tuple.  Taken conditional branches and
-    faults are *early exits*; every exit site — including the final
-    fallthrough — flushes exactly the trace prefix it executed in one
-    batch (slice assignments from arrays sliced once at bind time, at
-    most one ``extend`` per pair column), so nothing is emitted per
+    The factory binds machine state and column sinks once per machine
+    and returns ``_block(room)``: execute from the block leader, mutate
+    architectural state in place, and return an ``(executed,
+    next_pc)`` tuple.  Taken conditional branches and faults are
+    *early exits*; every exit site — including the final fallthrough —
+    flushes exactly the trace prefix it executed in one batch (one pc
+    column ``extend`` from an array sliced once at bind time, at most
+    one ``extend`` per pair column), so nothing is emitted per
     instruction on the way through.
     """
 
@@ -373,8 +277,8 @@ class _BlockCodegen:
         self.n_static = n_static
         self.leader = leader
         #: when the trace has an exit targeting its own leader, the
-        #: block iterates internally: the backedge site advances the
-        #: cursors and re-enters the top while ``room`` allows
+        #: block iterates internally: the backedge site re-enters the
+        #: top while ``room`` allows
         self.loop_mode = loop_mode
         self.body: list[str] = []
         self.consts: list[str] = []
@@ -435,7 +339,7 @@ class _BlockCodegen:
         wl = [p[0] for t in ents for p in t[5]]
         wv = [p[1] for t in ents for p in t[5]]
         self.body.append(
-            f"if {cond}: raise _fexit(c, {pc}, {off}, {line}, {msg}, "
+            f"if {cond}: raise _fexit({pc}, {off}, {line}, {msg}, "
             f"{self._tuple(rl)}, {self._tuple(rv)}, "
             f"{self._tuple(wl)}, {self._tuple(wv)})"
         )
@@ -499,7 +403,7 @@ class _BlockCodegen:
             if last_next is not None and last_next != ents[-1][3]:
                 # patch the exit's own next pc once, at bind time
                 self.consts.append(f"{qa}[{2 * k - 1}] = {last_next}")
-        out = [f"PCN[c2:c2+{2 * k}] = {qa}"]
+        out = [f"PX({qa})"]
         out += self._pair_lines(ents, s)
         return out
 
@@ -516,8 +420,6 @@ class _BlockCodegen:
         for line in self._flush_lines(k, target, s):
             B("    " + line)
         if self.loop_mode and target == self.leader:
-            B(f"    c2 += {2 * k}")
-            B(f"    c += {k}")
             B(f"    kt += {k}")
             B(f"    room -= {k}")
             B("    if room >= _SZ:")
@@ -757,7 +659,7 @@ class _BlockCodegen:
         body = list(self.body)
         body += self._flush_lines(size, None, s)
         if self.final_dyn is not None:  # JR: patch the dynamic target
-            body.append(f"PCN[c2+{2 * size - 1}] = {self.final_dyn}")
+            body.append(f"PCN[-1] = {self.final_dyn}")
             if self.loop_mode:
                 body.append(f"return (kt + {size}, {self.final_dyn})")
             else:
@@ -766,7 +668,6 @@ class _BlockCodegen:
             npc = self.final_ret if self.closed else fallthrough
             if self.loop_mode and npc == self.leader:
                 body += [
-                    f"c2 += {2 * size}", f"c += {size}",
                     f"kt += {size}", f"room -= {size}",
                     "if room >= _SZ:", "    continue",
                     f"return (kt, {npc})",
@@ -785,18 +686,17 @@ class _BlockCodegen:
             flat += (t[0], t[3])
         heads = [f"_q = _A('i', {tuple(flat)!r})"]
         out = [
-            "def _factory(m, regs, fregs, memory, mem_get, PCN, "
-            "RL, RLx, RVx, WL, WLx, WVx, VMError, trunc, B0):",
+            "def _factory(m, regs, fregs, memory, mem_get, PCN, PX, "
+            "RL, RLx, RVx, WL, WLx, WVx, VMError, trunc):",
             "    _int = int; _float = float; _abs = abs; _A = _array",
         ]
         out += [f"    {line}" for line in heads]
         out += [f"    {line}" for line in self.consts]
         if self.uses_fexit:
             out += [
-                "    def _fexit(c, pc, off, line, msg, "
+                "    def _fexit(pc, off, line, msg, "
                 "rlocs, rvals, wlocs, wvals):",
-                "        q = 2 * c",
-                "        PCN[q:q + 2 * off] = _q[:2 * off]",
+                "        PX(_q[:2 * off])",
                 "        if rlocs:",
                 "            RLx(rlocs)",
                 "            RVx(rvals)",
@@ -804,11 +704,9 @@ class _BlockCodegen:
                 "            WLx(wlocs)",
                 "            WVx(wvals)",
                 "        m.pc = pc",
-                "        m.instruction_count = B0 + c + off",
                 "        return VMError(msg, pc=pc, line=line)",
             ]
-        out.append("    def _block(c, room):")
-        out.append("        c2 = 2 * c")
+        out.append("    def _block(room):")
         out += [f"        {line}" for line in body]
         out.append("    return _block")
         return "\n".join(out) + "\n"
@@ -909,6 +807,12 @@ def unroll_loop_path(program: Program, path: tuple[int, ...]) -> tuple[int, ...]
     return path * unroll if unroll > 1 else path
 
 
+#: Drains of at least this many instructions gather and sum their
+#: per-pc columns with numpy; below it the stdlib loops are faster
+#: (measured break-even about 100 instructions, 2-CPU x86-64 host).
+_NP_MIN = 128
+
+
 def _bounds_from_counts(counts: list[int], pcs: array) -> array:
     """Cumulative pair-count column for an executed-pc column.
 
@@ -917,7 +821,7 @@ def _bounds_from_counts(counts: list[int], pcs: array) -> array:
     with a leading 0.  The numpy path is a gather + cumsum over the
     whole run; the stdlib path streams through ``accumulate``.
     """
-    if _np is not None and len(pcs) >= 4096:
+    if _np is not None and len(pcs) >= _NP_MIN:
         gathered = _np.asarray(counts, dtype=_np.uint32)[
             _np.frombuffer(pcs, dtype=_np.int32)
         ]
@@ -942,7 +846,7 @@ def _split_pcn(
     (stdlib fallback).
     """
     n = len(pcn) // 2
-    if _np is not None and n >= 4096:
+    if _np is not None and n >= _NP_MIN:
         m = _np.frombuffer(pcn, dtype=_np.int32).reshape(n, 2)
         pcs_np = _np.ascontiguousarray(m[:, 0])
         pcs = array("i")
@@ -959,260 +863,3 @@ def _split_pcn(
     pcs = pcn[0::2]
     return (pcs, array("h", map(op_table.__getitem__, pcs)),
             array("h", map(lat_table.__getitem__, pcs)), pcn[1::2])
-
-
-# ----------------------------------------------------------------------
-# the machine
-# ----------------------------------------------------------------------
-
-class FastMachine(Machine):
-    """Drop-in ``Machine`` whose :meth:`run` executes hot basic blocks
-    as compiled straight-line Python.
-
-    A block is compiled on its :data:`HOT_THRESHOLD`-th entry; before
-    that (and for irregular code such as ``jr`` targets into the middle
-    of a block) execution single-steps through the inherited
-    interpreter against the same trace columns.
-    """
-
-    def __init__(self, program: Program, *,
-                 stack_top: int = DEFAULT_STACK_TOP):
-        super().__init__(program, stack_top=stack_top)
-        self._blocks: dict[int, tuple[int, ...]] | None = None
-        self._sizes: list[int] = []
-        self._codes: dict[int, object] = {}
-        self._rcounts: list[int] = []
-        self._wcounts: list[int] = []
-        self._hits: list[int] | None = None
-
-    def _analyze(self) -> None:
-        n = len(self.program.instructions)
-        self._blocks = discover_blocks(self.program)
-        self._sizes = [0] * n
-        for leader, path in self._blocks.items():
-            self._sizes[leader] = len(path)
-        self._rcounts, self._wcounts = emission_counts(self.program)
-        # static per-pc columns, gathered into the trace at the end
-        self._op_table = [int(inst.op) for inst in self.program.instructions]
-        self._lat_table = [inst.latency for inst in self.program.instructions]
-        self._btaken = [0] * n   # warm-up branch profile: taken count
-        self._bseen = [0] * n    # ... and total executions, per branch
-        self._isbr = [inst.op in _BRANCH_SYM
-                      for inst in self.program.instructions]
-
-    def _bias(self, pc: int) -> bool:
-        """Warm-up verdict: was this branch mostly taken so far?"""
-        return 2 * self._btaken[pc] > self._bseen[pc] > 0
-
-    def _block_code(self, leader: int):
-        """Compiled factory code object for a block (None: uncompilable).
-
-        The trace is (re-)formed here, at compile time, so the warm-up
-        branch profile can steer it through the observed hot direction
-        of each conditional branch; the leader's dispatch size is
-        updated to the profiled trace's length.
-        """
-        try:
-            return self._codes[leader]
-        except KeyError:
-            pass
-        path, _ = form_trace(self.program, leader, bias=self._bias)
-        path = unroll_loop_path(self.program, path)
-        try:
-            src = generate_block_source(self.program, path)
-            code = compile(
-                src, f"<fastblock {self.program.name}:{leader}>", "exec"
-            )
-            self._blocks[leader] = path
-            self._sizes[leader] = len(path)
-        except _Unsupported:
-            code = None
-        self._codes[leader] = code
-        return code
-
-    def run(self, max_instructions: int | None = None) -> ColumnarTrace:
-        """Execute until HALT or the budget; bit-identical to
-        :meth:`Machine.run` by construction (and by the differential
-        suite)."""
-        if self._blocks is None:
-            self._analyze()
-        instrs = self.program.instructions
-        n_static = len(instrs)
-        sizes = self._sizes
-        threshold = HOT_THRESHOLD
-
-        count0 = self.instruction_count
-        count = count0
-        cur = 0
-        pc = self.pc
-        finite = max_instructions is not None
-        budget = max_instructions if finite else float("inf")
-
-        cap = max(max_instructions - count0, 0) if finite else 1024
-        PCN = preallocated_pcn(cap)
-        read_locs = array("q")
-        read_vals: list = []
-        write_locs = array("q")
-        write_vals: list = []
-        RLa, RVa = read_locs.append, read_vals.append
-        WLa, WVa = write_locs.append, write_vals.append
-        runtime = (
-            self, self.regs, self.fregs, self.memory, self.memory.get,
-            PCN,
-            read_locs, read_locs.extend, read_vals.extend,
-            write_locs, write_locs.extend, write_vals.extend,
-            VMError, Machine._trunc_div, count0,
-        )
-
-        def ensure(need: int) -> None:
-            nonlocal cap
-            while cap < need:
-                add = max(cap, 1024)
-                PCN.frombytes(bytes(2 * add * PCN.itemsize))
-                cap += add
-
-        fns: list = [None] * n_static
-        # ``hits`` persists across run() calls so chunked execution
-        # (run_chunks) recompiles already-hot blocks immediately
-        # instead of re-warming per chunk; ``fns`` must stay per-call
-        # because each closure binds this call's trace columns.
-        hits = self._hits
-        if hits is None or len(hits) != n_static:
-            hits = self._hits = [0] * n_static
-        shorts = [0] * n_static  # entries that exited in the 1st quarter
-        retired: dict[int, int] = {}
-        blocks = self._blocks
-        isbr = self._isbr
-        btaken = self._btaken
-        bseen = self._bseen
-
-        # Block execution allocates in bursts (value tuples, column
-        # growth) that never form reference cycles; cyclic-gc passes
-        # over the ever-growing value columns are pure overhead, so
-        # collection is paused for the duration of the loop.
-        gc_enabled = gc.isenabled()
-        if gc_enabled:
-            gc.disable()
-        try:
-            halted_at_entry = self.halted
-            while not halted_at_entry and count < budget:
-                if not 0 <= pc < n_static:
-                    if self.halted:
-                        break
-                    self.pc = pc
-                    self.instruction_count = count
-                    raise VMError(f"pc {pc} outside program", pc=pc)
-                fn = fns[pc]
-                if fn is not None:
-                    # a superblock may exit early or loop internally,
-                    # so gate on its full size, hand it the remaining
-                    # room and advance by what it actually executed
-                    size = sizes[pc]
-                    if count + size <= budget:
-                        if cur + size > cap:
-                            ensure(cur + size)
-                        head = pc
-                        k, pc = fn(
-                            cur, budget - count if finite else cap - cur
-                        )
-                        cur += k
-                        count += k
-                        # a trace formed from a misleading warm-up
-                        # profile keeps exiting near its head; its
-                        # divergent branch only ever executes inside
-                        # compiled blocks, so the interpreter-side
-                        # profile would never self-correct.  Feed the
-                        # observed outcome back into the profile and
-                        # retire the trace so it re-forms along the
-                        # real hot path (capped per head so a
-                        # genuinely irregular block cannot churn).
-                        if k * 4 < size:
-                            shorts[head] = sh = shorts[head] + 1
-                            if sh >= 64:
-                                shorts[head] = 0
-                                r = retired.get(head, 0)
-                                if r < 4:
-                                    retired[head] = r + 1
-                                    div = blocks[head][k - 1]
-                                    if isbr[div]:
-                                        bseen[div] += 64
-                                        if pc != div + 1:
-                                            btaken[div] += 64
-                                        hits[head] = threshold - 1
-                                    else:
-                                        hits[head] = 0
-                                    fns[head] = None
-                                    self._codes.pop(head, None)
-                        continue
-                else:
-                    # every pc can become a trace head (a biased trace
-                    # may exit into the middle of a static block, and
-                    # ``jr`` lands on dynamic targets)
-                    hits[pc] = h = hits[pc] + 1
-                    if h >= threshold:
-                        code = self._block_code(pc)
-                        if code is not None:
-                            ns = {"_array": array}
-                            exec(code, ns)
-                            fns[pc] = ns["_factory"](*runtime)
-                            continue
-                # cold path: one interpreter step into the same columns
-                if cur >= cap:
-                    ensure(cur + 1)
-                self.pc = pc
-                self.instruction_count = count
-                rec = self.step()
-                q = 2 * cur
-                PCN[q] = pc
-                PCN[q + 1] = rec.next_pc
-                for loc, val in rec.reads:
-                    RLa(loc)
-                    RVa(val)
-                for loc, val in rec.writes:
-                    WLa(loc)
-                    WVa(val)
-                cur += 1
-                count += 1
-                if isbr[pc]:  # feed the warm-up branch profile
-                    bseen[pc] += 1
-                    if rec.next_pc != pc + 1:
-                        btaken[pc] += 1
-                pc = rec.next_pc
-                if self.halted:
-                    break
-        finally:
-            if gc_enabled:
-                gc.enable()
-        if self.halted:
-            pc = self.pc
-        self.pc = pc
-        self.instruction_count = count
-
-        del PCN[2 * cur:]
-        PCS, OPS, LATS, NPCS = _split_pcn(
-            PCN, self._op_table, self._lat_table
-        )
-        trace = ColumnarTrace(
-            program_name=self.program.name,
-            halted=self.halted,
-            truncated=not self.halted,
-        )
-        trace.pcs = PCS
-        trace.ops = OPS
-        trace.lats = LATS
-        trace.next_pcs = NPCS
-        trace.read_bounds = _bounds_from_counts(self._rcounts, PCS)
-        trace.write_bounds = _bounds_from_counts(self._wcounts, PCS)
-        if (trace.read_bounds[-1] != len(read_locs)
-                or trace.write_bounds[-1] != len(write_locs)
-                or len(read_locs) != len(read_vals)
-                or len(write_locs) != len(write_vals)):
-            raise RuntimeError(
-                "FastMachine emitted inconsistent trace columns "
-                f"(internal error in {self.program.name})"
-            )
-        trace.read_locs = read_locs
-        trace.read_vals = read_vals
-        trace.write_locs = write_locs
-        trace.write_vals = write_vals
-        return trace

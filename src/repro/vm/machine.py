@@ -1,10 +1,24 @@
-"""The interpreting virtual machine.
+"""The virtual machine: one class, two execution tiers.
 
 ``Machine`` executes an assembled :class:`~repro.vm.program.Program`
-and captures the dynamic instruction stream.  The implementation
-follows the hot-loop idioms from the HPC guides: instructions are
-pre-decoded, dispatch is a single dict lookup to a bound method, and
-per-step allocations are limited to the trace record itself.
+and captures the dynamic instruction stream.  :meth:`Machine.run` is
+tiered:
+
+- **tier 0** runs each static instruction as a closure with its
+  operands and trace columns bound as locals, so cold code costs one
+  call per dynamic instruction and nothing up front;
+- **tier 1** runs a hot pc's superblock as one compiled function of
+  straight-line code (:mod:`repro.vm.fastmachine`).  A head compiles
+  once the instructions it retired in tier 0 pass
+  :data:`COMPILE_BAR`, the point at which compiling would already
+  have paid for itself.
+
+Both tiers write one column layout into columns the machine owns, and
+both are bound to them once per machine; :meth:`Machine.run` drains
+the columns into a :class:`~repro.vm.trace.ColumnarTrace` at its end.
+:meth:`Machine.step` and :meth:`Machine.run_rows` are the
+one-at-a-time interpreter, kept hand-written as the independent oracle
+for both tiers.
 
 Architectural model:
 
@@ -16,10 +30,24 @@ Architectural model:
 
 from __future__ import annotations
 
+import gc
+import sys
+from array import array
+
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import FP_REG_BASE, MEM_LOC_BASE
 from repro.vm.errors import VMError
+from repro.vm.fastmachine import (
+    _BRANCH_SYM,
+    _bounds_from_counts,
+    _split_pcn,
+    _Unsupported,
+    emission_counts,
+    form_trace,
+    generate_block_source,
+    unroll_loop_path,
+)
 from repro.vm.program import Program
 from repro.vm.trace import ColumnarTrace, DynInst, Trace
 
@@ -91,12 +119,24 @@ _FP_CMP_FN = {
 }
 
 
-class _HaltSignal(Exception):
-    """Internal: unwinds the compiled run loop when HALT executes."""
+#: Tier-0 instructions a head must retire per instruction of its
+#: compiled block before the block compiles.  This is the ski-rental
+#: rule of tiered JITs: compile once the time tier 1 would already have
+#: saved equals the compile cost, so no run pays more than about twice
+#: what the better choice in hindsight costs.  The bar is their ratio:
+#: compiling costs 160-185 us per compiled instruction and tier 1
+#: saves 0.6-0.74 us per retired instruction (14 kernels, 2-CPU x86-64
+#: host, CPython 3.11), a ratio of 220-310; of the bars swept at
+#: budgets from 20k to 1M, 217 was the best at 50k and 250k and within
+#: 15% of the best at 20k and 1M (DESIGN.md §8.1).
+COMPILE_BAR = 217
+
+#: Budget of an unbounded run.
+_UNBOUNDED = sys.maxsize
 
 
 class Machine:
-    """Interpreter with dynamic-trace capture.
+    """The tiered virtual machine with dynamic-trace capture.
 
     Parameters
     ----------
@@ -116,6 +156,50 @@ class Machine:
         self.halted = False
         self.instruction_count = 0
         self._dispatch = self._build_dispatch()
+        self._bind()
+
+    def _bind(self) -> None:
+        """Bind tier 0 to this machine's state and trace columns, and
+        set up the tier-1 bookkeeping.  Runs once per machine: every
+        :meth:`run` drains the same columns in place."""
+        instrs = self.program.instructions
+        n = len(instrs)
+        # the trace columns: interleaved [pc, next_pc] plus the pairs
+        self._pcn = pcn = array("i")
+        self._rlocs = rlocs = array("q")
+        self._rvals: list = []
+        self._wlocs = wlocs = array("q")
+        self._wvals: list = []
+        #: tier-0 branch profile: executions taken minus not taken
+        self._bal = [0] * n
+        cols = (pcn, pcn.extend, rlocs, rlocs.extend, self._rvals.append,
+                wlocs, wlocs.extend, self._wvals.append)
+        self._execs = [_EXEC_BUILDERS[inst.op](self, inst, pc, cols)
+                       for pc, inst in enumerate(instrs)]
+        self._runtime = (
+            self, self.regs, self.fregs, self.memory, self.memory.get,
+            pcn, pcn.extend, rlocs, rlocs.extend, self._rvals.extend,
+            wlocs, wlocs.extend, self._wvals.extend, VMError,
+            self._trunc_div,
+        )
+        self._op_table = [int(inst.op) for inst in instrs]
+        self._lat_table = [inst.latency for inst in instrs]
+        self._rcounts, self._wcounts = emission_counts(self.program)
+        # tier-0 entries left before a pc is considered for compiling;
+        # _promote tops this up once it knows the block's shape
+        self._credit = [COMPILE_BAR] * n
+        self._entries: dict[int, int] = {}  # credit granted so far, per pc
+        self._fns: list = [None] * n        # bound compiled blocks
+        self._paths: dict[int, tuple[int, ...]] = {}
+        self._sizes = [0] * n
+        self._shorts: dict[int, int] = {}
+        self._retired: dict[int, int] = {}
+        #: (head, path position) of a block that tier 0 is standing in
+        #: for; see _run_shadow
+        self._shadow: tuple[int, int] | None = None
+        #: instructions retired by the current head so far: a block
+        #: that comes back to its own head is still one call
+        self._held = 0
 
     # ------------------------------------------------------------------
     # public API
@@ -123,80 +207,214 @@ class Machine:
     def run(self, max_instructions: int | None = None) -> ColumnarTrace:
         """Execute until HALT or the instruction budget, capturing a trace.
 
-        The program is first *compiled*: every static instruction
-        becomes a closure with its operands, latency and column sinks
-        bound as locals, so the hot loop is just ``pc = execs[pc]()``
-        — no dispatch lookups, no per-step record objects, no
-        attribute traffic.  :meth:`step` remains the one-at-a-time
-        interpreted API (and :meth:`run_rows` the row-trace one).
+        The budget is absolute against ``instruction_count``, so
+        repeated calls with growing budgets resume execution exactly.
+        On a fault the instructions before the faulting one count as
+        retired and the ``VMError`` propagates; their records are
+        discarded.
         """
-        from array import array
+        count0 = self.instruction_count
+        # Execution allocates in bursts (value tuples, column growth)
+        # that never form reference cycles; cyclic-gc passes over the
+        # growing value columns are pure overhead.
+        gc_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._execute(_UNBOUNDED if max_instructions is None
+                          else max_instructions)
+        except BaseException:
+            self.instruction_count = count0 + len(self._pcn) // 2
+            self._clear()
+            raise
+        finally:
+            if gc_enabled:
+                gc.enable()
+        return self._drain()
 
-        pcs: list[int] = []
-        ops: list[int] = []
-        lats: list[int] = []
-        next_pcs: list[int] = []
-        read_bounds: list[int] = [0]
-        read_locs: list[int] = []
-        read_vals: list = []
-        write_bounds: list[int] = [0]
-        write_locs: list[int] = []
-        write_vals: list = []
-        cols = (
-            pcs.append, ops.append, lats.append, next_pcs.append,
-            read_bounds.append, read_locs.append, read_vals.append,
-            write_bounds.append, write_locs.append, write_vals.append,
-            read_locs, write_locs,
-        )
-
-        instrs = self.program.instructions
-        builders = _EXEC_BUILDERS
-        execs = []
-        for spc, inst in enumerate(instrs):
-            build = builders.get(inst.op)
-            if build is None:  # pragma: no cover - all opcodes are wired up
-                raise VMError(f"unimplemented opcode {inst.op.name}", pc=spc,
-                              line=inst.line)
-            execs.append(build(self, inst, spc, cols))
-
-        n_static = len(instrs)
-        budget = max_instructions if max_instructions is not None else float("inf")
+    def _execute(self, budget: int) -> None:
+        if self.halted:
+            return
+        execs = self._execs
+        credit = self._credit
+        fns = self._fns
+        sizes = self._sizes
+        n = len(execs)
         count = self.instruction_count
         pc = self.pc
-        if not self.halted:
-            try:
-                while count < budget:
-                    if 0 <= pc < n_static:
-                        pc = execs[pc]()
-                        count += 1
-                    else:
-                        self.pc = pc
-                        raise VMError(f"pc {pc} outside program", pc=pc)
-            except _HaltSignal:
+        if self._shadow is not None:
+            pc, count = self._run_shadow(pc, count, budget)
+        held = self._held
+        while count < budget:
+            if not 0 <= pc < n:
+                if self.halted:
+                    break
+                self.pc = pc
+                raise VMError(f"pc {pc} outside program", pc=pc)
+            c = credit[pc]
+            if c:  # tier 0
+                credit[pc] = c - 1
+                pc = execs[pc]()
                 count += 1
-                pc = self.pc
-            except VMError:
-                self.instruction_count = count
-                raise
-        self.pc = pc
+                continue
+            fn = fns[pc]
+            if fn is None:
+                self._promote(pc)
+                continue
+            # a superblock may exit early or loop internally, so gate
+            # on its full size, hand it the remaining room and advance
+            # by what it actually executed
+            size = sizes[pc]
+            if count + size > budget:
+                self._shadow = (pc, 0)
+                self._held = held
+                pc, count = self._run_shadow(pc, count, budget)
+                held = self._held
+                continue
+            head = pc
+            k, pc = fn(budget - count)
+            count += k
+            if pc == head:  # looped to its head, out of room or via jr
+                held += k
+                continue
+            if held:
+                k += held
+                held = 0
+            if k * 4 < size:
+                self._short_exit(head, k, pc)
+        self._held = held
+        if not self.halted:
+            self.pc = pc
         self.instruction_count = count
 
+    def _promote(self, pc: int) -> None:
+        """``pc`` used up its tier-0 credit: compile its superblock if
+        the instructions it retired in tier 0, one trace path per
+        entry, pass :data:`COMPILE_BAR` per compiled instruction (an
+        unrolled loop compiles several paths); else top its credit up
+        to that bar."""
+        bal = self._bal
+        trace = form_trace(self.program, pc, bias=lambda q: bal[q] > 0)
+        path = unroll_loop_path(self.program, trace)
+        entries = self._entries.get(pc, COMPILE_BAR)
+        short = COMPILE_BAR * len(path) // len(trace) - entries
+        if short > 0:
+            self._credit[pc] = short
+            self._entries[pc] = entries + short
+            return
+        try:
+            code = compile(generate_block_source(self.program, path),
+                           f"<block {self.program.name}:{pc}>", "exec")
+        except _Unsupported:
+            self._credit[pc] = _UNBOUNDED  # tier 0 for good
+            return
+        ns = {"_array": array}
+        exec(code, ns)
+        self._fns[pc] = ns["_factory"](*self._runtime)
+        self._paths[pc] = path
+        self._sizes[pc] = len(path)
+
+    def _short_exit(self, head: int, k: int, pc: int) -> None:
+        """The block at ``head`` left in its first quarter, at ``pc``
+        after ``k`` instructions.
+
+        A trace formed from a misleading profile keeps exiting near
+        its head, and its divergent branch only ever executes inside
+        tier 1, so the tier-0 profile would never self-correct.  After
+        64 such exits, feed the observed direction back into the
+        profile and retire the block so it re-forms along the real hot
+        path (at most 4 times per head, so a genuinely irregular block
+        cannot churn).
+        """
+        sh = self._shorts.get(head, 0) + 1
+        self._shorts[head] = sh % 64
+        r = self._retired.get(head, 0)
+        if sh < 64 or r >= 4:
+            return
+        self._retired[head] = r + 1
+        div = self._paths[head][k - 1]
+        if self.program.instructions[div].op in _BRANCH_SYM:
+            self._bal[div] += 64 if pc != div + 1 else -64
+            self._credit[head] = 0  # re-form on the next entry
+        else:
+            self._credit[head] = COMPILE_BAR
+            self._entries.pop(head, None)
+        self._fns[head] = None
+
+    def _run_shadow(self, pc: int, count: int, budget: int) -> tuple[int, int]:
+        """Run tier 0 in place of a compiled block that does not fit
+        the budget, up to where the block would have left.
+
+        Tier 0 charges no credit and feeds no branch profile here, and
+        the block's exit is checked for a short exit as if the block
+        had run; the position survives a return at the budget, and
+        back at its head the block takes over again.  So how a budget
+        is split into :meth:`run` calls never changes what compiles.
+        """
+        head, pos = self._shadow
+        kt = self._held
+        path = self._paths[head]
+        execs = self._execs
+        bal = self._bal
+        while count < budget:
+            saved = bal[pc]
+            nxt = execs[pc]()
+            bal[pc] = saved
+            count += 1
+            kt += 1
+            pos += 1
+            if pos < len(path) and nxt == path[pos]:
+                pc = nxt
+                continue
+            self._shadow = None
+            if nxt == head:  # the block would go on: hand it back
+                self._held = kt
+                return nxt, count
+            self._held = 0
+            if kt * 4 < len(path):
+                self._short_exit(head, kt, nxt)
+            return nxt, count
+        self._shadow = (head, pos)
+        self._held = kt
+        return pc, count
+
+    def _drain(self) -> ColumnarTrace:
+        """Move the records retired since the last drain into a trace,
+        emptying the machine's columns in place."""
+        pcn = self._pcn
+        pcs, ops, lats, npcs = _split_pcn(pcn, self._op_table,
+                                          self._lat_table)
         trace = ColumnarTrace(
             program_name=self.program.name,
             halted=self.halted,
             truncated=not self.halted,
         )
-        trace.pcs = array("i", pcs)
-        trace.ops = array("h", ops)
-        trace.lats = array("h", lats)
-        trace.next_pcs = array("i", next_pcs)
-        trace.read_bounds = array("I", read_bounds)
-        trace.read_locs = array("q", read_locs)
-        trace.read_vals = read_vals
-        trace.write_bounds = array("I", write_bounds)
-        trace.write_locs = array("q", write_locs)
-        trace.write_vals = write_vals
+        trace.pcs = pcs
+        trace.ops = ops
+        trace.lats = lats
+        trace.next_pcs = npcs
+        trace.read_bounds = _bounds_from_counts(self._rcounts, pcs)
+        trace.write_bounds = _bounds_from_counts(self._wcounts, pcs)
+        trace.read_locs = self._rlocs[:]
+        trace.read_vals = self._rvals[:]
+        trace.write_locs = self._wlocs[:]
+        trace.write_vals = self._wvals[:]
+        self._clear()
+        if (trace.read_bounds[-1] != len(trace.read_locs)
+                or trace.write_bounds[-1] != len(trace.write_locs)
+                or len(trace.read_locs) != len(trace.read_vals)
+                or len(trace.write_locs) != len(trace.write_vals)):
+            raise RuntimeError(
+                "inconsistent trace columns "
+                f"(internal error in {self.program.name})"
+            )
         return trace
+
+    def _clear(self) -> None:
+        del self._pcn[:]
+        del self._rlocs[:]
+        self._rvals.clear()
+        del self._wlocs[:]
+        self._wvals.clear()
 
     def run_chunks(self, max_instructions: int | None = None, *,
                    chunk_size: int | None = None):
@@ -204,10 +422,10 @@ class Machine:
         ``chunk_size`` instructions (see
         :func:`repro.vm.tracestream.run_chunks`).
 
-        Both machines resume exactly across :meth:`run` calls (the
-        budget is absolute against ``instruction_count``), so the
-        concatenated segments are bit-identical to a single ``run``
-        with the same budget.
+        :meth:`run` resumes exactly (the budget is absolute against
+        ``instruction_count``), so the concatenated segments are
+        bit-identical to a single ``run`` with the same budget, and
+        the chunk size never changes which blocks compile.
         """
         from repro.vm import tracestream
 
@@ -240,9 +458,9 @@ class Machine:
         """Execute via the one-at-a-time interpreter, returning the
         row-layout :class:`Trace`.
 
-        This is the pre-compiler execution path (``step`` in a loop);
-        it is kept as the differential-testing oracle for :meth:`run`
-        and as the measured baseline in the engine benchmarks.
+        This is the one-at-a-time interpreter (``step`` in a loop),
+        independent of both tiers of :meth:`run`: it is their
+        differential-testing oracle.
         """
         records: list[DynInst] = []
         budget = max_instructions if max_instructions is not None else float("inf")
@@ -517,66 +735,66 @@ class Machine:
 
 
 # ----------------------------------------------------------------------
-# the trace compiler: one closure per static instruction
+# tier 0: one closure per static instruction
 # ----------------------------------------------------------------------
 #
 # Each builder receives ``(machine, inst, pc, cols)`` and returns a
 # zero-argument closure that executes the instruction once: it reads
-# and mutates the machine state bound into its cells, appends the trace
-# record directly to the column lists, and returns the next pc.  The
-# ``cols`` tuple is ``(pcs.append, ops.append, lats.append,
-# next_pcs.append, read_bounds.append, read_locs.append,
-# read_vals.append, write_bounds.append, write_locs.append,
-# write_vals.append, read_locs, write_locs)``.
+# and mutates the machine state bound into its cells, appends the
+# trace record to the machine's columns, and returns the next pc.  The
+# ``cols`` tuple is ``(pcn, pcn.extend, read_locs, read_locs.extend,
+# read_vals.append, write_locs, write_locs.extend, write_vals.append)``.
+# A record is its ``[pc, next_pc]`` pair, extended from a bind-time
+# array, plus its (loc, value) pairs: static locations are extended
+# from bind-time arrays too, and a memory location is patched in by
+# negative index.  Opcode, latency and the bounds columns are rebuilt
+# from per-pc tables when the run drains.
 #
 # The closures must stay observationally identical to the ``step()``
 # handlers — same records, same state mutations, same errors — which
 # the differential tests assert over every workload.
 
+def _pair(a: int, b: int) -> array:
+    return array("i", (a, b))
+
+
+def _locs(*locs: int) -> array:
+    return array("q", locs)
+
+
 def _mk_int_rr(fn):
     def build(m, inst, pc, cols):
-        P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+        PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
         regs = m.regs
         rd = inst.rd
         rs1 = inst.rs1
         rs2 = inst.rs2
-        opi = int(inst.op)
-        lat = inst.latency
         npc = pc + 1
+        pn = _pair(pc, npc)
+        rl = _locs(rs1, rs2)
+        wl = _locs(rd)
         if rd:
             def ex():
                 a = regs[rs1]
                 b = regs[rs2]
                 r = fn(a, b)
                 regs[rd] = r
-                P(pc)
-                O(opi)
-                L(lat)
-                N(npc)
-                RL(rs1)
+                PX(pn)
+                RLX(rl)
                 RV(a)
-                RL(rs2)
                 RV(b)
-                RB(len(rlocs))
-                WL(rd)
+                WLX(wl)
                 WV(r)
-                WB(len(wlocs))
                 return npc
         else:
             def ex():  # r0 destination: the write is discarded
                 a = regs[rs1]
                 b = regs[rs2]
                 fn(a, b)
-                P(pc)
-                O(opi)
-                L(lat)
-                N(npc)
-                RL(rs1)
+                PX(pn)
+                RLX(rl)
                 RV(a)
-                RL(rs2)
                 RV(b)
-                RB(len(rlocs))
-                WB(len(wlocs))
                 return npc
         return ex
     return build
@@ -584,42 +802,33 @@ def _mk_int_rr(fn):
 
 def _mk_int_ri(fn):
     def build(m, inst, pc, cols):
-        P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+        PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
         regs = m.regs
         rd = inst.rd
         rs1 = inst.rs1
         imm = inst.imm
-        opi = int(inst.op)
-        lat = inst.latency
         npc = pc + 1
+        pn = _pair(pc, npc)
+        rl = _locs(rs1)
+        wl = _locs(rd)
         if rd:
             def ex():
                 a = regs[rs1]
                 r = fn(a, imm)
                 regs[rd] = r
-                P(pc)
-                O(opi)
-                L(lat)
-                N(npc)
-                RL(rs1)
+                PX(pn)
+                RLX(rl)
                 RV(a)
-                RB(len(rlocs))
-                WL(rd)
+                WLX(wl)
                 WV(r)
-                WB(len(wlocs))
                 return npc
         else:
             def ex():
                 a = regs[rs1]
                 fn(a, imm)
-                P(pc)
-                O(opi)
-                L(lat)
-                N(npc)
-                RL(rs1)
+                PX(pn)
+                RLX(rl)
                 RV(a)
-                RB(len(rlocs))
-                WB(len(wlocs))
                 return npc
         return ex
     return build
@@ -627,65 +836,57 @@ def _mk_int_ri(fn):
 
 def _mk_branch(fn):
     def build(m, inst, pc, cols):
-        P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+        PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
         regs = m.regs
+        bal = m._bal
         rs1 = inst.rs1
         rs2 = inst.rs2
         target = inst.imm
-        opi = int(inst.op)
-        lat = inst.latency
         npc = pc + 1
+        taken = _pair(pc, target)
+        fall = _pair(pc, npc)
+        rl = _locs(rs1, rs2)
 
         def ex():
             a = regs[rs1]
             b = regs[rs2]
-            n2 = target if fn(a, b) else npc
-            P(pc)
-            O(opi)
-            L(lat)
-            N(n2)
-            RL(rs1)
+            RLX(rl)
             RV(a)
-            RL(rs2)
             RV(b)
-            RB(len(rlocs))
-            WB(len(wlocs))
-            return n2
+            if fn(a, b):
+                bal[pc] += 1
+                PX(taken)
+                return target
+            bal[pc] -= 1
+            PX(fall)
+            return npc
         return ex
     return build
 
 
 def _mk_fp_rr(fn):
     def build(m, inst, pc, cols):
-        P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+        PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
         fregs = m.fregs
         rd = inst.rd
         rs1 = inst.rs1
         rs2 = inst.rs2
-        frd = FP_REG_BASE + rd
-        frs1 = FP_REG_BASE + rs1
-        frs2 = FP_REG_BASE + rs2
-        opi = int(inst.op)
-        lat = inst.latency
         npc = pc + 1
+        pn = _pair(pc, npc)
+        rl = _locs(FP_REG_BASE + rs1, FP_REG_BASE + rs2)
+        wl = _locs(FP_REG_BASE + rd)
 
         def ex():
             a = fregs[rs1]
             b = fregs[rs2]
             r = fn(a, b)
             fregs[rd] = r
-            P(pc)
-            O(opi)
-            L(lat)
-            N(npc)
-            RL(frs1)
+            PX(pn)
+            RLX(rl)
             RV(a)
-            RL(frs2)
             RV(b)
-            RB(len(rlocs))
-            WL(frd)
+            WLX(wl)
             WV(r)
-            WB(len(wlocs))
             return npc
         return ex
     return build
@@ -693,53 +894,47 @@ def _mk_fp_rr(fn):
 
 def _mk_fp_cmp(fn):
     def build(m, inst, pc, cols):
-        P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+        PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
         regs = m.regs
         fregs = m.fregs
         rd = inst.rd
         rs1 = inst.rs1
         rs2 = inst.rs2
-        frs1 = FP_REG_BASE + rs1
-        frs2 = FP_REG_BASE + rs2
-        opi = int(inst.op)
-        lat = inst.latency
         npc = pc + 1
+        pn = _pair(pc, npc)
+        rl = _locs(FP_REG_BASE + rs1, FP_REG_BASE + rs2)
+        wl = _locs(rd)
 
         def ex():
             a = fregs[rs1]
             b = fregs[rs2]
             r = fn(a, b)
-            P(pc)
-            O(opi)
-            L(lat)
-            N(npc)
-            RL(frs1)
+            PX(pn)
+            RLX(rl)
             RV(a)
-            RL(frs2)
             RV(b)
-            RB(len(rlocs))
             if rd:
                 regs[rd] = r
-                WL(rd)
+                WLX(wl)
                 WV(r)
-            WB(len(wlocs))
             return npc
         return ex
     return build
 
 
 def _build_div(m, inst, pc, cols):
-    P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
     regs = m.regs
     rd = inst.rd
     rs1 = inst.rs1
     rs2 = inst.rs2
     line = inst.line
-    opi = int(inst.op)
-    lat = inst.latency
     npc = pc + 1
     trunc = Machine._trunc_div
     rem = inst.op is Opcode.REM
+    pn = _pair(pc, npc)
+    rl = _locs(rs1, rs2)
+    wl = _locs(rd)
 
     def ex():
         a = regs[rs1]
@@ -750,86 +945,72 @@ def _build_div(m, inst, pc, cols):
             raise VMError(f"integer {kind} by zero", pc=pc, line=line)
         q = trunc(a, b)
         r = _wrap64(a - q * b) if rem else _wrap64(q)
-        P(pc)
-        O(opi)
-        L(lat)
-        N(npc)
-        RL(rs1)
+        PX(pn)
+        RLX(rl)
         RV(a)
-        RL(rs2)
         RV(b)
-        RB(len(rlocs))
         if rd:
             regs[rd] = r
-            WL(rd)
+            WLX(wl)
             WV(r)
-        WB(len(wlocs))
         return npc
     return ex
 
 
 def _build_li(m, inst, pc, cols):
-    P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
     regs = m.regs
     rd = inst.rd
     value = int(inst.imm)
-    opi = int(inst.op)
-    lat = inst.latency
     npc = pc + 1
+    pn = _pair(pc, npc)
+    wl = _locs(rd)
 
     def ex():
-        P(pc)
-        O(opi)
-        L(lat)
-        N(npc)
-        RB(len(rlocs))
+        PX(pn)
         if rd:
             regs[rd] = value
-            WL(rd)
+            WLX(wl)
             WV(value)
-        WB(len(wlocs))
         return npc
     return ex
 
 
 def _build_mov(m, inst, pc, cols):
-    P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
     regs = m.regs
     rd = inst.rd
     rs1 = inst.rs1
-    opi = int(inst.op)
-    lat = inst.latency
     npc = pc + 1
+    pn = _pair(pc, npc)
+    rl = _locs(rs1)
+    wl = _locs(rd)
 
     def ex():
         a = regs[rs1]
-        P(pc)
-        O(opi)
-        L(lat)
-        N(npc)
-        RL(rs1)
+        PX(pn)
+        RLX(rl)
         RV(a)
-        RB(len(rlocs))
         if rd:
             regs[rd] = a
-            WL(rd)
+            WLX(wl)
             WV(a)
-        WB(len(wlocs))
         return npc
     return ex
 
 
 def _build_lw(m, inst, pc, cols):
-    P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
     regs = m.regs
     mem_get = m.memory.get
     rd = inst.rd
     rs1 = inst.rs1
     imm = inst.imm
     line = inst.line
-    opi = int(inst.op)
-    lat = inst.latency
     npc = pc + 1
+    pn = _pair(pc, npc)
+    rl = _locs(rs1, 0)
+    wl = _locs(rd)
 
     def ex():
         base = regs[rs1]
@@ -840,35 +1021,31 @@ def _build_lw(m, inst, pc, cols):
         v = mem_get(addr, 0)
         if isinstance(v, float):
             v = int(v)
-        P(pc)
-        O(opi)
-        L(lat)
-        N(npc)
-        RL(rs1)
+        PX(pn)
+        RLX(rl)
+        RL[-1] = MEM_LOC_BASE + addr
         RV(base)
-        RL(MEM_LOC_BASE + addr)
         RV(v)
-        RB(len(rlocs))
         if rd:
             regs[rd] = v
-            WL(rd)
+            WLX(wl)
             WV(v)
-        WB(len(wlocs))
         return npc
     return ex
 
 
 def _build_sw(m, inst, pc, cols):
-    P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
     regs = m.regs
     memory = m.memory
     rs1 = inst.rs1
     rs2 = inst.rs2
     imm = inst.imm
     line = inst.line
-    opi = int(inst.op)
-    lat = inst.latency
     npc = pc + 1
+    pn = _pair(pc, npc)
+    rl = _locs(rs1, rs2)
+    wl = _locs(0)
 
     def ex():
         base = regs[rs1]
@@ -878,35 +1055,30 @@ def _build_sw(m, inst, pc, cols):
             raise VMError(f"negative memory address {addr}", pc=pc, line=line)
         v = regs[rs2]
         memory[addr] = v
-        P(pc)
-        O(opi)
-        L(lat)
-        N(npc)
-        RL(rs1)
+        PX(pn)
+        RLX(rl)
         RV(base)
-        RL(rs2)
         RV(v)
-        RB(len(rlocs))
-        WL(MEM_LOC_BASE + addr)
+        WLX(wl)
+        WL[-1] = MEM_LOC_BASE + addr
         WV(v)
-        WB(len(wlocs))
         return npc
     return ex
 
 
 def _build_flw(m, inst, pc, cols):
-    P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
     regs = m.regs
     fregs = m.fregs
     mem_get = m.memory.get
     rd = inst.rd
-    frd = FP_REG_BASE + rd
     rs1 = inst.rs1
     imm = inst.imm
     line = inst.line
-    opi = int(inst.op)
-    lat = inst.latency
     npc = pc + 1
+    pn = _pair(pc, npc)
+    rl = _locs(rs1, 0)
+    wl = _locs(FP_REG_BASE + rd)
 
     def ex():
         base = regs[rs1]
@@ -916,35 +1088,30 @@ def _build_flw(m, inst, pc, cols):
             raise VMError(f"negative memory address {addr}", pc=pc, line=line)
         v = float(mem_get(addr, 0))
         fregs[rd] = v
-        P(pc)
-        O(opi)
-        L(lat)
-        N(npc)
-        RL(rs1)
+        PX(pn)
+        RLX(rl)
+        RL[-1] = MEM_LOC_BASE + addr
         RV(base)
-        RL(MEM_LOC_BASE + addr)
         RV(v)
-        RB(len(rlocs))
-        WL(frd)
+        WLX(wl)
         WV(v)
-        WB(len(wlocs))
         return npc
     return ex
 
 
 def _build_fsw(m, inst, pc, cols):
-    P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
     regs = m.regs
     fregs = m.fregs
     memory = m.memory
     rs1 = inst.rs1
     rs2 = inst.rs2
-    frs2 = FP_REG_BASE + rs2
     imm = inst.imm
     line = inst.line
-    opi = int(inst.op)
-    lat = inst.latency
     npc = pc + 1
+    pn = _pair(pc, npc)
+    rl = _locs(rs1, FP_REG_BASE + rs2)
+    wl = _locs(0)
 
     def ex():
         base = regs[rs1]
@@ -954,97 +1121,75 @@ def _build_fsw(m, inst, pc, cols):
             raise VMError(f"negative memory address {addr}", pc=pc, line=line)
         v = fregs[rs2]
         memory[addr] = v
-        P(pc)
-        O(opi)
-        L(lat)
-        N(npc)
-        RL(rs1)
+        PX(pn)
+        RLX(rl)
         RV(base)
-        RL(frs2)
         RV(v)
-        RB(len(rlocs))
-        WL(MEM_LOC_BASE + addr)
+        WLX(wl)
+        WL[-1] = MEM_LOC_BASE + addr
         WV(v)
-        WB(len(wlocs))
         return npc
     return ex
 
 
 def _build_j(m, inst, pc, cols):
-    P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
     target = int(inst.imm)
-    opi = int(inst.op)
-    lat = inst.latency
+    pn = _pair(pc, target)
 
     def ex():
-        P(pc)
-        O(opi)
-        L(lat)
-        N(target)
-        RB(len(rlocs))
-        WB(len(wlocs))
+        PX(pn)
         return target
     return ex
 
 
 def _build_jal(m, inst, pc, cols):
-    P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
     regs = m.regs
     rd = inst.rd
     target = int(inst.imm)
     link = pc + 1
-    opi = int(inst.op)
-    lat = inst.latency
+    pn = _pair(pc, target)
+    wl = _locs(rd)
 
     def ex():
-        P(pc)
-        O(opi)
-        L(lat)
-        N(target)
-        RB(len(rlocs))
+        PX(pn)
         if rd:
             regs[rd] = link
-            WL(rd)
+            WLX(wl)
             WV(link)
-        WB(len(wlocs))
         return target
     return ex
 
 
 def _build_jr(m, inst, pc, cols):
-    P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
     regs = m.regs
     rs1 = inst.rs1
-    opi = int(inst.op)
-    lat = inst.latency
+    pn = _pair(pc, 0)
+    rl = _locs(rs1)
 
     def ex():
         a = regs[rs1]
-        P(pc)
-        O(opi)
-        L(lat)
-        N(a)
-        RL(rs1)
+        PX(pn)
+        PCN[-1] = a
+        RLX(rl)
         RV(a)
-        RB(len(rlocs))
-        WB(len(wlocs))
         return a
     return ex
 
 
 def _build_fdiv(m, inst, pc, cols):
-    P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
     fregs = m.fregs
     rd = inst.rd
     rs1 = inst.rs1
     rs2 = inst.rs2
-    frd = FP_REG_BASE + rd
-    frs1 = FP_REG_BASE + rs1
-    frs2 = FP_REG_BASE + rs2
     line = inst.line
-    opi = int(inst.op)
-    lat = inst.latency
     npc = pc + 1
+    pn = _pair(pc, npc)
+    rl = _locs(FP_REG_BASE + rs1, FP_REG_BASE + rs2)
+    wl = _locs(FP_REG_BASE + rd)
 
     def ex():
         a = fregs[rs1]
@@ -1054,33 +1199,26 @@ def _build_fdiv(m, inst, pc, cols):
             raise VMError("floating division by zero", pc=pc, line=line)
         r = a / b
         fregs[rd] = r
-        P(pc)
-        O(opi)
-        L(lat)
-        N(npc)
-        RL(frs1)
+        PX(pn)
+        RLX(rl)
         RV(a)
-        RL(frs2)
         RV(b)
-        RB(len(rlocs))
-        WL(frd)
+        WLX(wl)
         WV(r)
-        WB(len(wlocs))
         return npc
     return ex
 
 
 def _build_fsqrt(m, inst, pc, cols):
-    P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
     fregs = m.fregs
     rd = inst.rd
     rs1 = inst.rs1
-    frd = FP_REG_BASE + rd
-    frs1 = FP_REG_BASE + rs1
     line = inst.line
-    opi = int(inst.op)
-    lat = inst.latency
     npc = pc + 1
+    pn = _pair(pc, npc)
+    rl = _locs(FP_REG_BASE + rs1)
+    wl = _locs(FP_REG_BASE + rd)
 
     def ex():
         a = fregs[rs1]
@@ -1089,166 +1227,128 @@ def _build_fsqrt(m, inst, pc, cols):
             raise VMError("square root of a negative value", pc=pc, line=line)
         r = a ** 0.5
         fregs[rd] = r
-        P(pc)
-        O(opi)
-        L(lat)
-        N(npc)
-        RL(frs1)
+        PX(pn)
+        RLX(rl)
         RV(a)
-        RB(len(rlocs))
-        WL(frd)
+        WLX(wl)
         WV(r)
-        WB(len(wlocs))
         return npc
     return ex
 
 
 def _mk_fp_unary(fn):
     def build(m, inst, pc, cols):
-        P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+        PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
         fregs = m.fregs
         rd = inst.rd
         rs1 = inst.rs1
-        frd = FP_REG_BASE + rd
-        frs1 = FP_REG_BASE + rs1
-        opi = int(inst.op)
-        lat = inst.latency
         npc = pc + 1
+        pn = _pair(pc, npc)
+        rl = _locs(FP_REG_BASE + rs1)
+        wl = _locs(FP_REG_BASE + rd)
 
         def ex():
             a = fregs[rs1]
             r = fn(a)
             fregs[rd] = r
-            P(pc)
-            O(opi)
-            L(lat)
-            N(npc)
-            RL(frs1)
+            PX(pn)
+            RLX(rl)
             RV(a)
-            RB(len(rlocs))
-            WL(frd)
+            WLX(wl)
             WV(r)
-            WB(len(wlocs))
             return npc
         return ex
     return build
 
 
 def _build_fli(m, inst, pc, cols):
-    P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
     fregs = m.fregs
     rd = inst.rd
-    frd = FP_REG_BASE + rd
     value = float(inst.imm)
-    opi = int(inst.op)
-    lat = inst.latency
     npc = pc + 1
+    pn = _pair(pc, npc)
+    wl = _locs(FP_REG_BASE + rd)
 
     def ex():
         fregs[rd] = value
-        P(pc)
-        O(opi)
-        L(lat)
-        N(npc)
-        RB(len(rlocs))
-        WL(frd)
+        PX(pn)
+        WLX(wl)
         WV(value)
-        WB(len(wlocs))
         return npc
     return ex
 
 
 def _build_cvtif(m, inst, pc, cols):
-    P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
     regs = m.regs
     fregs = m.fregs
     rd = inst.rd
     rs1 = inst.rs1
-    frd = FP_REG_BASE + rd
-    opi = int(inst.op)
-    lat = inst.latency
     npc = pc + 1
+    pn = _pair(pc, npc)
+    rl = _locs(rs1)
+    wl = _locs(FP_REG_BASE + rd)
 
     def ex():
         a = regs[rs1]
         r = float(a)
         fregs[rd] = r
-        P(pc)
-        O(opi)
-        L(lat)
-        N(npc)
-        RL(rs1)
+        PX(pn)
+        RLX(rl)
         RV(a)
-        RB(len(rlocs))
-        WL(frd)
+        WLX(wl)
         WV(r)
-        WB(len(wlocs))
         return npc
     return ex
 
 
 def _build_cvtfi(m, inst, pc, cols):
-    P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
+    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
     regs = m.regs
     fregs = m.fregs
     rd = inst.rd
     rs1 = inst.rs1
-    frs1 = FP_REG_BASE + rs1
-    opi = int(inst.op)
-    lat = inst.latency
     npc = pc + 1
+    pn = _pair(pc, npc)
+    rl = _locs(FP_REG_BASE + rs1)
+    wl = _locs(rd)
 
     def ex():
         a = fregs[rs1]
         r = _wrap64(int(a))
-        P(pc)
-        O(opi)
-        L(lat)
-        N(npc)
-        RL(frs1)
+        PX(pn)
+        RLX(rl)
         RV(a)
-        RB(len(rlocs))
         if rd:
             regs[rd] = r
-            WL(rd)
+            WLX(wl)
             WV(r)
-        WB(len(wlocs))
         return npc
     return ex
 
 
 def _build_nop(m, inst, pc, cols):
-    P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
-    opi = int(inst.op)
-    lat = inst.latency
+    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
     npc = pc + 1
+    pn = _pair(pc, npc)
 
     def ex():
-        P(pc)
-        O(opi)
-        L(lat)
-        N(npc)
-        RB(len(rlocs))
-        WB(len(wlocs))
+        PX(pn)
         return npc
     return ex
 
 
 def _build_halt(m, inst, pc, cols):
-    P, O, L, N, RB, RL, RV, WB, WL, WV, rlocs, wlocs = cols
-    opi = int(inst.op)
-    lat = inst.latency
+    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
+    pn = _pair(pc, pc)
+    stop = len(m.program.instructions)  # out of range: the run loop stops
 
     def ex():
         m.halted = True
         m.pc = pc
-        P(pc)
-        O(opi)
-        L(lat)
-        N(pc)
-        RB(len(rlocs))
-        WB(len(wlocs))
-        raise _HaltSignal
+        PX(pn)
+        return stop
     return ex
 
 

@@ -393,26 +393,6 @@ class ColumnarTrace:
         self._rows = None
 
 
-def _zeros(typecode: str, n: int) -> array:
-    a = array(typecode)
-    a.frombytes(bytes(n * a.itemsize))
-    return a
-
-
-def preallocated_pcn(capacity: int) -> array:
-    """Zero-filled interleaved staging column for ``capacity``
-    instructions: ``[pc, next_pc]`` per record, one ``array('i')``.
-
-    Interleaving lets a block flush both dynamic fixed-width columns
-    with a *single* slice assignment per exit; the run de-interleaves
-    once at the end into the :class:`ColumnarTrace` typecodes.  The
-    remaining fixed-width columns (op, latency) are static functions
-    of the pc and are gathered from per-pc tables afterwards instead
-    of being staged per instruction.
-    """
-    return _zeros("i", 2 * capacity)
-
-
 def _values_identical(xs: list, ys: list) -> bool:
     if len(xs) != len(ys):
         return False
@@ -430,8 +410,8 @@ def trace_identical(a: ColumnarTrace, b: ColumnarTrace) -> bool:
 
     Stricter than element ``==``: values must match in *type* as well
     (``1`` and ``1.0`` are different trace contents), which is the
-    contract FastMachine's differential tests enforce against the
-    interpreter oracle.
+    contract the tiered machine's differential tests enforce against
+    the one-at-a-time interpreter oracle.
     """
     return (
         len(a) == len(b)

@@ -91,7 +91,6 @@ TRACE_MODULES = (
     "repro.vm.assembler",
     "repro.vm.machine",
     "repro.vm.fastmachine",
-    "repro.vm.backends",
     "repro.vm.trace",
     "repro.vm.tracev3",
 )
@@ -376,6 +375,27 @@ def discard_corrupt_trace(path: pathlib.Path, exc: Exception) -> None:
     incr("trace_cache.miss")
     with _entry_lock(path):
         path.unlink(missing_ok=True)
+
+
+def drain_healing(open_stream, drain):
+    """``drain(open_stream())``, healing a damaged cache entry.
+
+    A cache hit streams a v3 entry whose footer checked out when it
+    opened; if one of its chunks then fails to decode, the entry is
+    discarded and ``drain`` runs again over a fresh ``open_stream()``,
+    which misses and executes through the tee, rewriting the entry.
+    """
+    from repro.vm.tracestream import FileTraceStream
+
+    stream = open_stream()
+    try:
+        return drain(stream)
+    except TraceFileError as exc:
+        if not isinstance(stream, FileTraceStream):
+            raise
+        stream.close()
+        discard_corrupt_trace(stream.path, exc)
+        return drain(open_stream())
 
 
 def tee_cached_trace_stream(

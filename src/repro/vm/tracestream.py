@@ -57,11 +57,12 @@ def run_chunks(machine, max_instructions: int | None = None, *,
     per ``chunk_size`` instructions.
 
     Works with any machine whose ``run(max_instructions)`` treats the
-    budget as *absolute* against ``instruction_count`` (both
-    ``Machine`` and ``FastMachine`` do — repeated calls with growing
-    budgets resume execution exactly).  Concatenating the yielded
-    segments is bit-identical to a single ``run`` call with the same
-    budget, which the differential tests assert.
+    budget as *absolute* against ``instruction_count`` (``Machine``
+    does — repeated calls with growing budgets resume execution
+    exactly).  Concatenating the yielded segments is bit-identical to a
+    single ``run`` call with the same budget, and ``Machine`` binds its
+    tiers once and compiles the same blocks whatever the chunk size,
+    which the differential tests assert.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")

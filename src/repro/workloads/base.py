@@ -6,8 +6,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.vm import tracecache
-from repro.vm.backends import create_machine
 from repro.vm.assembler import assemble
+from repro.vm.machine import Machine
 from repro.vm.program import Program
 from repro.vm.trace import ColumnarTrace
 
@@ -93,9 +93,6 @@ def run_workload(
     ``max_instructions`` — the analogue of the paper's fixed 50M
     instruction window per program.
 
-    The budget also picks the machine that runs the kernel (see
-    :func:`repro.vm.backends.create_machine`).
-
     Kernels are deterministic, so the trace is memoised on disk via
     :mod:`repro.vm.tracecache` (keyed by the generated assembly source
     and the VM code fingerprint); pass ``use_cache=False`` — or set
@@ -109,7 +106,7 @@ def run_workload(
         )
         if cached is not None:
             return cached
-    machine = create_machine(assemble(source, name=name), max_instructions)
+    machine = Machine(assemble(source, name=name))
     trace = machine.run(max_instructions=max_instructions)
     if use_cache:
         tracecache.store_cached_trace(
@@ -153,7 +150,7 @@ def stream_workload(
             return cached
 
     def factory():
-        return create_machine(assemble(source, name=name), max_instructions)
+        return Machine(assemble(source, name=name))
 
     exec_stream = ExecutionChunkStream(
         factory,

@@ -24,7 +24,7 @@ class TestParser:
         ["sweep", "--backend", "fast"],
     ])
     def test_no_backend_option(self, argv):
-        # the instruction budget picks the machine
+        # there is one machine; no option picks it
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
@@ -64,6 +64,40 @@ class TestCommands:
         assert main(["rtm", "li", "--budget", "1500", "--sizes", "512"]) == 0
         out = capsys.readouterr().out
         assert "ILR NE" in out and "invalidate" in out
+
+    def test_damaged_cache_entry_heals(self, tmp_path, capsys, monkeypatch):
+        """A cached trace whose footer opens but whose chunk does not
+        decode: ``analyze`` and ``rtm`` print what they print over the
+        intact entry, and the entry is rewritten intact."""
+        from repro.vm import tracecache
+        from repro.vm.tracev3 import CHUNK_MAGIC, TraceReader
+        from repro.workloads.base import get_workload
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        name, budget = "compress", 3000
+        analyze = ["analyze", name, "--budget", str(budget)]
+        rtm = ["rtm", name, "--budget", str(budget), "--sizes", "512"]
+        assert main(analyze) == 0  # cold: executes, tees the entry
+        cold = capsys.readouterr().out
+        path = tracecache.trace_path(name, 1, budget,
+                                     get_workload(name).source(1))
+        intact = path.read_bytes()
+        assert main(rtm) == 0
+        rtm_out = capsys.readouterr().out
+
+        def damage_a_chunk():
+            with TraceReader(path) as reader:
+                chunk = reader.index[0]
+            data = bytearray(intact)
+            data[chunk.offset + len(CHUNK_MAGIC) + 8
+                 + chunk.comp_bytes // 2] ^= 0xFF
+            path.write_bytes(bytes(data))
+
+        for argv, expected in ((analyze, cold), (rtm, rtm_out)):
+            damage_a_chunk()
+            assert main(argv) == 0
+            assert capsys.readouterr().out == expected
+            assert path.read_bytes() == intact
 
     def test_disasm(self, capsys):
         assert main(["disasm", "compress"]) == 0

@@ -1,13 +1,17 @@
-"""FastMachine differential suite: ``Machine`` is the oracle.
+"""Tiered-machine differential suite: the interpreter is the oracle.
 
-FastMachine's whole contract is *bit-identical traces*: for any
+``Machine.run`` has two tiers — per-instruction closures and compiled
+superblocks — and one contract: *bit-identical traces*.  For any
 program, budget and machine state it must produce exactly the trace,
-final architectural state and faults of the reference interpreter.
-Every test here runs both machines and compares — over handwritten
-edge cases, every workload kernel, and hypothesis-generated
-``repro.lang`` programs.
+final architectural state and faults of the one-at-a-time interpreter
+(``Machine.run_rows`` / ``step``).  Every case runs in three arms:
+every block compiled on its first entry, the production compile bar,
+and tier 0 alone.  The cases cover handwritten edge cases, every
+workload kernel, and hypothesis-generated ``repro.lang`` programs.
 """
 
+import sys
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -16,22 +20,29 @@ from hypothesis import strategies as st
 
 import repro.workloads  # registers the kernels
 from repro.lang import compile_source
-from repro.vm import backends, fastmachine
+from repro.vm import backends
+from repro.vm import machine as machine_mod
 from repro.vm.assembler import assemble
 from repro.vm.errors import VMError
 from repro.vm.fastmachine import (
-    HOT_THRESHOLD,
-    FastMachine,
-    discover_blocks,
     form_trace,
     generate_block_source,
     unroll_loop_path,
 )
-from repro.vm.machine import Machine
-from repro.vm.trace import trace_identical
+from repro.vm.machine import COMPILE_BAR, Machine
+from repro.vm.trace import (
+    ColumnarTrace,
+    as_columnar,
+    extend_columnar,
+    trace_identical,
+)
 from repro.workloads.base import all_workloads, build_program, run_workload
 
 KERNELS = [w.name for w in all_workloads()]
+
+#: The compile bar of each arm: every block compiles on its first
+#: entry, the production rule, and nothing ever compiles.
+ARMS = {"first-entry": 0, "production": COMPILE_BAR, "tier0": sys.maxsize}
 
 
 def assert_state_identical(ref: Machine, fast: Machine) -> None:
@@ -43,46 +54,43 @@ def assert_state_identical(ref: Machine, fast: Machine) -> None:
     assert fast.halted == ref.halted
 
 
-def low_threshold(threshold=1):
-    """Patch FastMachine's compile threshold for the enclosed runs.
-
-    A threshold of 1 compiles every block on its first entry, so even
-    short runs exercise the compiled path, not the interpreter
-    fallback.
-    """
-    return mock.patch.object(fastmachine, "HOT_THRESHOLD", threshold)
+def compile_bar(bar):
+    """Patch the machine's compile bar for machines built and run in
+    the enclosed block (0: compile every block on its first entry)."""
+    return mock.patch.object(machine_mod, "COMPILE_BAR", bar)
 
 
-def differential(program, budget, *, threshold=1):
-    """Run both machines; assert identical traces, state and faults.
+def oracle_run(machine, budget):
+    """``run_rows`` as a columnar trace, or the ``VMError`` it raised."""
+    try:
+        return as_columnar(machine.run_rows(budget)), None
+    except VMError as exc:
+        return None, exc
 
-    ``threshold`` is FastMachine's compile threshold for the run (see
-    :func:`low_threshold`).  Returns the (shared) outcome for further
-    assertions.
-    """
+
+def differential(program, budget):
+    """Run the oracle and each arm; assert identical traces, state
+    and faults.  Returns the oracle machine and the last arm's."""
     ref = Machine(program)
-    fast = FastMachine(program)
-    ref_err = fast_err = None
-    ref_trace = fast_trace = None
-    try:
-        ref_trace = ref.run(max_instructions=budget)
-    except VMError as exc:
-        ref_err = exc
-    try:
-        with low_threshold(threshold):
-            fast_trace = fast.run(max_instructions=budget)
-    except VMError as exc:
-        fast_err = exc
-    assert (ref_err is None) == (fast_err is None), (
-        f"fault divergence: oracle={ref_err!r} fast={fast_err!r}"
-    )
-    if ref_err is not None:
-        assert str(fast_err) == str(ref_err)
-        assert fast_err.pc == ref_err.pc
-        assert fast_err.line == ref_err.line
-    else:
-        assert trace_identical(ref_trace, fast_trace)
-    assert_state_identical(ref, fast)
+    ref_trace, ref_err = oracle_run(ref, budget)
+    for arm, bar in ARMS.items():
+        fast_err = fast_trace = None
+        with compile_bar(bar):
+            fast = Machine(program)
+            try:
+                fast_trace = fast.run(max_instructions=budget)
+            except VMError as exc:
+                fast_err = exc
+        assert (ref_err is None) == (fast_err is None), (
+            f"{arm}: fault divergence: oracle={ref_err!r} fast={fast_err!r}"
+        )
+        if ref_err is not None:
+            assert str(fast_err) == str(ref_err), arm
+            assert fast_err.pc == ref_err.pc, arm
+            assert fast_err.line == ref_err.line, arm
+        else:
+            assert trace_identical(ref_trace, fast_trace), arm
+        assert_state_identical(ref, fast)
     return ref, fast
 
 
@@ -126,14 +134,15 @@ class TestEdgeCases:
             "blt r1, r2, loop\n"
             "halt\n"
         )
-        ref = Machine(assemble(src))
-        fast = FastMachine(assemble(src))
-        for budget in (1000, 7777, 50_001):
-            a = ref.run(max_instructions=budget)
-            with low_threshold():
-                b = fast.run(max_instructions=budget)
-            assert trace_identical(a, b)
-            assert_state_identical(ref, fast)
+        for bar in ARMS.values():
+            ref = Machine(assemble(src))
+            with compile_bar(bar):
+                fast = Machine(assemble(src))
+                for budget in (1000, 7777, 50_001):
+                    a, _ = oracle_run(ref, budget)
+                    b = fast.run(max_instructions=budget)
+                    assert trace_identical(a, b)
+                    assert_state_identical(ref, fast)
 
     def test_overflow_wraps(self):
         differential_asm(
@@ -247,7 +256,7 @@ class TestEdgeCases:
         prog = assemble("li r1, 1\nhalt")
         ref, fast = differential(prog, 100)
         # a second run on a halted machine yields an empty trace
-        a = ref.run(max_instructions=10)
+        a, _ = oracle_run(ref, 10)
         b = fast.run(max_instructions=10)
         assert len(a) == len(b) == 0
         assert trace_identical(a, b)
@@ -272,14 +281,14 @@ class TestKernelDifferential:
     @pytest.mark.parametrize("name", KERNELS)
     def test_kernel_smoke(self, name):
         prog = build_program(name, scale=1)
-        differential(prog, 25_000, threshold=HOT_THRESHOLD)
+        differential(prog, 25_000)
 
     @pytest.mark.parametrize("name", ["compress", "tomcatv", "go"])
     def test_kernel_odd_budget_low_threshold(self, name):
-        # low threshold maximises compiled coverage; odd budget lands
-        # mid-block
+        # the first-entry arm maximises compiled coverage; an odd
+        # budget lands mid-block
         prog = build_program(name, scale=1)
-        differential(prog, 7_777, threshold=1)
+        differential(prog, 7_777)
 
 
 # ----------------------------------------------------------------------
@@ -380,14 +389,6 @@ class TestGeneratedPrograms:
 # ----------------------------------------------------------------------
 
 class TestBlockFormation:
-    def test_discover_blocks_covers_leaders(self):
-        prog = build_program("compress")
-        blocks = discover_blocks(prog)
-        assert 0 in blocks or prog.main_pc in blocks
-        for leader, path in blocks.items():
-            assert path[0] == leader
-            assert all(0 <= pc < len(prog.instructions) for pc in path)
-
     def test_unroll_pure_loop(self):
         prog = assemble(
             "li r1, 0\n"
@@ -396,7 +397,7 @@ class TestBlockFormation:
             "j loop\n"
             "halt\n"
         )
-        path, _ = form_trace(prog, 1)
+        path = form_trace(prog, 1)
         unrolled = unroll_loop_path(prog, path)
         assert len(unrolled) % len(path) == 0
         assert len(unrolled) > len(path)
@@ -412,39 +413,128 @@ class TestBlockFormation:
             "add r3, r1, r2\n"
             "halt\n"
         )
-        path, _ = form_trace(prog, 0)
+        path = form_trace(prog, 0)
         assert unroll_loop_path(prog, path) == path
 
     def test_block_source_is_deterministic(self):
         prog = build_program("go")
-        path, _ = form_trace(prog, 0)
+        path = form_trace(prog, 0)
         assert generate_block_source(prog, path) == generate_block_source(
             prog, path
         )
 
 
 # ----------------------------------------------------------------------
-# machine selection and wiring
+# chunk boundaries: run() calls resume exactly and never change tiering
+# ----------------------------------------------------------------------
+
+#: A loop whose branch flips direction after 300 iterations: a block
+#: formed on the first phase's profile keeps exiting at its head in
+#: the second, retires and re-forms (and with the first-entry bar,
+#: the first phase already retires a block formed with no profile).
+PHASE_FLIP = (
+    "li r1, 0\n"
+    "li r2, 3000\n"
+    "li r5, 300\n"
+    "loop: addi r1, r1, 1\n"
+    "blt r1, r5, early\n"
+    "addi r3, r3, 1\n"
+    "addi r6, r3, 2\n"
+    "addi r7, r6, 3\n"
+    "addi r10, r7, 4\n"
+    "addi r11, r10, 5\n"
+    "j next\n"
+    "early: addi r4, r4, 1\n"
+    "addi r8, r4, 5\n"
+    "addi r9, r8, 7\n"
+    "addi r12, r9, 8\n"
+    "addi r13, r12, 9\n"
+    "next: blt r1, r2, loop\n"
+    "halt\n"
+)
+
+
+def run_counting_compiles(program, budget, chunk_size=None):
+    """Run a fresh machine to ``budget`` in one ``run()`` (or a
+    ``run_chunks`` drain); returns the machine, its segments and the
+    number of compiles per block head."""
+    compiles = Counter()
+    real = machine_mod.generate_block_source
+
+    def counting(prog, path):
+        compiles[path[0]] += 1
+        return real(prog, path)
+
+    with mock.patch.object(machine_mod, "generate_block_source", counting):
+        m = Machine(program)
+        if chunk_size is None:
+            segments = [m.run(max_instructions=budget)]
+        else:
+            segments = list(m.run_chunks(budget, chunk_size=chunk_size))
+    return m, segments, compiles
+
+
+def assert_chunking_invisible(program, budget, chunk_size):
+    """A chunked drain equals one ``run()`` bit for bit, and compiles
+    no head more often; returns both runs' compile counts."""
+    single, (whole,), once = run_counting_compiles(program, budget)
+    chunked, segments, again = run_counting_compiles(program, budget,
+                                                     chunk_size)
+    joined = ColumnarTrace(program_name=whole.program_name,
+                           halted=segments[-1].halted,
+                           truncated=segments[-1].truncated)
+    for segment in segments:
+        extend_columnar(joined, segment)
+    assert trace_identical(whole, joined)
+    assert_state_identical(single, chunked)
+    for head, n in again.items():
+        assert n <= once[head], (head, n, once[head])
+    return single, chunked, once, again
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("chunk_size", [1, 7, 4096])
+    @pytest.mark.parametrize("arm", ["first-entry", "production"])
+    @pytest.mark.parametrize("name", ["compress", "tomcatv", "go", "li"])
+    def test_chunked_drain_matches_single_run(self, name, arm, chunk_size):
+        with compile_bar(ARMS[arm]):
+            _, _, once, _ = assert_chunking_invisible(
+                build_program(name), 30_000, chunk_size)
+        assert once  # something compiled, so tier 1 took part
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 4096])
+    @pytest.mark.parametrize("arm", ["first-entry", "production"])
+    def test_block_retires_and_recompiles_across_chunks(self, arm,
+                                                        chunk_size):
+        with compile_bar(ARMS[arm]):
+            single, chunked, once, again = assert_chunking_invisible(
+                assemble(PHASE_FLIP), 30_000, chunk_size)
+        loop = assemble(PHASE_FLIP).text_labels["loop"]
+        assert single._retired.get(loop)
+        assert chunked._retired == single._retired
+        assert again[loop] == once[loop] > 1
+
+
+# ----------------------------------------------------------------------
+# machine construction and wiring
 # ----------------------------------------------------------------------
 
 class TestBackendRegistry:
     def test_create_machine(self):
-        """The budget alone picks the machine."""
+        """The ``create_machine`` alias is ``Machine`` at any budget."""
         prog = assemble("halt")
-        limit = backends.MACHINE_MAX_BUDGET
-        assert type(backends.create_machine(prog, limit)) is Machine
-        assert type(backends.create_machine(prog, limit + 1)) is FastMachine
-        assert type(backends.create_machine(prog, None)) is FastMachine
-        assert type(backends.create_machine(prog)) is FastMachine
+        for budget in (None, 0, 2_000, 200_000, 200_001, 50_000_000):
+            assert type(backends.create_machine(prog, budget)) is Machine
+        assert type(backends.create_machine(prog)) is Machine
 
     def test_run_workload_backends_agree(self, tmp_path, monkeypatch):
-        """A budget that selects FastMachine yields the Machine trace,
-        cached under one entry."""
+        """A budget long enough to compile yields the interpreter's
+        trace, cached under one entry."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
-        budget = backends.MACHINE_MAX_BUDGET + 1
+        budget = 200_001
         got = run_workload("compress", max_instructions=budget)
-        ref = Machine(build_program("compress")).run(max_instructions=budget)
+        ref, _ = oracle_run(Machine(build_program("compress")), budget)
         assert trace_identical(ref, got)
         assert len(list((tmp_path / "traces").iterdir())) == 1
         assert trace_identical(ref, run_workload("compress",

@@ -27,14 +27,12 @@ CONFIG = ExperimentConfig(max_instructions=8_000)
 @pytest.fixture
 def no_vm(monkeypatch):
     """Any VM execution during estimation is a test failure."""
-    import repro.vm.fastmachine as fastmachine
     import repro.vm.machine as machine
 
     def boom(self, *args, **kwargs):
         raise AssertionError("static estimation must never execute")
 
     monkeypatch.setattr(machine.Machine, "run", boom)
-    monkeypatch.setattr(fastmachine.FastMachine, "run", boom)
 
 
 def assert_profile_sane(profile, config=CONFIG):

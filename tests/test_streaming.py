@@ -392,12 +392,10 @@ class TestDirectStream:
                 tmp_path, name, self.CONFIG.max_instructions)
 
     def test_tee_entry_above_machine_budget(self, tmp_path, monkeypatch):
-        """Above ``MACHINE_MAX_BUDGET`` the tee executes on FastMachine,
-        and its cache entry is still byte-identical to a ``write_stream``
-        file of a ``Machine`` execution."""
-        from repro.vm.backends import MACHINE_MAX_BUDGET
-
-        budget = MACHINE_MAX_BUDGET + 1
+        """A run long enough to compile blocks tees a cache entry
+        byte-identical to a ``write_stream`` file of the interpreter's
+        trace."""
+        budget = 200_001
         for name in ("compress", "tomcatv"):
             monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / name))
             stream = stream_workload(name, max_instructions=budget)
@@ -407,18 +405,28 @@ class TestDirectStream:
     @staticmethod
     def _assert_entry_is_machine_trace(tmp_path, name, budget):
         """The kernel's one cache entry under ``tmp_path / name`` has
-        the bytes of a ``write_stream`` file of a ``Machine`` run."""
+        the bytes of a ``write_stream`` file of ``run_rows`` segments
+        (the one-at-a-time interpreter, independent of both tiers)."""
         from repro.vm.machine import Machine
-        from repro.vm.tracestream import ExecutionChunkStream, write_stream
+        from repro.vm.trace import as_columnar
+        from repro.vm.tracestream import DEFAULT_CHUNK_SIZE, write_stream
         from repro.workloads.base import build_program
+
+        class RowSegments:
+            program_name = name
+
+            def chunks(self):
+                machine = Machine(build_program(name))
+                for end in range(DEFAULT_CHUNK_SIZE,
+                                 budget + DEFAULT_CHUNK_SIZE,
+                                 DEFAULT_CHUNK_SIZE):
+                    yield as_columnar(machine.run_rows(min(end, budget)))
+                self.halted = machine.halted
+                self.truncated = not machine.halted
 
         (entry,) = (tmp_path / name / "traces").glob("*.trace")
         written = tmp_path / f"{name}.written.trace"
-        write_stream(ExecutionChunkStream(
-            lambda: Machine(build_program(name)),
-            program_name=name,
-            max_instructions=budget,
-        ), written)
+        write_stream(RowSegments(), written)
         assert entry.read_bytes() == written.read_bytes(), name
 
     def test_tee_persists_and_replays(self, tmp_path, monkeypatch):
