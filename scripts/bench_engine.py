@@ -19,7 +19,15 @@ per-scenario reference pipeline:
   (``repro.exp.runner.profile_scenarios``), split into the
   scenario-independent ``shared_seconds`` (an ``analyze_all([])``
   drain) and ``fold_seconds_per_scenario``, with a bit-identity check
-  against the per-scenario ``DataflowModel`` oracle;
+  against the per-scenario ``DataflowModel`` oracle.  Its
+  ``scale_curve`` holds, for compress and li at 5x, 25x and 125x
+  ``--budget`` (200k, 1M and 5M by default), the ns per instruction of
+  the signature history alone (``signature_flags``), of the shared part
+  (``analyze_all([])``) and of the 6-scenario ``repro analyze`` set,
+  each drained from a v3 file decoded serially with decode time
+  excluded.  It gates that the history's cost per instruction grows
+  by at most :data:`CURVE_FLATNESS` from the smallest budget to the
+  largest; the shared part's growth is recorded, not gated;
 - ``collect_profiles``: wall-clock of a full 14-kernel profile
   collection — the per-scenario oracle pipeline
   (``run_profile_reference``), a cold run (empty cache), and a warm
@@ -81,9 +89,10 @@ pollutes ``.repro-cache/``.
 The script exits non-zero when tier 1 fails bit-identity against tier
 0, when the tiered machine is *slower* than tier 0 alone at
 ``--machine-budget``, when a tiering gate fails, when the streaming
-engine disagrees with the oracle, or when profile collection
-regresses — so a CI hook-up fails loudly instead of silently shipping
-a slow or wrong machine.
+engine disagrees with the oracle, when the signature history's scale
+curve is not flat, or when profile collection regresses — so a CI
+hook-up fails loudly instead of silently shipping a slow or wrong
+machine.
 """
 
 from __future__ import annotations
@@ -97,6 +106,8 @@ import subprocess
 import sys
 import tempfile
 import time
+from statistics import median
+from types import SimpleNamespace
 from unittest import mock
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
@@ -104,6 +115,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from repro.baselines.ilr import (  # noqa: E402
     ilr_reuse_plan,
     instruction_reusability,
+    signature_flags,
 )
 from repro.core.reuse_tlr import (  # noqa: E402
     ConstantReuseLatency,
@@ -339,6 +351,123 @@ def bench_streaming_engine(budget: int, config: ExperimentConfig) -> dict:
             max(elapsed - shared, 0.0) / len(scens), 5),
         "scenarios_per_sec": round(len(scens) / elapsed, 1),
         "bit_identical": results == oracle_results(trace, scens),
+    }
+
+
+#: Scale-curve budgets as multiples of ``--budget``.
+CURVE_SCALES = (5, 25, 125)
+CURVE_KERNELS = ("compress", "li")
+CURVE_ROUNDS = 5
+#: Most the signature history's ns per instruction may grow from the
+#: smallest curve budget to the largest: ROADMAP item 4's +-20%
+#: flatness.  li's history holds 4.3x the signatures for 5x the
+#: instructions, so this is where a history that scales badly shows.
+CURVE_FLATNESS = 1.2
+
+
+def _serial_chunks(stream: FileTraceStream):
+    """A v3 file's chunks decoded on this thread: a prefetch pool would
+    compete with the timed work for the interpreter lock, the more so
+    the longer the file."""
+    return SimpleNamespace(chunks=lambda: stream.reader.chunks(prefetch=0))
+
+
+def _history_seconds(path) -> tuple[float, int]:
+    """Seconds inside ``signature_flags`` over a v3 file's chunks, and
+    the signatures it stored."""
+    history: dict = {}
+    pos = 0
+    spent = 0.0
+    with FileTraceStream(path) as stream:
+        for chunk in _serial_chunks(stream).chunks():
+            start = time.perf_counter()
+            signature_flags(chunk, history, pos)
+            spent += time.perf_counter() - start
+            pos += len(chunk)
+    return spent, len(history)
+
+
+def _analysis_seconds(path, scenarios: list[Scenario]) -> float:
+    """Seconds of an engine drain of a v3 file, decode excluded."""
+    with FileTraceStream(path) as stream:
+        engine = StreamingDataflowEngine(_serial_chunks(stream))
+        start = time.perf_counter()
+        engine.analyze_all(scenarios)
+        return time.perf_counter() - start - engine.producer_seconds
+
+
+def bench_scale_curve(budget: int, tmpdir: str) -> dict:
+    """Per-instruction analysis cost against trace length.  A round
+    measures every budget back to back; a point is the median over
+    :data:`CURVE_ROUNDS` rounds, and a growth the median of the
+    rounds' own largest / smallest ratios, so a slow spell on a shared
+    host neither hits one budget alone nor lets one quiet sample of a
+    short drain set the baseline."""
+    scens = profile_scenarios(ExperimentConfig(reuse_latencies=(1,),
+                                               proportional_ks=()))
+    StreamingDataflowEngine([]).analyze_all(scens)  # compile the fold
+    budgets = [budget * scale for scale in CURVE_SCALES]
+    metrics = ("history_ns_per_instr", "shared_ns_per_instr",
+               "six_scenario_ns_per_instr")
+    per_kernel = {}
+    ok = True
+    for name in CURVE_KERNELS:
+        paths, sizes, signatures = {}, {}, {}
+        for b in budgets:
+            paths[b] = pathlib.Path(tmpdir) / f"curve-{name}-{b}.trace"
+            sizes[b] = write_stream(ExecutionChunkStream(
+                lambda name=name: Machine(build_program(name)),
+                program_name=name, max_instructions=b,
+            ), paths[b])
+        rounds = []
+        for _ in range(CURVE_ROUNDS):
+            got = {}
+            for b in budgets:
+                # the gated history drains each budget to the largest's
+                # length, so bursts of load hit every point alike
+                repeats = budgets[-1] // b
+                history = 0.0
+                for _ in range(repeats):
+                    spent, signatures[b] = _history_seconds(paths[b])
+                    history += spent / repeats
+                seconds = (history, _analysis_seconds(paths[b], []),
+                           _analysis_seconds(paths[b], scens))
+                got[b] = {m: t / sizes[b] * 1e9
+                          for m, t in zip(metrics, seconds)}
+            rounds.append(got)
+        for path in paths.values():
+            path.unlink()
+        gc.collect()
+        points = {
+            str(b): {
+                "instructions": sizes[b],
+                "signatures": signatures[b],
+                **{m: round(median(r[b][m] for r in rounds), 1)
+                   for m in metrics},
+            }
+            for b in budgets
+        }
+        growth = {
+            m: round(median(r[budgets[-1]][m] / r[budgets[0]][m]
+                            for r in rounds), 3)
+            for m in metrics[:2]
+        }
+        flat = growth["history_ns_per_instr"] <= CURVE_FLATNESS
+        ok = ok and flat
+        per_kernel[name] = {"points": points, "growth": growth, "ok": flat}
+    return {
+        "kernels": list(CURVE_KERNELS),
+        "budgets": budgets,
+        "scenarios": len(scens),
+        "flatness_bound": CURVE_FLATNESS,
+        "protocol": (f"{CURVE_ROUNDS} rounds of in-process drains of a v3 "
+                     "file, every budget once per round (the history "
+                     "repeated up to the largest budget's length), serial "
+                     "decode, excluded; points are medians over rounds, "
+                     "growth the median of the rounds' largest / smallest "
+                     "budget ratios"),
+        "per_kernel": per_kernel,
+        "ok": ok,
     }
 
 
@@ -729,9 +858,12 @@ def main(argv: list[str] | None = None) -> int:
             "machine_run": bench_machine_run(
                 args.machine_budget, args.verify_budget
             ),
-            "streaming_engine": bench_streaming_engine(
-                args.budget, ExperimentConfig(max_instructions=args.budget)
-            ),
+            "streaming_engine": {
+                **bench_streaming_engine(
+                    args.budget,
+                    ExperimentConfig(max_instructions=args.budget)),
+                "scale_curve": bench_scale_curve(args.budget, tmp),
+            },
             "collect_profiles": bench_collect_profiles(args.budget),
         }
 
@@ -751,6 +883,16 @@ def main(argv: list[str] | None = None) -> int:
         print("FAIL: streaming engine results are not bit-identical "
               "to the per-scenario oracle", file=sys.stderr)
         ok = False
+    curve = report["streaming_engine"]["scale_curve"]
+    for name, kernel in curve["per_kernel"].items():
+        if not kernel["ok"]:
+            print(f"FAIL: {name}'s signature history cost per "
+                  f"instruction grows "
+                  f"{kernel['growth']['history_ns_per_instr']}x from "
+                  f"{curve['budgets'][0]} to {curve['budgets'][-1]} "
+                  f"instructions, above {curve['flatness_bound']}",
+                  file=sys.stderr)
+            ok = False
     cp = report["collect_profiles"]
     if not (cp["bit_identical"] and cp["cold_speedup"] >= 1.0):
         print("FAIL: profile collection regressed", file=sys.stderr)

@@ -16,6 +16,8 @@ from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.dataflow.model import ReusePoint
 from repro.vm.trace import AnyTrace, ColumnarTrace, DynInst, stream_of
 
@@ -49,20 +51,17 @@ def instruction_reusability(
     ``(pc, input signature)`` was seen before; afterwards the
     signature is recorded.
 
-    Columnar traces take a fast path that builds signatures straight
-    from the location/value columns — ``(locs, values)`` tuple pairs
-    discriminate exactly like the row layout's pair-tuples, so the
-    flags are identical, without materialising any row records.
-    Chunk streams (:mod:`repro.vm.tracestream`) run the same columnar
-    loop chunk by chunk with a persistent history; only the flag list
-    itself is O(n) (one byte-ish per instruction), never the trace.
+    Columnar traces and chunk streams (:mod:`repro.vm.tracestream`)
+    go through :func:`signature_flags`, a columnar trace as one chunk;
+    only the flag list itself is O(n), never the trace.  The row loop
+    over ``inst.reads`` below is the independent oracle for it.
     """
-    if isinstance(trace, ColumnarTrace):
-        return _columnar_reusability(trace)
     from repro.vm.tracestream import is_chunk_stream
 
+    if isinstance(trace, ColumnarTrace):
+        return _columnar_reusability([trace])
     if is_chunk_stream(trace):
-        return _stream_reusability(trace)
+        return _columnar_reusability(trace.chunks())
     instructions = stream_of(trace)
     history: dict[int, set] = {}
     flags: list[bool] = []
@@ -90,74 +89,68 @@ def instruction_reusability(
     )
 
 
-def _columnar_reusability(trace: ColumnarTrace) -> ReusabilityResult:
-    pcs = trace.pcs
-    rb, rl, rv = trace.read_bounds, trace.read_locs, trace.read_vals
-    history: dict[int, set] = {}
-    history_get = history.get
+def _columnar_reusability(chunks) -> ReusabilityResult:
+    history: dict = {}
     flags: list[bool] = []
-    flags_append = flags.append
-    reusable = 0
-    signature_count = 0
-    a = 0
-    for i, pc in enumerate(pcs):
-        b = rb[i + 1]
-        seen = history_get(pc)
-        if seen is None:
-            seen = set()
-            history[pc] = seen
-        sig = (tuple(rl[a:b]), tuple(rv[a:b]))
-        if sig in seen:
-            flags_append(True)
-            reusable += 1
-        else:
-            seen.add(sig)
-            signature_count += 1
-            flags_append(False)
-        a = b
+    for chunk in chunks:
+        flags += signature_flags(chunk, history, len(flags)).tolist()
     return ReusabilityResult(
         flags=flags,
-        reusable_count=reusable,
+        reusable_count=len(flags) - len(history),
         total_count=len(flags),
-        static_count=len(history),
-        signature_count=signature_count,
+        static_count=len({sig[0] for sig in history}),
+        signature_count=len(history),
     )
 
 
-def _stream_reusability(stream) -> ReusabilityResult:
-    """:func:`_columnar_reusability` folded over a chunk stream."""
-    history: dict[int, set] = {}
-    history_get = history.get
-    flags: list[bool] = []
-    flags_append = flags.append
-    reusable = 0
-    signature_count = 0
-    for chunk in stream.chunks():
-        pcs = chunk.pcs
-        rb, rl, rv = chunk.read_bounds, chunk.read_locs, chunk.read_vals
-        a = 0
-        for i, pc in enumerate(pcs):
-            b = rb[i + 1]
-            seen = history_get(pc)
-            if seen is None:
-                seen = set()
-                history[pc] = seen
-            sig = (tuple(rl[a:b]), tuple(rv[a:b]))
-            if sig in seen:
-                flags_append(True)
-                reusable += 1
-            else:
-                seen.add(sig)
-                signature_count += 1
-                flags_append(False)
-            a = b
-    return ReusabilityResult(
-        flags=flags,
-        reusable_count=reusable,
-        total_count=len(flags),
-        static_count=len(history),
-        signature_count=signature_count,
-    )
+#: Most instructions whose signature keys exist at once: bounds the
+#: transient key lists, not the history.
+SIGNATURE_SLICE = 4096
+
+
+def signature_flags(chunk: ColumnarTrace, history: dict,
+                    start: int) -> np.ndarray:
+    """Reusability flags (a bool array) of a chunk whose instructions
+    sit at stream positions ``start, start + 1, ...``.
+
+    ``history`` is the infinite ILR history: it maps every signature
+    ``(pc, loc_0, val_0, ..., loc_{r-1}, val_{r-1})`` seen so far to
+    the stream position that first brought it, and this call adds the
+    chunk's new ones.  An instruction is reusable exactly when
+    ``setdefault`` hands back an earlier position than its own.  Keys
+    hold the trace's own value objects, so equality is Python's
+    (``1 == 1.0``), as in the row oracle's ``inst.reads`` tuples.
+
+    Per slice of :data:`SIGNATURE_SLICE` instructions and per read
+    count ``r``, numpy gathers the key columns and ``zip`` builds the
+    keys; a key's length depends on its own instruction's read count
+    only, and keys of different lengths never compare equal, so
+    inserting one read-count group after another keeps every
+    signature's first position.
+    """
+    n = len(chunk)
+    flags = np.zeros(n, bool)
+    pcs = np.asarray(chunk.pcs)
+    bounds = np.asarray(chunk.read_bounds, np.int64)
+    locs = np.asarray(chunk.read_locs)
+    vals = np.empty(len(chunk.read_vals), object)
+    vals[:] = chunk.read_vals
+    setdefault = history.setdefault
+    for a in range(0, n, SIGNATURE_SLICE):
+        b = min(a + SIGNATURE_SLICE, n)
+        counts = np.diff(bounds[a:b + 1])
+        for r in np.unique(counts).tolist():
+            at = np.flatnonzero(counts == r) + a
+            first = bounds[at]
+            cols = [pcs[at].tolist()]
+            for j in range(r):
+                cols.append(locs[first + j].tolist())
+                cols.append(vals[first + j].tolist())
+            pos = at + start
+            got = np.fromiter(map(setdefault, zip(*cols), pos.tolist()),
+                              np.int64, len(at))
+            flags[at] = got != pos
+    return flags
 
 
 def reusability_by_class(

@@ -33,10 +33,13 @@ events by (location, program position); a running maximum of "last
 write + 1" within each location gives every read its last writer, and
 the first event of each (location, span) run gives each span's
 live-in/live-out counts and its gate producers (the last writers of
-its live-ins before entry).  Only the reusability-signature history
-stays scalar: Python set membership treats 1 and 1.0 as the same
-signature, which any bit-level batch encoding of the value columns
-would split.
+its live-ins before entry).  The reusability flags come a chunk at a
+time from :func:`repro.baselines.ilr.signature_flags`: numpy gathers
+the key columns, ``zip`` builds the signature tuples from the trace's
+own value objects and ``dict.setdefault`` inserts them into one flat
+history.  No value is encoded, so equality stays Python's (``1 ==
+1.0``), which any bit-level batch encoding of the value columns would
+split.
 
 The prelude.  A producer is a non-negative index into a scenario's
 completion list.  The list starts with a prelude: index 0 is the
@@ -81,6 +84,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from repro.baselines.ilr import signature_flags
 from repro.core.stats import TraceIOStats
 from repro.dataflow.model import Scenario, TimingResult
 from repro.isa.registers import MEM_LOC_BASE
@@ -172,10 +176,7 @@ class StreamingDataflowEngine:
         self.producer_seconds = 0.0
         self._span_io = [0, 0, 0, 0]  # live-ins, reg live-ins, outs, reg outs
 
-        history: dict[int, set] = {}
-        history_get = history.get
-        reusable = 0
-        signature_count = 0
+        history: dict = {}
 
         buf: ColumnarTrace | None = None
         bflags = bytearray()
@@ -192,26 +193,8 @@ class StreamingDataflowEngine:
             nc = len(chunk)
             if not nc:
                 continue
-            # incremental instruction-level reusability: same signature
-            # construction as _columnar_reusability, history persistent
-            # (scalar on purpose, see the module docstring)
-            cflags = bytearray(nc)
-            rb, rl, rv = chunk.read_bounds, chunk.read_locs, chunk.read_vals
-            a = 0
-            for i, pc in enumerate(chunk.pcs):
-                b = rb[i + 1]
-                seen = history_get(pc)
-                if seen is None:
-                    seen = set()
-                    history[pc] = seen
-                sig = (tuple(rl[a:b]), tuple(rv[a:b]))
-                if sig in seen:
-                    cflags[i] = 1
-                    reusable += 1
-                else:
-                    seen.add(sig)
-                    signature_count += 1
-                a = b
+            # infinite ILR history: signature -> first stream position
+            cflags = bytearray(signature_flags(chunk, history, self.n))
             self.n += nc
 
             if buf is None:
@@ -231,10 +214,10 @@ class StreamingDataflowEngine:
             self._fold_sub_blocks(buf, bflags, final=True)
 
         self.reuse = StreamReusability(
-            reusable_count=reusable,
+            reusable_count=self.n - len(history),
             total_count=self.n,
-            static_count=len(history),
-            signature_count=signature_count,
+            static_count=len({sig[0] for sig in history}),
+            signature_count=len(history),
         )
         self._finalize_span_stats()
         n = self.n

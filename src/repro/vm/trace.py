@@ -31,6 +31,8 @@ from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.isa.opcodes import Opcode, OpClass, op_class
 from repro.isa.registers import loc_is_mem
 
@@ -482,15 +484,24 @@ def extend_columnar(dst: ColumnarTrace, src: ColumnarTrace) -> None:
     dst.ops.extend(src.ops)
     dst.lats.extend(src.lats)
     dst.next_pcs.extend(src.next_pcs)
-    rbase = dst.read_bounds[-1]
-    dst.read_bounds.extend(b + rbase for b in src.read_bounds[1:])
+    rb, wb = src.read_bounds, src.write_bounds
+    dst.read_bounds += _rebased(rb, 1, len(rb), dst.read_bounds[-1])
     dst.read_locs.extend(src.read_locs)
     dst.read_vals.extend(src.read_vals)
-    wbase = dst.write_bounds[-1]
-    dst.write_bounds.extend(b + wbase for b in src.write_bounds[1:])
+    dst.write_bounds += _rebased(wb, 1, len(wb), dst.write_bounds[-1])
     dst.write_locs.extend(src.write_locs)
     dst.write_vals.extend(src.write_vals)
     dst._rows = None
+
+
+def _rebased(bounds: array, start: int, stop: int, delta: int) -> array:
+    """``array("I", (b + delta for b in bounds[start:stop]))``, computed
+    in numpy; like that expression, raises :class:`OverflowError` when a
+    rebased bound does not fit the column's 32 bits."""
+    out = np.asarray(bounds)[start:stop].astype(np.int64) + delta
+    if len(out) and (out.min() < 0 or out.max() > 0xFFFFFFFF):
+        raise OverflowError("rebased bound does not fit array('I')")
+    return array("I", out.astype(np.uintc).tobytes())
 
 
 def slice_columnar(ct: ColumnarTrace, start: int, stop: int) -> ColumnarTrace:
@@ -510,11 +521,11 @@ def slice_columnar(ct: ColumnarTrace, start: int, stop: int) -> ColumnarTrace:
     out.lats = ct.lats[start:stop]
     out.next_pcs = ct.next_pcs[start:stop]
     ra, rb = ct.read_bounds[start], ct.read_bounds[stop]
-    out.read_bounds = array("I", (b - ra for b in ct.read_bounds[start:stop + 1]))
+    out.read_bounds = _rebased(ct.read_bounds, start, stop + 1, -ra)
     out.read_locs = ct.read_locs[ra:rb]
     out.read_vals = ct.read_vals[ra:rb]
     wa, wb = ct.write_bounds[start], ct.write_bounds[stop]
-    out.write_bounds = array("I", (b - wa for b in ct.write_bounds[start:stop + 1]))
+    out.write_bounds = _rebased(ct.write_bounds, start, stop + 1, -wa)
     out.write_locs = ct.write_locs[wa:wb]
     out.write_vals = ct.write_vals[wa:wb]
     return out

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import ilr
 from repro.baselines.ilr import ilr_reuse_plan, instruction_reusability
 from repro.core.reuse_tlr import (
     ConstantReuseLatency,
@@ -26,11 +27,15 @@ from repro.core.stats import trace_io_stats
 from repro.core.traces import average_span_length, maximal_reusable_spans
 from repro.dataflow import streaming
 from repro.dataflow.model import DataflowModel, Scenario
-from repro.dataflow.streaming import StreamingDataflowEngine
+from repro.dataflow.streaming import (
+    StreamingDataflowEngine,
+    StreamReusability,
+)
 from repro.exp.config import ExperimentConfig
 from repro.exp.runner import run_profile, run_profile_reference
 from repro.isa.opcodes import Opcode
-from repro.vm.trace import DynInst
+from repro.vm.trace import ColumnarTrace, DynInst
+from repro.vm.tracestream import as_chunk_stream
 from repro.workloads.base import run_workload
 
 from test_model_properties import dyn_streams
@@ -38,6 +43,10 @@ from test_model_properties import dyn_streams
 #: Sub-block caps exercised by the properties: every instruction its
 #: own sub-block (spans force longer ones), an odd small cap, default.
 CAPS = [1, 7, streaming.SUB_BLOCK_CAP]
+
+#: Signature slice sizes: every instruction its own slice, an odd
+#: small size that splits read-count groups across slices, default.
+SLICES = [1, 7, ilr.SIGNATURE_SLICE]
 
 #: Locations of the shaped streams: registers, low memory words, and
 #: words far enough up that the engine must compact location ids
@@ -112,11 +121,57 @@ def shaped_streams(draw):
     return stream
 
 
+#: Look-alike values: each group holds values that compare equal
+#: across types (``1 == 1.0``, ``0 == -0.0``) or differ only past a
+#: float's precision (either side of 2**53) or an int64's range (near
+#: +-2**63), so a signature that canonicalises, rounds or wraps its
+#: values merges signatures the row oracle keeps apart, or vice versa.
+VALUE_GROUPS = [
+    [0, 0.0, -0.0],
+    [1, 1.0, -1, -1.0],
+    [2**53 - 1, 2**53, 2**53 + 1, float(2**53)],
+    [2**63 - 1, 2**63, float(2**63)],
+    [-2**63, -2**63 - 1, float(-2**63)],
+]
+
+
+@st.composite
+def valued_streams(draw):
+    """Streams whose signatures hinge on value equality: 0-4 reads per
+    instruction (locations may repeat) of look-alike values."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    locs = draw(st.lists(st.sampled_from(LOCATIONS), min_size=1,
+                         max_size=3, unique=True))
+    vals = [v for group in draw(st.lists(st.sampled_from(VALUE_GROUPS),
+                                         min_size=1, max_size=2))
+            for v in group]
+    stream = []
+    for _ in range(n):
+        pc = draw(st.integers(0, 3))
+        count = draw(st.integers(0, 4))
+        reads = tuple((draw(st.sampled_from(locs)),
+                       draw(st.sampled_from(vals))) for _ in range(count))
+        dsts = draw(st.lists(st.sampled_from(locs), max_size=2))
+        stream.append(DynInst(
+            pc=pc, op=Opcode.ADD, reads=reads,
+            writes=tuple((loc, draw(st.sampled_from(vals))) for loc in dsts),
+            latency=draw(st.sampled_from([1, 3])), next_pc=pc + 1))
+    return stream
+
+
 def assert_matches_reference(stream, scens, chunk_size):
-    flags = instruction_reusability(stream).flags
+    # the row loop over inst.reads is the oracle of the columnar paths
+    reuse = instruction_reusability(stream)
+    flags = reuse.flags
+    columnar = as_chunk_stream(ColumnarTrace.from_trace(stream),
+                               chunk_size=chunk_size)
+    assert instruction_reusability(columnar) == reuse
     spans = maximal_reusable_spans(stream, flags)
     engine = StreamingDataflowEngine(stream, chunk_size=chunk_size)
     results = engine.analyze_all(scens)
+    assert engine.reuse == StreamReusability(
+        reuse.reusable_count, reuse.total_count, reuse.static_count,
+        reuse.signature_count)
     assert len(results) == len(scens)
     for scenario, got in zip(scens, results):
         ref = reference_result(stream, scenario, flags, spans)
@@ -128,15 +183,17 @@ def assert_matches_reference(stream, scens, chunk_size):
 
 
 @given(
-    dyn_streams() | shaped_streams(),
+    dyn_streams() | shaped_streams() | valued_streams(),
     scenario_lists(),
     st.sampled_from([1, 7, 4096]),
     st.sampled_from(CAPS),
+    st.sampled_from(SLICES),
 )
 @settings(max_examples=300, deadline=None)
 def test_fused_engine_matches_per_scenario_model(stream, scens, chunk_size,
-                                                 cap):
-    with mock.patch.object(streaming, "SUB_BLOCK_CAP", cap):
+                                                 cap, slice_size):
+    with mock.patch.object(streaming, "SUB_BLOCK_CAP", cap), \
+            mock.patch.object(ilr, "SIGNATURE_SLICE", slice_size):
         assert_matches_reference(stream, scens, chunk_size)
 
 
@@ -208,6 +265,23 @@ class TestFoldEdges:
         with mock.patch.object(streaming, "SUB_BLOCK_CAP", cap):
             for chunk_size in (1, 4, 4096):
                 assert_matches_reference(stream, EDGE_SCENARIOS, chunk_size)
+
+    @pytest.mark.parametrize("slice_size", [1, 7])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 4096])
+    def test_signature_length_is_the_instructions_own(self, chunk_size,
+                                                       slice_size):
+        # pc 0 reads once next to a 2-read instruction, then again in a
+        # chunk (and slice) with none: a key padded to the widest
+        # instruction around it would miss the repeat
+        first = [inst(0, reads=[(1, 5)], writes=[(3, 1)]),
+                 inst(1, reads=[(1, 5), (2, 6)], writes=[(4, 2)])]
+        filler = [inst(2 + k, writes=[(2, 6)]) for k in range(5)]
+        again = [inst(0, reads=[(1, 5)], writes=[(3, 1)])] + [
+            inst(9, reads=[(4, 2)], writes=[(5, k)]) for k in range(6)]
+        stream = first + filler + again
+        assert instruction_reusability(stream).flags[len(first + filler)]
+        with mock.patch.object(ilr, "SIGNATURE_SLICE", slice_size):
+            assert_matches_reference(stream, EDGE_SCENARIOS, chunk_size)
 
     @pytest.mark.parametrize("chunk_size", [1, 3, 4096])
     def test_span_longer_than_the_cap(self, chunk_size):

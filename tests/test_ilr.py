@@ -9,6 +9,8 @@ from repro.baselines.ilr import (
 )
 from repro.isa.opcodes import Opcode
 from repro.vm.trace import DynInst, Trace
+from repro.vm.tracestream import as_chunk_stream
+from repro.workloads.base import all_workloads, run_workload
 
 from conftest import run_asm
 
@@ -80,6 +82,16 @@ class TestReusability:
     def test_accepts_trace_object(self, tiny_loop_trace):
         result = instruction_reusability(tiny_loop_trace)
         assert result.total_count == len(tiny_loop_trace)
+
+    @pytest.mark.parametrize("name", [w.name for w in all_workloads()])
+    def test_columnar_paths_match_row_oracle(self, name):
+        # the row loop over inst.reads is the oracle of both columnar
+        # paths: a whole columnar trace, and a chunk stream of it
+        trace = run_workload(name, max_instructions=3_000)
+        oracle = instruction_reusability(list(trace.instructions))
+        assert instruction_reusability(trace) == oracle
+        assert instruction_reusability(
+            as_chunk_stream(trace, chunk_size=257)) == oracle
 
 
 class TestReusePlan:

@@ -36,6 +36,7 @@ from repro.dataflow.model import Scenario
 from repro.dataflow.streaming import StreamingDataflowEngine
 from repro.exp.config import ExperimentConfig
 from repro.exp.runner import run_profile, run_profile_reference
+from repro.vm.trace import ColumnarTrace, extend_columnar
 from repro.vm.tracestream import as_chunk_stream
 from repro.workloads.base import all_workloads, run_workload, stream_workload
 
@@ -117,6 +118,16 @@ class TestStreamingConsumers:
         assert got.reusable_count == expected.reusable_count
         assert got.signature_count == expected.signature_count
         assert got.static_count == expected.static_count
+
+    def test_rebased_bound_past_32_bits_raises(self):
+        # a chunk appended after 2**32 - 1 reads must not wrap a bound
+        dst = ColumnarTrace()
+        dst.append(0, 0, [], [], 1, 1)
+        dst.read_bounds[-1] = 2**32 - 1
+        src = ColumnarTrace()
+        src.append(0, 0, [(1, 5)], [], 1, 1)
+        with pytest.raises(OverflowError):
+            extend_columnar(dst, src)
 
     def test_reusability_by_class(self, kernel):
         _, trace = kernel
