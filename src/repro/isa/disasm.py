@@ -4,7 +4,8 @@ Primarily a debugging and reporting aid — trace dumps, RTM inspection
 and error messages all want readable instructions — but also the
 round-trip oracle for the assembler's property tests: for any program,
 ``assemble(disassemble(program))`` must reproduce the instruction
-stream exactly.
+stream exactly.  Mnemonics and operand syntax come from the ISA table
+(:mod:`repro.isa.table`).
 """
 
 from __future__ import annotations
@@ -12,75 +13,20 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Opcode
+from repro.isa.table import ISA
 from repro.vm.program import Program
-
-_R3 = {
-    Opcode.ADD: "add", Opcode.SUB: "sub", Opcode.AND: "and", Opcode.OR: "or",
-    Opcode.XOR: "xor", Opcode.SLL: "sll", Opcode.SRL: "srl", Opcode.SRA: "sra",
-    Opcode.SLT: "slt", Opcode.SEQ: "seq", Opcode.MUL: "mul", Opcode.DIV: "div",
-    Opcode.REM: "rem",
-}
-_R2I = {
-    Opcode.ADDI: "addi", Opcode.ANDI: "andi", Opcode.ORI: "ori",
-    Opcode.XORI: "xori", Opcode.SLLI: "slli", Opcode.SRLI: "srli",
-    Opcode.SRAI: "srai", Opcode.SLTI: "slti", Opcode.MULI: "muli",
-}
-_BR = {
-    Opcode.BEQ: "beq", Opcode.BNE: "bne", Opcode.BLT: "blt",
-    Opcode.BGE: "bge", Opcode.BLE: "ble", Opcode.BGT: "bgt",
-}
-_F3 = {Opcode.FADD: "fadd", Opcode.FSUB: "fsub", Opcode.FMUL: "fmul",
-       Opcode.FDIV: "fdiv"}
-_F2 = {Opcode.FSQRT: "fsqrt", Opcode.FNEG: "fneg", Opcode.FABS: "fabs",
-       Opcode.FMOV: "fmov"}
-_FCMP = {Opcode.FEQ: "feq", Opcode.FLT: "flt", Opcode.FLE: "fle"}
 
 
 def disassemble_instruction(inst: Instruction) -> str:
     """One instruction as assembly text (branch targets as absolute PCs)."""
-    op = inst.op
-    if op in _R3:
-        return f"{_R3[op]} r{inst.rd}, r{inst.rs1}, r{inst.rs2}"
-    if op in _R2I:
-        return f"{_R2I[op]} r{inst.rd}, r{inst.rs1}, {inst.imm}"
-    if op is Opcode.LI:
-        return f"li r{inst.rd}, {inst.imm}"
-    if op is Opcode.MOV:
-        return f"mov r{inst.rd}, r{inst.rs1}"
-    if op is Opcode.LW:
-        return f"lw r{inst.rd}, {inst.imm}(r{inst.rs1})"
-    if op is Opcode.FLW:
-        return f"flw f{inst.rd}, {inst.imm}(r{inst.rs1})"
-    if op is Opcode.SW:
-        return f"sw r{inst.rs2}, {inst.imm}(r{inst.rs1})"
-    if op is Opcode.FSW:
-        return f"fsw f{inst.rs2}, {inst.imm}(r{inst.rs1})"
-    if op in _BR:
-        return f"{_BR[op]} r{inst.rs1}, r{inst.rs2}, {inst.imm}"
-    if op is Opcode.J:
-        return f"j {inst.imm}"
-    if op is Opcode.JAL:
-        return f"jal r{inst.rd}, {inst.imm}"
-    if op is Opcode.JR:
-        return f"jr r{inst.rs1}"
-    if op in _F3:
-        return f"{_F3[op]} f{inst.rd}, f{inst.rs1}, f{inst.rs2}"
-    if op in _F2:
-        return f"{_F2[op]} f{inst.rd}, f{inst.rs1}"
-    if op is Opcode.FLI:
-        return f"fli f{inst.rd}, {float(inst.imm)!r}"
-    if op is Opcode.CVTIF:
-        return f"cvtif f{inst.rd}, r{inst.rs1}"
-    if op is Opcode.CVTFI:
-        return f"cvtfi r{inst.rd}, f{inst.rs1}"
-    if op in _FCMP:
-        return f"{_FCMP[op]} r{inst.rd}, f{inst.rs1}, f{inst.rs2}"
-    if op is Opcode.NOP:
-        return "nop"
-    if op is Opcode.HALT:
-        return "halt"
-    raise ValueError(f"cannot disassemble {op!r}")  # pragma: no cover
+    spec = ISA[inst.op]
+    d, s, t = (("f" if f == "f" else "r") + str(r)
+               for f, r in zip(spec.files, (inst.rd, inst.rs1, inst.rs2)))
+    text = {"d": d, "s": s, "t": t, "i": str(inst.imm), "L": str(inst.imm),
+            "f": repr(float(inst.imm)), "i(s)": f"{inst.imm}({s})"}
+    operands = ", ".join(text[tok] for tok in spec.operands)
+    mnemonic = inst.op.name.lower()
+    return f"{mnemonic} {operands}" if operands else mnemonic
 
 
 def disassemble(

@@ -4,7 +4,8 @@ Latencies follow the Alpha 21164 hardware reference manual, which is
 the latency model the paper borrows (section 4): single-cycle integer
 ALU, 8-cycle integer multiply, 2-cycle D-cache load hit, 4-cycle
 floating add/multiply pipeline, long non-pipelined divides and square
-roots.
+roots.  Each opcode's class is part of its entry in the ISA table
+(:mod:`repro.isa.table`).
 """
 
 from __future__ import annotations
@@ -99,38 +100,6 @@ class Opcode(IntEnum):
     HALT = auto()
 
 
-_OP_CLASS: dict[Opcode, OpClass] = {}
-for _op in (
-    Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-    Opcode.SLL, Opcode.SRL, Opcode.SRA, Opcode.SLT, Opcode.SEQ,
-    Opcode.ADDI, Opcode.ANDI, Opcode.ORI, Opcode.XORI, Opcode.SLLI,
-    Opcode.SRLI, Opcode.SRAI, Opcode.SLTI, Opcode.LI, Opcode.MOV,
-):
-    _OP_CLASS[_op] = OpClass.INT_ALU
-_OP_CLASS[Opcode.MUL] = OpClass.INT_MUL
-_OP_CLASS[Opcode.MULI] = OpClass.INT_MUL
-_OP_CLASS[Opcode.DIV] = OpClass.INT_DIV
-_OP_CLASS[Opcode.REM] = OpClass.INT_DIV
-_OP_CLASS[Opcode.LW] = OpClass.LOAD
-_OP_CLASS[Opcode.FLW] = OpClass.LOAD
-_OP_CLASS[Opcode.SW] = OpClass.STORE
-_OP_CLASS[Opcode.FSW] = OpClass.STORE
-for _op in (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE, Opcode.BLE, Opcode.BGT):
-    _OP_CLASS[_op] = OpClass.BRANCH
-for _op in (Opcode.J, Opcode.JAL, Opcode.JR):
-    _OP_CLASS[_op] = OpClass.JUMP
-for _op in (Opcode.FADD, Opcode.FSUB, Opcode.FNEG, Opcode.FABS, Opcode.FMOV,
-            Opcode.FLI, Opcode.FEQ, Opcode.FLT, Opcode.FLE):
-    _OP_CLASS[_op] = OpClass.FP_ADD
-_OP_CLASS[Opcode.FMUL] = OpClass.FP_MUL
-_OP_CLASS[Opcode.FDIV] = OpClass.FP_DIV
-_OP_CLASS[Opcode.FSQRT] = OpClass.FP_SQRT
-_OP_CLASS[Opcode.CVTIF] = OpClass.FP_CVT
-_OP_CLASS[Opcode.CVTFI] = OpClass.FP_CVT
-_OP_CLASS[Opcode.NOP] = OpClass.CONTROL
-_OP_CLASS[Opcode.HALT] = OpClass.CONTROL
-
-
 #: Cycles from issue to result availability, per operation class,
 #: following the Alpha 21164 hardware reference manual.
 CLASS_LATENCY: dict[OpClass, int] = {
@@ -148,6 +117,12 @@ CLASS_LATENCY: dict[OpClass, int] = {
     OpClass.FP_CVT: 4,
     OpClass.CONTROL: 1,
 }
+
+# Each opcode's class comes from its entry in the ISA table, which
+# needs the two enums above: import it only now.
+from repro.isa.table import ISA  # noqa: E402
+
+_OP_CLASS: dict[Opcode, OpClass] = {op: ISA[op].cls for op in Opcode}
 
 #: Per-opcode latency, flattened for fast lookup in the VM hot loop.
 LATENCY: dict[Opcode, int] = {op: CLASS_LATENCY[_OP_CLASS[op]] for op in Opcode}

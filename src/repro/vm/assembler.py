@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import parse_register
+from repro.isa.table import ISA
 from repro.vm.program import DATA_BASE, Program
 
 
@@ -40,31 +41,8 @@ class AssemblyError(ValueError):
         self.line = line
 
 
-# ---------------------------------------------------------------------------
-# mnemonic tables
-# ---------------------------------------------------------------------------
-
-_R3 = {
-    "add": Opcode.ADD, "sub": Opcode.SUB, "and": Opcode.AND, "or": Opcode.OR,
-    "xor": Opcode.XOR, "sll": Opcode.SLL, "srl": Opcode.SRL, "sra": Opcode.SRA,
-    "slt": Opcode.SLT, "seq": Opcode.SEQ, "mul": Opcode.MUL, "div": Opcode.DIV,
-    "rem": Opcode.REM,
-}
-_R2I = {
-    "addi": Opcode.ADDI, "andi": Opcode.ANDI, "ori": Opcode.ORI,
-    "xori": Opcode.XORI, "slli": Opcode.SLLI, "srli": Opcode.SRLI,
-    "srai": Opcode.SRAI, "slti": Opcode.SLTI, "muli": Opcode.MULI,
-}
-_MEM = {"lw": Opcode.LW, "sw": Opcode.SW, "flw": Opcode.FLW, "fsw": Opcode.FSW}
-_BR = {
-    "beq": Opcode.BEQ, "bne": Opcode.BNE, "blt": Opcode.BLT,
-    "bge": Opcode.BGE, "ble": Opcode.BLE, "bgt": Opcode.BGT,
-}
-_F3 = {"fadd": Opcode.FADD, "fsub": Opcode.FSUB, "fmul": Opcode.FMUL,
-       "fdiv": Opcode.FDIV}
-_F2 = {"fsqrt": Opcode.FSQRT, "fneg": Opcode.FNEG, "fabs": Opcode.FABS,
-       "fmov": Opcode.FMOV}
-_FCMP = {"feq": Opcode.FEQ, "flt": Opcode.FLT, "fle": Opcode.FLE}
+#: mnemonic -> opcode; operand syntax comes from the ISA table
+_MNEMONICS = {op.name.lower(): op for op in ISA}
 
 #: branch-against-zero pseudo-mnemonic -> real branch mnemonic
 _BZ = {"beqz": "beq", "bnez": "bne", "bltz": "blt", "bgez": "bge",
@@ -333,85 +311,31 @@ class _Assembler:
 
     def encode(self, proto: _Proto) -> Instruction:
         m, ops, line = proto.mnemonic, proto.operands, proto.line
-        if m in _R3:
-            self._need(ops, 3, m, line)
-            return Instruction(_R3[m], rd=self._reg(ops[0], line, fp=False),
-                               rs1=self._reg(ops[1], line, fp=False),
-                               rs2=self._reg(ops[2], line, fp=False), line=line)
-        if m in _R2I:
-            self._need(ops, 3, m, line)
-            return Instruction(_R2I[m], rd=self._reg(ops[0], line, fp=False),
-                               rs1=self._reg(ops[1], line, fp=False),
-                               imm=self._imm_or_label(ops[2], line), line=line)
-        if m == "li":
-            self._need(ops, 2, m, line)
-            return Instruction(Opcode.LI, rd=self._reg(ops[0], line, fp=False),
-                               imm=self._imm_or_label(ops[1], line), line=line)
-        if m == "mov":
-            self._need(ops, 2, m, line)
-            return Instruction(Opcode.MOV, rd=self._reg(ops[0], line, fp=False),
-                               rs1=self._reg(ops[1], line, fp=False), line=line)
-        if m in _MEM:
-            self._need(ops, 2, m, line)
-            fp = m in ("flw", "fsw")
-            reg = self._reg(ops[0], line, fp=fp)
-            imm, base = self._mem_operand(ops[1], line)
-            op = _MEM[m]
-            if m in ("lw", "flw"):
-                return Instruction(op, rd=reg, rs1=base, imm=imm, line=line)
-            return Instruction(op, rs2=reg, rs1=base, imm=imm, line=line)
-        if m in _BR:
-            self._need(ops, 3, m, line)
-            return Instruction(_BR[m], rs1=self._reg(ops[0], line, fp=False),
-                               rs2=self._reg(ops[1], line, fp=False),
-                               imm=self._branch_target(ops[2], line), line=line)
-        if m == "j":
-            self._need(ops, 1, m, line)
-            return Instruction(Opcode.J, imm=self._branch_target(ops[0], line),
-                               line=line)
-        if m == "jal":
-            if len(ops) == 1:
-                ops = ["ra", ops[0]]
-            self._need(ops, 2, m, line)
-            return Instruction(Opcode.JAL, rd=self._reg(ops[0], line, fp=False),
-                               imm=self._branch_target(ops[1], line), line=line)
-        if m == "jr":
-            self._need(ops, 1, m, line)
-            return Instruction(Opcode.JR, rs1=self._reg(ops[0], line, fp=False),
-                               line=line)
-        if m in _F3:
-            self._need(ops, 3, m, line)
-            return Instruction(_F3[m], rd=self._reg(ops[0], line, fp=True),
-                               rs1=self._reg(ops[1], line, fp=True),
-                               rs2=self._reg(ops[2], line, fp=True), line=line)
-        if m in _F2:
-            self._need(ops, 2, m, line)
-            return Instruction(_F2[m], rd=self._reg(ops[0], line, fp=True),
-                               rs1=self._reg(ops[1], line, fp=True), line=line)
-        if m == "fli":
-            self._need(ops, 2, m, line)
-            return Instruction(Opcode.FLI, rd=self._reg(ops[0], line, fp=True),
-                               imm=_parse_float(ops[1], line), line=line)
-        if m == "cvtif":
-            self._need(ops, 2, m, line)
-            return Instruction(Opcode.CVTIF, rd=self._reg(ops[0], line, fp=True),
-                               rs1=self._reg(ops[1], line, fp=False), line=line)
-        if m == "cvtfi":
-            self._need(ops, 2, m, line)
-            return Instruction(Opcode.CVTFI, rd=self._reg(ops[0], line, fp=False),
-                               rs1=self._reg(ops[1], line, fp=True), line=line)
-        if m in _FCMP:
-            self._need(ops, 3, m, line)
-            return Instruction(_FCMP[m], rd=self._reg(ops[0], line, fp=False),
-                               rs1=self._reg(ops[1], line, fp=True),
-                               rs2=self._reg(ops[2], line, fp=True), line=line)
-        if m == "nop":
-            self._need(ops, 0, m, line)
-            return Instruction(Opcode.NOP, line=line)
-        if m == "halt":
-            self._need(ops, 0, m, line)
-            return Instruction(Opcode.HALT, line=line)
-        raise AssemblyError(f"unknown mnemonic {m!r}", line)
+        op = _MNEMONICS.get(m)
+        if op is None:
+            raise AssemblyError(f"unknown mnemonic {m!r}", line)
+        spec = ISA[op]
+        if op is Opcode.JAL and len(ops) == 1:
+            ops = ["ra", ops[0]]
+        self._need(ops, len(spec.operands), m, line)
+        dfp, sfp, tfp = (f == "f" for f in spec.files)
+        fields: dict = {}
+        for tok, text in zip(spec.operands, ops):
+            if tok == "d":
+                fields["rd"] = self._reg(text, line, fp=dfp)
+            elif tok == "s":
+                fields["rs1"] = self._reg(text, line, fp=sfp)
+            elif tok == "t":
+                fields["rs2"] = self._reg(text, line, fp=tfp)
+            elif tok == "i":
+                fields["imm"] = self._imm_or_label(text, line)
+            elif tok == "f":
+                fields["imm"] = _parse_float(text, line)
+            elif tok == "L":
+                fields["imm"] = self._branch_target(text, line)
+            else:  # i(s)
+                fields["imm"], fields["rs1"] = self._mem_operand(text, line)
+        return Instruction(op, line=line, **fields)
 
     def assemble(self) -> Program:
         self.first_pass()

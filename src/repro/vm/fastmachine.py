@@ -3,11 +3,12 @@
 ``Machine`` runs cold code one closure per instruction (tier 0).  A pc
 whose tier-0 work passes the machine's compile bar seeds a superblock
 trace here (profile-biased, optionally loop-unrolled), which compiles
-once into one specialised Python function of straight-line code
-(register indices constant-folded, ``r0`` reads folded to ``0``,
-64-bit wraps inlined, trace emission batched per exit site).  The
-machine binds each compiled block to its own state and trace columns
-once, and calls it until the block retires.
+once into one specialised Python function of straight-line code, each
+instruction's fragment generated from its entry in the ISA table
+(:mod:`repro.isa.table`): register indices constant-folded, ``r0``
+reads folded to ``0``, 64-bit wraps inlined, trace emission batched
+per exit site.  The machine binds each compiled block to its own
+state and trace columns once, and calls it until the block retires.
 
 The contract is **bit-identical traces**: a compiled block emits
 exactly the records, state changes and faults of the tier-0 closures
@@ -34,7 +35,7 @@ Mechanics worth knowing:
   memory locations patched in by negative index.  Opcode, latency and
   the ``*_bounds`` columns are static per-pc properties, rebuilt at the
   end of a run by :func:`_split_pcn` and :func:`_bounds_from_counts`.
-  A fault exit flushes every instruction before the faulting one and
+  A fault exit flushes the instructions before the faulting one and
   raises the interpreter's exact ``VMError`` (message, pc, line).
 """
 
@@ -49,9 +50,9 @@ try:  # vectorised bounds reconstruction; stdlib fallback below
 except ImportError:  # pragma: no cover - numpy is present in CI
     _np = None
 
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.registers import FP_REG_BASE, MEM_LOC_BASE
-from repro.vm.errors import VMError
+from repro.isa.table import ISA, substitute, wrap64
 from repro.vm.program import Program
 
 #: Upper bound on compiled-block length.  Deliberately modest: besides
@@ -71,32 +72,9 @@ MAX_BLOCK_LEN = 48
 LOOP_UNROLL_ENTRIES = 32
 MAX_LOOP_UNROLL = 8
 
-_MASK64 = (1 << 64) - 1
-_SIGN64 = 1 << 63
-
 
 class _Unsupported(Exception):
     """Internal: this block cannot be compiled; interpret it forever."""
-
-
-_wrap_n = 0
-
-
-def _wrap(e: str) -> str:
-    """Inline 64-bit two's-complement wrap of an int expression.
-
-    The wrap arithmetic allocates multi-digit longs, so it only runs
-    when the value actually left the int64 range: the common in-range
-    case is two compares.  The walrus binding lives in the condition,
-    which Python evaluates first.
-    """
-    global _wrap_n
-    _wrap_n += 1
-    t = f"t{_wrap_n}"
-    return (
-        f"({t} if {-_SIGN64} <= ({t} := {e}) <= {_SIGN64 - 1} "
-        f"else (({t} + {_SIGN64}) & {_MASK64}) - {_SIGN64})"
-    )
 
 
 def _lit(v) -> str:
@@ -107,43 +85,24 @@ def _lit(v) -> str:
     return f"({s})" if s.startswith("-") else s
 
 
-_INT_RR_EXPR = {
-    Opcode.ADD: lambda a, b: _wrap(f"{a} + {b}"),
-    Opcode.SUB: lambda a, b: _wrap(f"{a} - {b}"),
-    Opcode.AND: lambda a, b: f"{a} & {b}",
-    Opcode.OR: lambda a, b: f"{a} | {b}",
-    Opcode.XOR: lambda a, b: f"{a} ^ {b}",
-    Opcode.SLL: lambda a, b: _wrap(f"{a} << ({b} & 63)"),
-    Opcode.SRL: lambda a, b: _wrap(f"({a} & {_MASK64}) >> ({b} & 63)"),
-    Opcode.SRA: lambda a, b: f"{a} >> ({b} & 63)",
-    Opcode.SLT: lambda a, b: f"(1 if {a} < {b} else 0)",
-    Opcode.SEQ: lambda a, b: f"(1 if {a} == {b} else 0)",
-    Opcode.MUL: lambda a, b: _wrap(f"{a} * {b}"),
-}
-#: Immediate forms; shift amounts fold to ``imm & 63`` at codegen time.
-_INT_RI_EXPR = {
-    Opcode.ADDI: lambda a, v: _wrap(f"{a} + {_lit(v)}"),
-    Opcode.ANDI: lambda a, v: f"{a} & {_lit(v)}",
-    Opcode.ORI: lambda a, v: f"{a} | {_lit(v)}",
-    Opcode.XORI: lambda a, v: f"{a} ^ {_lit(v)}",
-    Opcode.SLLI: lambda a, v: _wrap(f"{a} << {v & 63}"),
-    Opcode.SRLI: lambda a, v: _wrap(f"({a} & {_MASK64}) >> {v & 63}"),
-    Opcode.SRAI: lambda a, v: f"{a} >> {v & 63}",
-    Opcode.SLTI: lambda a, v: f"(1 if {a} < {_lit(v)} else 0)",
-    Opcode.MULI: lambda a, v: _wrap(f"{a} * {_lit(v)}"),
-}
-_BRANCH_SYM = {
-    Opcode.BEQ: "==", Opcode.BNE: "!=", Opcode.BLT: "<",
-    Opcode.BGE: ">=", Opcode.BLE: "<=", Opcode.BGT: ">",
-}
+#: Conditional branches: superblock exits, not block ends.
+_BRANCHES = frozenset(op for op, s in ISA.items() if s.cls is OpClass.BRANCH)
+
 #: Negated comparison, for branches followed along their taken side
 #: (the block then *exits* on the fallthrough condition).
-_BRANCH_NEG = {
-    Opcode.BEQ: "!=", Opcode.BNE: "==", Opcode.BLT: ">=",
-    Opcode.BGE: "<", Opcode.BLE: ">", Opcode.BGT: "<=",
-}
-_FP_RR_SYM = {Opcode.FADD: "+", Opcode.FSUB: "-", Opcode.FMUL: "*"}
-_FP_CMP_SYM = {Opcode.FEQ: "==", Opcode.FLT: "<", Opcode.FLE: "<="}
+_NEGATE = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
+
+
+#: Per register file: the machine's list, the location base, and the
+#: prefixes of a block's read temps and result temps.
+_REGFILE = {"i": ("regs", 0, "r", "w"), "f": ("fregs", FP_REG_BASE, "f", "g")}
+
+
+def _negated(cond: str) -> str:
+    """A branch's ``a OP b`` condition with the comparison negated."""
+    a, sym, b = cond.split()
+    return f"{a} {_NEGATE[sym]} {b}"
+
 
 #: Opcodes that unconditionally end a superblock.  Conditional
 #: branches do *not*: their taken side compiles to an early exit and
@@ -186,7 +145,7 @@ def form_trace(program: Program, start: int, *, bias=None) -> tuple[int, ...]:
                     pc = t  # fold the jump; continue at its target
                     continue
             break  # jr/halt, or a jump we do not fold
-        if op in _BRANCH_SYM:
+        if op in _BRANCHES:
             exits += 1
             if exits >= MAX_BLOCK_EXITS:
                 break
@@ -199,59 +158,6 @@ def form_trace(program: Program, start: int, *, bias=None) -> tuple[int, ...]:
         if pc >= n or pc in seen or len(path) >= MAX_BLOCK_LEN:
             break
     return tuple(path)
-
-
-def emission_counts(program: Program) -> tuple[list[int], list[int]]:
-    """Per-static-pc ``(reads, writes)`` pair counts of the trace record.
-
-    Both are static properties of the decoded instruction (an ``r0``
-    destination discards the write), which is what lets both tiers
-    skip the bounds columns and the machine rebuild them after the
-    run.
-    """
-    rcounts: list[int] = []
-    wcounts: list[int] = []
-    for inst in program.instructions:
-        op = inst.op
-        dst = 1 if inst.rd else 0
-        if op in _INT_RR_EXPR or op is Opcode.DIV or op is Opcode.REM:
-            r, w = 2, dst
-        elif op in _INT_RI_EXPR:
-            r, w = 1, dst
-        elif op in _BRANCH_SYM:
-            r, w = 2, 0
-        elif op in _FP_RR_SYM or op is Opcode.FDIV:
-            r, w = 2, 1
-        elif op in _FP_CMP_SYM:
-            r, w = 2, dst
-        elif op is Opcode.LI:
-            r, w = 0, dst
-        elif op is Opcode.MOV:
-            r, w = 1, dst
-        elif op is Opcode.LW:
-            r, w = 2, dst
-        elif op in (Opcode.SW, Opcode.FLW, Opcode.FSW):
-            r, w = 2, 1
-        elif op is Opcode.J:
-            r, w = 0, 0
-        elif op is Opcode.JAL:
-            r, w = 0, dst
-        elif op is Opcode.JR:
-            r, w = 1, 0
-        elif op in (Opcode.FSQRT, Opcode.FNEG, Opcode.FABS, Opcode.FMOV,
-                    Opcode.CVTIF):
-            r, w = 1, 1
-        elif op is Opcode.CVTFI:
-            r, w = 1, dst
-        elif op is Opcode.FLI:
-            r, w = 0, 1
-        elif op in (Opcode.NOP, Opcode.HALT):
-            r, w = 0, 0
-        else:  # pragma: no cover - all opcodes are wired up
-            raise VMError(f"unimplemented opcode {op.name}")
-        rcounts.append(r)
-        wcounts.append(w)
-    return rcounts, wcounts
 
 
 # ----------------------------------------------------------------------
@@ -283,66 +189,85 @@ class _BlockCodegen:
         self.body: list[str] = []
         self.consts: list[str] = []
         self.entries: list[tuple] = []  # (pc, op, lat, fall_next, reads, writes)
-        self.regmap: dict[int, str] = {}
-        self.fregmap: dict[int, str] = {}
+        #: the entries' read locs, read values, write locs and write
+        #: values as source text, kept in step for the fault exits
+        self.prefix: tuple[list[str], ...] = ([], [], [], [])
+        #: per register file, the name holding each register's value
+        self.regmaps: dict[str, dict[int, str]] = {"i": {}, "f": {}}
         self.site = 0
         self.closed = False        # an unconditional terminator was emitted
         self.uses_fexit = False
         self.full_size: int | None = None
         self.final_ret: int | None = None   # next pc for J/JAL/HALT ends
         self.final_dyn: str | None = None   # next-pc expression for JR
+        self.temps = 0  # wrap temps t1, t2, ... numbered per block
 
     # -- operand helpers ------------------------------------------------
-    def _rread(self, r: int, off: int) -> str:
-        if r == 0:
-            return "0"  # r0 is hardwired zero; skip the list load
-        name = self.regmap.get(r)
+    def _read(self, file: str, r: int, off: int) -> tuple[int, str]:
+        """A source register's location and the name of its value,
+        loaded into a local on first use."""
+        regs, base, tag, _ = _REGFILE[file]
+        if file == "i" and r == 0:
+            return 0, "0"  # r0 is hardwired zero; skip the list load
+        regmap = self.regmaps[file]
+        name = regmap.get(r)
         if name is None:
-            name = f"r{r}_{off}"
-            self.body.append(f"{name} = regs[{r}]")
-            self.regmap[r] = name
-        return name
+            name = regmap[r] = f"{tag}{r}_{off}"
+            self.body.append(f"{name} = {regs}[{r}]")
+        return base + r, name
 
-    def _fread(self, r: int, off: int) -> str:
-        name = self.fregmap.get(r)
-        if name is None:
-            name = f"f{r}_{off}"
-            self.body.append(f"{name} = fregs[{r}]")
-            self.fregmap[r] = name
-        return name
+    def _write(self, file: str, rd: int, text: str, writes: list, *,
+               off: int | None = None, value=None) -> None:
+        """Write ``text`` to rd: with ``off``, through a new result temp;
+        else as is (a literal or an existing temp), recorded as
+        ``value``.  An int destination of r0 discards the write."""
+        regs, base, _, tag = _REGFILE[file]
+        if file == "i" and rd == 0:
+            return
+        if off is not None:
+            value = f"{tag}{rd}_{off}"
+            self.body.append(f"{value} = {text}")
+            text = value
+        self.body.append(f"{regs}[{rd}] = {text}")
+        self.regmaps[file][rd] = text
+        writes.append((base + rd, value))
 
-    def _rwrite(self, rd: int, expr: str, off: int, writes: list) -> None:
-        if rd == 0:
-            return  # r0 is hardwired zero; the write is discarded
-        name = f"w{rd}_{off}"
-        self.body.append(f"{name} = {expr}")
-        self.body.append(f"regs[{rd}] = {name}")
-        self.regmap[rd] = name
-        writes.append((rd, name))
+    def _wrap(self, e: str) -> str:
+        self.temps += 1
+        return wrap64(e, f"t{self.temps}")
 
-    def _fwrite(self, rd: int, expr: str, off: int, writes: list) -> None:
-        name = f"g{rd}_{off}"
-        self.body.append(f"{name} = {expr}")
-        self.body.append(f"fregs[{rd}] = {name}")
-        self.fregmap[rd] = name
-        writes.append((FP_REG_BASE + rd, name))
+    def _faults(self, spec, stage: str, names: dict, off: int, pc: int,
+                line: int, indent: str = "") -> None:
+        """Emit the entry's faults checked at ``stage`` as guarded fault
+        exits: the shared ``_fexit`` helper flushes the executed
+        prefix, restores machine state, and builds the ``VMError``
+        with the interpreter's exact message.
 
-    def _fault(self, cond: str, off: int, pc: int, line: int,
-               msg: str) -> None:
-        """Emit a guarded fault exit: the shared ``_fexit`` helper
-        flushes the executed prefix, restores machine state, and builds
-        the ``VMError`` with the interpreter's exact message."""
-        self.uses_fexit = True
-        ents = self.entries  # exactly the ``off`` instructions before us
-        rl = [p[0] for t in ents for p in t[4]]
-        rv = [p[1] for t in ents for p in t[4]]
-        wl = [p[0] for t in ents for p in t[5]]
-        wv = [p[1] for t in ents for p in t[5]]
-        self.body.append(
-            f"if {cond}: raise _fexit({pc}, {off}, {line}, {msg}, "
-            f"{self._tuple(rl)}, {self._tuple(rv)}, "
-            f"{self._tuple(wl)}, {self._tuple(wv)})"
-        )
+        ``Machine.run`` discards the records of a faulting run and
+        counts the retired instructions from the pc column alone, so
+        the guard of a loaded float word (stage ``"v"``) flushes only
+        that column: its exit costs no prefix-sized code to compile.
+        """
+        for cond, msg, *arg in spec.faults_at(stage):
+            self.uses_fexit = True
+            msg = repr(msg) + "".join(f" % {names[x]}" for x in arg)
+            # exactly the ``off`` instructions before us
+            flush = ", ".join(
+                "(" + ", ".join(xs) + ",)" if xs and stage != "v" else "()"
+                for xs in self.prefix)
+            self.body.append(
+                f"{indent}if {substitute(cond, names)}: raise _fexit({pc}, "
+                f"{off}, {line}, {msg}, {flush})"
+            )
+
+    def _retire(self, entry: tuple) -> None:
+        """Append an instruction's entry (see ``entries``)."""
+        self.entries.append(entry)
+        rl, rv, wl, wv = self.prefix
+        for locs, vals, pairs in ((rl, rv, entry[4]), (wl, wv, entry[5])):
+            for loc, val in pairs:
+                locs.append(self._fmt(loc))
+                vals.append(self._fmt(val))
 
     # -- emission -------------------------------------------------------
     @staticmethod
@@ -434,7 +359,9 @@ class _BlockCodegen:
     # -- per-instruction translation ------------------------------------
     def emit(self, inst, pc: int, off: int, follow: bool = False,
              invert: bool = False) -> None:
-        """Translate one instruction at path offset ``off``.
+        """Translate one instruction at path offset ``off`` from its
+        :data:`~repro.isa.table.ISA` entry: register temps and literals
+        are substituted for the entry's operand names.
 
         ``follow`` marks a ``j``/``jal`` folded into the path: it
         emits its trace record (next pc = target) without closing the
@@ -446,209 +373,91 @@ class _BlockCodegen:
         if self.closed:
             raise _Unsupported("unconditional terminator mid-block")
         op = inst.op
-        rd, rs1, rs2, imm = inst.rd, inst.rs1, inst.rs2, inst.imm
-        line = inst.line
+        spec = ISA[op]
+        fmt = spec.operands
+        dfile, sfile, tfile = spec.files
+        mem = spec.is_load or spec.is_store
+        B = self.body.append
         reads: list = []
         writes: list = []
         nxt: int = pc + 1
+        names: dict[str, str] = {}
+        if "i" in fmt:
+            imm = int(inst.imm)
+            names["i"] = _lit(imm)
+            names["n"] = str(imm & 63)  # a shift amount folds here
+        elif "f" in fmt:
+            imm = float(inst.imm)
+            names["i"] = _lit(imm)
 
-        if op in _INT_RR_EXPR:
-            a = self._rread(rs1, off)
-            b = self._rread(rs2, off)
-            reads = [(rs1, a), (rs2, b)]
-            self._rwrite(rd, _INT_RR_EXPR[op](a, b), off, writes)
-        elif op in _INT_RI_EXPR:
-            a = self._rread(rs1, off)
-            reads = [(rs1, a)]
-            self._rwrite(rd, _INT_RI_EXPR[op](a, imm), off, writes)
-        elif op in _BRANCH_SYM:
-            a = self._rread(rs1, off)
-            b = self._rread(rs2, off)
-            reads = [(rs1, a), (rs2, b)]
+        if "s" in fmt or mem:
+            loc, names["a"] = self._read(sfile, inst.rs1, off)
+            reads.append((loc, names["a"]))
+        if mem:
+            ad = names["ad"] = f"ad{off}"
+            if inst.imm:
+                B(f"{ad} = {names['a']} + {_lit(inst.imm)}")
+            else:
+                ad = names["ad"] = names["a"]
+            self._faults(spec, "ad", names, off, pc, inst.line)
+        if "t" in fmt:
+            loc, names["b"] = self._read(tfile, inst.rs2, off)
+            reads.append((loc, names["b"]))
+            names["n"] = f"({names['b']} & 63)"
+        if spec.faults:
+            self._faults(spec, "", names, off, pc, inst.line)
+        if spec.is_load:
+            v = names["v"] = f"v{off}"
+            B(f"{v} = mem_get({ad}, 0)")
+            if dfile == "f":
+                B(f"if {v}.__class__ is not float: {v} = _float({v})")
+            else:
+                B(f"if {v}.__class__ is float:")
+                self._faults(spec, "v", names, off, pc, inst.line, "    ")
+                B(f"    {v} = _int({v})")
+            reads.append((f"{MEM_LOC_BASE} + {ad}", v))
+
+        if spec.cls is OpClass.BRANCH:
             # the record's next pc is the direction the block keeps
             # going; the other side exits with its own prefix flush
+            cond, stay, leave = spec.expr, pc + 1, int(inst.imm)
             if invert:
-                self.entries.append(
-                    (pc, int(op), inst.latency, int(imm), reads, writes)
-                )
-                self._branch_exit(f"{a} {_BRANCH_NEG[op]} {b}", pc + 1)
-            else:
-                self.entries.append(
-                    (pc, int(op), inst.latency, pc + 1, reads, writes)
-                )
-                self._branch_exit(f"{a} {_BRANCH_SYM[op]} {b}", int(imm))
+                cond, stay, leave = _negated(cond), leave, stay
+            self._retire((pc, int(op), inst.latency, stay, reads, writes))
+            self._branch_exit(substitute(cond, names), leave)
             return
-        elif op in _FP_RR_SYM:
-            a = self._fread(rs1, off)
-            b = self._fread(rs2, off)
-            reads = [(FP_REG_BASE + rs1, a), (FP_REG_BASE + rs2, b)]
-            self._fwrite(rd, f"{a} {_FP_RR_SYM[op]} {b}", off, writes)
-        elif op in _FP_CMP_SYM:
-            a = self._fread(rs1, off)
-            b = self._fread(rs2, off)
-            reads = [(FP_REG_BASE + rs1, a), (FP_REG_BASE + rs2, b)]
-            self._rwrite(rd, f"(1 if {a} {_FP_CMP_SYM[op]} {b} else 0)",
-                         off, writes)
-        elif op is Opcode.DIV or op is Opcode.REM:
-            a = self._rread(rs1, off)
-            b = self._rread(rs2, off)
-            reads = [(rs1, a), (rs2, b)]
-            kind = "remainder" if op is Opcode.REM else "division"
-            self._fault(f"{b} == 0", off, pc, line,
-                        f"'integer {kind} by zero'")
-            q = f"q{off}"
-            self.body.append(f"{q} = trunc({a}, {b})")
-            expr = (_wrap(f"{a} - {q} * {b}") if op is Opcode.REM
-                    else _wrap(q))
-            self._rwrite(rd, expr, off, writes)
-        elif op is Opcode.LI:
-            v = int(imm)
-            if rd:
-                self.body.append(f"regs[{rd}] = {_lit(v)}")
-                self.regmap[rd] = _lit(v)
-                writes = [(rd, v)]
-        elif op is Opcode.MOV:
-            a = self._rread(rs1, off)
-            reads = [(rs1, a)]
-            self._rwrite(rd, a, off, writes)
-        elif op is Opcode.LW:
-            base = self._rread(rs1, off)
-            ad = f"ad{off}"
-            if imm:
-                self.body.append(f"{ad} = {base} + {_lit(imm)}")
-            else:
-                ad = base
-            self._fault(f"{ad} < 0", off, pc, line,
-                        f"'negative memory address %d' % {ad}")
-            v = f"v{off}"
-            self.body.append(f"{v} = mem_get({ad}, 0)")
-            self.body.append(f"if {v}.__class__ is float: {v} = _int({v})")
-            reads = [(rs1, base), (f"{MEM_LOC_BASE} + {ad}", v)]
-            self._rwrite(rd, v, off, writes)
-        elif op is Opcode.SW:
-            base = self._rread(rs1, off)
-            ad = f"ad{off}"
-            if imm:
-                self.body.append(f"{ad} = {base} + {_lit(imm)}")
-            else:
-                ad = base
-            self._fault(f"{ad} < 0", off, pc, line,
-                        f"'negative memory address %d' % {ad}")
-            v = self._rread(rs2, off)
-            self.body.append(f"memory[{ad}] = {v}")
-            reads = [(rs1, base), (rs2, v)]
-            writes = [(f"{MEM_LOC_BASE} + {ad}", v)]
-        elif op is Opcode.FLW:
-            base = self._rread(rs1, off)
-            ad = f"ad{off}"
-            if imm:
-                self.body.append(f"{ad} = {base} + {_lit(imm)}")
-            else:
-                ad = base
-            self._fault(f"{ad} < 0", off, pc, line,
-                        f"'negative memory address %d' % {ad}")
-            v = f"v{off}"
-            self.body.append(f"{v} = mem_get({ad}, 0)")
-            self.body.append(
-                f"if {v}.__class__ is not float: {v} = _float({v})"
-            )
-            self.body.append(f"fregs[{rd}] = {v}")
-            self.fregmap[rd] = v
-            reads = [(rs1, base), (f"{MEM_LOC_BASE} + {ad}", v)]
-            writes = [(FP_REG_BASE + rd, v)]
-        elif op is Opcode.FSW:
-            base = self._rread(rs1, off)
-            ad = f"ad{off}"
-            if imm:
-                self.body.append(f"{ad} = {base} + {_lit(imm)}")
-            else:
-                ad = base
-            self._fault(f"{ad} < 0", off, pc, line,
-                        f"'negative memory address %d' % {ad}")
-            v = self._fread(rs2, off)
-            self.body.append(f"memory[{ad}] = {v}")
-            reads = [(rs1, base), (FP_REG_BASE + rs2, v)]
-            writes = [(f"{MEM_LOC_BASE} + {ad}", v)]
-        elif op is Opcode.J:
-            nxt = int(imm)
+        if spec.is_store:
+            value = substitute(spec.expr, names)
+            B(f"memory[{ad}] = {value}")
+            writes.append((f"{MEM_LOC_BASE} + {ad}", value))
+        elif spec.expr in ("i", "link"):  # a constant: written as a literal
+            value = imm if spec.expr == "i" else pc + 1
+            self._write(dfile, inst.rd, _lit(value), writes, value=value)
+        elif spec.is_load and dfile == "f":  # the converted word itself
+            self._write(dfile, inst.rd, v, writes, value=v)
+        elif spec.expr is not None:
+            expr = substitute(spec.expr, names)
+            if spec.wrap:
+                expr = self._wrap(expr)
+            self._write(dfile, inst.rd, expr, writes, off=off)
+
+        if "L" in fmt:  # j / jal
+            nxt = int(inst.imm)
             if not follow:
                 self.closed = True
                 self.final_ret = nxt
-        elif op is Opcode.JAL:
-            link = pc + 1
-            if rd:
-                self.body.append(f"regs[{rd}] = {link}")
-                self.regmap[rd] = str(link)
-                writes = [(rd, link)]
-            nxt = int(imm)
-            if not follow:
-                self.closed = True
-                self.final_ret = nxt
-        elif op is Opcode.JR:
-            a = self._rread(rs1, off)
-            reads = [(rs1, a)]
+        elif spec.cls is OpClass.JUMP:  # jr
             nxt = 0  # placeholder; patched with the dynamic target
             self.closed = True
-            self.final_dyn = a
-        elif op is Opcode.FDIV:
-            a = self._fread(rs1, off)
-            b = self._fread(rs2, off)
-            reads = [(FP_REG_BASE + rs1, a), (FP_REG_BASE + rs2, b)]
-            self._fault(f"{b} == 0.0", off, pc, line,
-                        "'floating division by zero'")
-            self._fwrite(rd, f"{a} / {b}", off, writes)
-        elif op is Opcode.FSQRT:
-            a = self._fread(rs1, off)
-            reads = [(FP_REG_BASE + rs1, a)]
-            self._fault(f"{a} < 0.0", off, pc, line,
-                        "'square root of a negative value'")
-            self._fwrite(rd, f"{a} ** 0.5", off, writes)
-        elif op is Opcode.FNEG:
-            a = self._fread(rs1, off)
-            reads = [(FP_REG_BASE + rs1, a)]
-            self._fwrite(rd, f"-{a}", off, writes)
-        elif op is Opcode.FABS:
-            a = self._fread(rs1, off)
-            reads = [(FP_REG_BASE + rs1, a)]
-            self._fwrite(rd, f"_abs({a})", off, writes)
-        elif op is Opcode.FMOV:
-            a = self._fread(rs1, off)
-            reads = [(FP_REG_BASE + rs1, a)]
-            self._fwrite(rd, a, off, writes)
-        elif op is Opcode.FLI:
-            v = float(imm)
-            lit = _lit(v)
-            self.body.append(f"fregs[{rd}] = {lit}")
-            self.fregmap[rd] = lit
-            writes = [(FP_REG_BASE + rd, v)]
-        elif op is Opcode.CVTIF:
-            a = self._rread(rs1, off)
-            reads = [(rs1, a)]
-            self._fwrite(rd, f"_float({a})", off, writes)
-        elif op is Opcode.CVTFI:
-            a = self._fread(rs1, off)
-            reads = [(FP_REG_BASE + rs1, a)]
-            # computed even for an r0 destination, like the interpreter
-            # (int(inf) raises on both machines)
-            r = f"cv{off}"
-            self.body.append(f"{r} = {_wrap(f'_int({a})')}")
-            if rd:
-                self.body.append(f"regs[{rd}] = {r}")
-                self.regmap[rd] = r
-                writes = [(rd, r)]
-        elif op is Opcode.NOP:
-            pass
+            self.final_dyn = names["a"]
         elif op is Opcode.HALT:
-            self.body.append("m.halted = True")
-            self.body.append(f"m.pc = {pc}")
+            B("m.halted = True")
+            B(f"m.pc = {pc}")
             nxt = pc
             self.closed = True
             self.final_ret = self.n_static  # out-of-range sentinel;
             # the driver breaks on the halted flag and restores m.pc
-        else:
-            raise _Unsupported(op.name)
-
-        self.entries.append((pc, int(op), inst.latency, nxt, reads, writes))
+        self._retire((pc, int(op), inst.latency, nxt, reads, writes))
 
     def source(self, fallthrough: int) -> str:
         """Assemble the factory source after all instructions emitted."""
@@ -728,7 +537,7 @@ def _trace_steps(instrs, path: tuple[int, ...]):
         exit_target = None
         if op is Opcode.J or op is Opcode.JAL:
             follow = off < last and path[off + 1] == int(inst.imm)
-        elif op in _BRANCH_SYM and off < last:
+        elif op in _BRANCHES and off < last:
             nxt = path[off + 1]
             target = int(inst.imm)
             if nxt == target and nxt != pc + 1:
@@ -736,7 +545,7 @@ def _trace_steps(instrs, path: tuple[int, ...]):
                 exit_target = pc + 1
             else:
                 exit_target = target
-        elif op in _BRANCH_SYM:
+        elif op in _BRANCHES:
             exit_target = int(inst.imm)
         yield off, pc, follow, invert, exit_target
 
@@ -752,8 +561,6 @@ def generate_block_source(program: Program, path: tuple[int, ...]) -> str:
     disasm``-style debugging; raises :class:`_Unsupported` when the
     path cannot be compiled.
     """
-    global _wrap_n
-    _wrap_n = 0  # temp names restart per block: same path -> same source
     instrs = program.instructions
     leader = path[0]
     steps = list(_trace_steps(instrs, path))

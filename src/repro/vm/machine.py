@@ -5,7 +5,7 @@ and captures the dynamic instruction stream.  :meth:`Machine.run` is
 tiered:
 
 - **tier 0** runs each static instruction as a closure with its
-  operands and trace columns bound as locals, so cold code costs one
+  operands and trace columns bound as cells, so cold code costs one
   call per dynamic instruction and nothing up front;
 - **tier 1** runs a hot pc's superblock as one compiled function of
   straight-line code (:mod:`repro.vm.fastmachine`).  A head compiles
@@ -13,12 +13,15 @@ tiered:
   :data:`COMPILE_BAR`, the point at which compiling would already
   have paid for itself.
 
-Both tiers write one column layout into columns the machine owns, and
-both are bound to them once per machine; :meth:`Machine.run` drains
-the columns into a :class:`~repro.vm.trace.ColumnarTrace` at its end.
-:meth:`Machine.step` and :meth:`Machine.run_rows` are the
-one-at-a-time interpreter, kept hand-written as the independent oracle
-for both tiers.
+Both tiers are generated from the ISA table (:mod:`repro.isa.table`):
+tier 0 compiles one closure factory per opcode, once per process, and
+tier 1 one fragment per instruction of a block.  Both write one
+column layout into columns the machine owns, and both are bound to
+them once per machine; :meth:`Machine.run` drains the columns into a
+:class:`~repro.vm.trace.ColumnarTrace` at its end.  :meth:`Machine.step`
+and :meth:`Machine.run_rows` are the one-at-a-time interpreter, kept
+hand-written, apart from the table, as the independent oracle for both
+tiers.
 
 Architectural model:
 
@@ -30,20 +33,24 @@ Architectural model:
 
 from __future__ import annotations
 
+import functools
 import gc
+import math
+import re
 import sys
 from array import array
 
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.registers import FP_REG_BASE, MEM_LOC_BASE
+from repro.isa.table import ISA, substitute, wrap64
 from repro.vm.errors import VMError
 from repro.vm.fastmachine import (
-    _BRANCH_SYM,
+    _BRANCHES,
+    _REGFILE,
     _bounds_from_counts,
     _split_pcn,
     _Unsupported,
-    emission_counts,
     form_trace,
     generate_block_source,
     unroll_loop_path,
@@ -72,9 +79,12 @@ def _srl(a: int, b: int) -> int:
     return _wrap64((a & _MASK64) >> _shift_amount(b))
 
 
-#: Semantics of the table-driven opcode groups, shared by the
-#: interactive dispatch (:meth:`Machine.step`) and the trace compiler
-#: (:meth:`Machine.run`).
+#: The fault of ``lw`` of a float word and ``cvtfi`` when the value is
+#: ±inf or nan, which have no integer.
+_NON_FINITE = "integer conversion of a non-finite value"
+
+#: Semantics of the opcode groups :meth:`Machine.step` dispatches
+#: through one handler each; they serve only the oracle.
 _INT_RR_FN = {
     Opcode.ADD: lambda a, b: _wrap64(a + b),
     Opcode.SUB: lambda a, b: _wrap64(a - b),
@@ -172,10 +182,21 @@ class Machine:
         self._wvals: list = []
         #: tier-0 branch profile: executions taken minus not taken
         self._bal = [0] * n
-        cols = (pcn, pcn.extend, rlocs, rlocs.extend, self._rvals.append,
-                wlocs, wlocs.extend, self._wvals.append)
-        self._execs = [_EXEC_BUILDERS[inst.op](self, inst, pc, cols)
-                       for pc, inst in enumerate(instrs)]
+        cols = (self.regs, self.fregs, self.memory, self.memory.get,
+                self._bal, n, pcn, pcn.extend, rlocs, rlocs.extend,
+                self._rvals.append, wlocs, wlocs.extend, self._wvals.append)
+        self._execs = []
+        # per-pc pair counts: both tiers skip the bounds columns, which
+        # the drain rebuilds from these
+        self._rcounts = []
+        self._wcounts = []
+        for pc, inst in enumerate(instrs):
+            factory, nreads, nwrites = _exec_factory(
+                inst.op, inst.rd == 0 and ISA[inst.op].files[0] == "i")
+            self._execs.append(factory(self, pc, inst.rd, inst.rs1, inst.rs2,
+                                       inst.imm, inst.line, *cols))
+            self._rcounts.append(nreads)
+            self._wcounts.append(nwrites)
         self._runtime = (
             self, self.regs, self.fregs, self.memory, self.memory.get,
             pcn, pcn.extend, rlocs, rlocs.extend, self._rvals.extend,
@@ -184,7 +205,6 @@ class Machine:
         )
         self._op_table = [int(inst.op) for inst in instrs]
         self._lat_table = [inst.latency for inst in instrs]
-        self._rcounts, self._wcounts = emission_counts(self.program)
         # tier-0 entries left before a pc is considered for compiling;
         # _promote tops this up once it knows the block's shape
         self._credit = [COMPILE_BAR] * n
@@ -307,7 +327,7 @@ class Machine:
         except _Unsupported:
             self._credit[pc] = _UNBOUNDED  # tier 0 for good
             return
-        ns = {"_array": array}
+        ns = {"_array": array, "inf": math.inf}
         exec(code, ns)
         self._fns[pc] = ns["_factory"](*self._runtime)
         self._paths[pc] = path
@@ -332,7 +352,7 @@ class Machine:
             return
         self._retired[head] = r + 1
         div = self._paths[head][k - 1]
-        if self.program.instructions[div].op in _BRANCH_SYM:
+        if self.program.instructions[div].op in _BRANCHES:
             self._bal[div] += 64 if pc != div + 1 else -64
             self._credit[head] = 0  # re-form on the next entry
         else:
@@ -629,6 +649,8 @@ class Machine:
         addr = self._mem_addr(inst)
         value = self.memory.get(addr, 0)
         if isinstance(value, float):
+            if not math.isfinite(value):
+                raise VMError(_NON_FINITE, pc=self.pc, line=inst.line)
             value = int(value)
         reads = ((inst.rs1, base), (MEM_LOC_BASE + addr, value))
         return reads, self._write_reg(inst.rd, value), self.pc + 1
@@ -722,6 +744,8 @@ class Machine:
 
     def _op_cvtfi(self, inst: Instruction):
         a = self.fregs[inst.rs1]
+        if not math.isfinite(a):
+            raise VMError(_NON_FINITE, pc=self.pc, line=inst.line)
         result = _wrap64(int(a))
         reads = ((FP_REG_BASE + inst.rs1, a),)
         return reads, self._write_reg(inst.rd, result), self.pc + 1
@@ -738,652 +762,157 @@ class Machine:
 # tier 0: one closure per static instruction
 # ----------------------------------------------------------------------
 #
-# Each builder receives ``(machine, inst, pc, cols)`` and returns a
-# zero-argument closure that executes the instruction once: it reads
-# and mutates the machine state bound into its cells, appends the
-# trace record to the machine's columns, and returns the next pc.  The
-# ``cols`` tuple is ``(pcn, pcn.extend, read_locs, read_locs.extend,
-# read_vals.append, write_locs, write_locs.extend, write_vals.append)``.
-# A record is its ``[pc, next_pc]`` pair, extended from a bind-time
-# array, plus its (loc, value) pairs: static locations are extended
-# from bind-time arrays too, and a memory location is patched in by
-# negative index.  Opcode, latency and the bounds columns are rebuilt
-# from per-pc tables when the run drains.
+# Each opcode's closure factory is generated from its ISA-table entry
+# (one per opcode, and one more that drops the result, for an int
+# destination of r0), compiled on first use and kept for the process.
+# ``_bind`` calls it per static instruction with the machine, the pc,
+# the instruction's fields, and ``cols``, the machine's state and
+# trace-column sinks; it binds the operands, the pc/next-pc pair and
+# the static location arrays as cells and returns a zero-argument
+# closure that executes the instruction once: it reads and mutates the
+# machine state, appends the trace record to the machine's columns,
+# and returns the next pc.  A record is its ``[pc, next_pc]`` pair,
+# extended from a bind-time array, plus its (loc, value) pairs: static
+# locations are extended from bind-time arrays too, and a memory
+# location is patched in by negative index.  Opcode, latency and the
+# bounds columns are rebuilt from per-pc tables when the run drains.
 #
 # The closures must stay observationally identical to the ``step()``
 # handlers — same records, same state mutations, same errors — which
-# the differential tests assert over every workload.
+# the differential tests assert over every workload and the golden ISA
+# test over every opcode.
 
-def _pair(a: int, b: int) -> array:
-    return array("i", (a, b))
-
-
-def _locs(*locs: int) -> array:
-    return array("q", locs)
+_NAME = re.compile(r"(?<![.\w])[A-Za-z_]\w*")
+_STRING = re.compile(r"'[^']*'")
 
 
-def _mk_int_rr(fn):
-    def build(m, inst, pc, cols):
-        PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-        regs = m.regs
-        rd = inst.rd
-        rs1 = inst.rs1
-        rs2 = inst.rs2
-        npc = pc + 1
-        pn = _pair(pc, npc)
-        rl = _locs(rs1, rs2)
-        wl = _locs(rd)
-        if rd:
-            def ex():
-                a = regs[rs1]
-                b = regs[rs2]
-                r = fn(a, b)
-                regs[rd] = r
-                PX(pn)
-                RLX(rl)
-                RV(a)
-                RV(b)
-                WLX(wl)
-                WV(r)
-                return npc
+def _reg(file: str, field: str) -> tuple[str, str]:
+    """A register operand's list and location, as source text."""
+    regs, base, _, _ = _REGFILE[file]
+    return regs, f"{base} + {field}" if base else field
+
+
+def _raises(faults) -> list[str]:
+    """Tier-0 lines raising each of ``faults`` when its condition holds."""
+    out = []
+    for cond, msg, *arg in faults:
+        msg = repr(msg) + "".join(f" % {x}" for x in arg)
+        out += [f"if {cond}:", "    m.pc = pc",
+                f"    raise VMError({msg}, pc=pc, line=line)"]
+    return out
+
+
+def _exec_source(op: Opcode, r0: bool) -> tuple[str, int, int]:
+    """Source of the tier-0 closure factory of ``op`` (``r0`` drops the
+    result, for an int destination of r0), and the number of read and
+    write pairs its record holds."""
+    spec = ISA[op]
+    fmt = spec.operands
+    dfile, sfile, tfile = spec.files
+    mem = spec.is_load or spec.is_store
+    body: list[str] = []
+    rvals, rlocs, wvals, wlocs = [], [], [], []
+    if "s" in fmt or mem:
+        regs, loc = _reg(sfile, "rs1")
+        body.append(f"a = {regs}[rs1]")
+        rvals.append("a")
+        rlocs.append(loc)
+    if "t" in fmt:
+        regs, loc = _reg(tfile, "rs2")
+        body.append(f"b = {regs}[rs2]")
+        rvals.append("b")
+        rlocs.append(loc)
+    if mem:
+        body.append("ad = a + i")
+    body += _raises(spec.faults_at("ad") + spec.faults_at(""))
+    if spec.is_load:
+        body.append("v = mem_get(ad, 0)")
+        if dfile == "f":
+            body.append("if v.__class__ is not float: v = _float(v)")
         else:
-            def ex():  # r0 destination: the write is discarded
-                a = regs[rs1]
-                b = regs[rs2]
-                fn(a, b)
-                PX(pn)
-                RLX(rl)
-                RV(a)
-                RV(b)
-                return npc
-        return ex
-    return build
-
-
-def _mk_int_ri(fn):
-    def build(m, inst, pc, cols):
-        PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-        regs = m.regs
-        rd = inst.rd
-        rs1 = inst.rs1
-        imm = inst.imm
-        npc = pc + 1
-        pn = _pair(pc, npc)
-        rl = _locs(rs1)
-        wl = _locs(rd)
-        if rd:
-            def ex():
-                a = regs[rs1]
-                r = fn(a, imm)
-                regs[rd] = r
-                PX(pn)
-                RLX(rl)
-                RV(a)
-                WLX(wl)
-                WV(r)
-                return npc
-        else:
-            def ex():
-                a = regs[rs1]
-                fn(a, imm)
-                PX(pn)
-                RLX(rl)
-                RV(a)
-                return npc
-        return ex
-    return build
-
-
-def _mk_branch(fn):
-    def build(m, inst, pc, cols):
-        PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-        regs = m.regs
-        bal = m._bal
-        rs1 = inst.rs1
-        rs2 = inst.rs2
-        target = inst.imm
-        npc = pc + 1
-        taken = _pair(pc, target)
-        fall = _pair(pc, npc)
-        rl = _locs(rs1, rs2)
-
-        def ex():
-            a = regs[rs1]
-            b = regs[rs2]
-            RLX(rl)
-            RV(a)
-            RV(b)
-            if fn(a, b):
-                bal[pc] += 1
-                PX(taken)
-                return target
-            bal[pc] -= 1
-            PX(fall)
-            return npc
-        return ex
-    return build
-
-
-def _mk_fp_rr(fn):
-    def build(m, inst, pc, cols):
-        PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-        fregs = m.fregs
-        rd = inst.rd
-        rs1 = inst.rs1
-        rs2 = inst.rs2
-        npc = pc + 1
-        pn = _pair(pc, npc)
-        rl = _locs(FP_REG_BASE + rs1, FP_REG_BASE + rs2)
-        wl = _locs(FP_REG_BASE + rd)
-
-        def ex():
-            a = fregs[rs1]
-            b = fregs[rs2]
-            r = fn(a, b)
-            fregs[rd] = r
-            PX(pn)
-            RLX(rl)
-            RV(a)
-            RV(b)
-            WLX(wl)
-            WV(r)
-            return npc
-        return ex
-    return build
-
-
-def _mk_fp_cmp(fn):
-    def build(m, inst, pc, cols):
-        PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-        regs = m.regs
-        fregs = m.fregs
-        rd = inst.rd
-        rs1 = inst.rs1
-        rs2 = inst.rs2
-        npc = pc + 1
-        pn = _pair(pc, npc)
-        rl = _locs(FP_REG_BASE + rs1, FP_REG_BASE + rs2)
-        wl = _locs(rd)
-
-        def ex():
-            a = fregs[rs1]
-            b = fregs[rs2]
-            r = fn(a, b)
-            PX(pn)
-            RLX(rl)
-            RV(a)
-            RV(b)
-            if rd:
-                regs[rd] = r
-                WLX(wl)
-                WV(r)
-            return npc
-        return ex
-    return build
-
-
-def _build_div(m, inst, pc, cols):
-    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-    regs = m.regs
-    rd = inst.rd
-    rs1 = inst.rs1
-    rs2 = inst.rs2
-    line = inst.line
-    npc = pc + 1
-    trunc = Machine._trunc_div
-    rem = inst.op is Opcode.REM
-    pn = _pair(pc, npc)
-    rl = _locs(rs1, rs2)
-    wl = _locs(rd)
-
-    def ex():
-        a = regs[rs1]
-        b = regs[rs2]
-        if b == 0:
-            m.pc = pc
-            kind = "remainder" if rem else "division"
-            raise VMError(f"integer {kind} by zero", pc=pc, line=line)
-        q = trunc(a, b)
-        r = _wrap64(a - q * b) if rem else _wrap64(q)
-        PX(pn)
-        RLX(rl)
-        RV(a)
-        RV(b)
-        if rd:
-            regs[rd] = r
-            WLX(wl)
-            WV(r)
-        return npc
-    return ex
-
-
-def _build_li(m, inst, pc, cols):
-    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-    regs = m.regs
-    rd = inst.rd
-    value = int(inst.imm)
-    npc = pc + 1
-    pn = _pair(pc, npc)
-    wl = _locs(rd)
-
-    def ex():
-        PX(pn)
-        if rd:
-            regs[rd] = value
-            WLX(wl)
-            WV(value)
-        return npc
-    return ex
-
-
-def _build_mov(m, inst, pc, cols):
-    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-    regs = m.regs
-    rd = inst.rd
-    rs1 = inst.rs1
-    npc = pc + 1
-    pn = _pair(pc, npc)
-    rl = _locs(rs1)
-    wl = _locs(rd)
-
-    def ex():
-        a = regs[rs1]
-        PX(pn)
-        RLX(rl)
-        RV(a)
-        if rd:
-            regs[rd] = a
-            WLX(wl)
-            WV(a)
-        return npc
-    return ex
-
-
-def _build_lw(m, inst, pc, cols):
-    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-    regs = m.regs
-    mem_get = m.memory.get
-    rd = inst.rd
-    rs1 = inst.rs1
-    imm = inst.imm
-    line = inst.line
-    npc = pc + 1
-    pn = _pair(pc, npc)
-    rl = _locs(rs1, 0)
-    wl = _locs(rd)
-
-    def ex():
-        base = regs[rs1]
-        addr = base + imm
-        if addr < 0:
-            m.pc = pc
-            raise VMError(f"negative memory address {addr}", pc=pc, line=line)
-        v = mem_get(addr, 0)
-        if isinstance(v, float):
-            v = int(v)
-        PX(pn)
-        RLX(rl)
-        RL[-1] = MEM_LOC_BASE + addr
-        RV(base)
-        RV(v)
-        if rd:
-            regs[rd] = v
-            WLX(wl)
-            WV(v)
-        return npc
-    return ex
-
-
-def _build_sw(m, inst, pc, cols):
-    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-    regs = m.regs
-    memory = m.memory
-    rs1 = inst.rs1
-    rs2 = inst.rs2
-    imm = inst.imm
-    line = inst.line
-    npc = pc + 1
-    pn = _pair(pc, npc)
-    rl = _locs(rs1, rs2)
-    wl = _locs(0)
-
-    def ex():
-        base = regs[rs1]
-        addr = base + imm
-        if addr < 0:
-            m.pc = pc
-            raise VMError(f"negative memory address {addr}", pc=pc, line=line)
-        v = regs[rs2]
-        memory[addr] = v
-        PX(pn)
-        RLX(rl)
-        RV(base)
-        RV(v)
-        WLX(wl)
-        WL[-1] = MEM_LOC_BASE + addr
-        WV(v)
-        return npc
-    return ex
-
-
-def _build_flw(m, inst, pc, cols):
-    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-    regs = m.regs
-    fregs = m.fregs
-    mem_get = m.memory.get
-    rd = inst.rd
-    rs1 = inst.rs1
-    imm = inst.imm
-    line = inst.line
-    npc = pc + 1
-    pn = _pair(pc, npc)
-    rl = _locs(rs1, 0)
-    wl = _locs(FP_REG_BASE + rd)
-
-    def ex():
-        base = regs[rs1]
-        addr = base + imm
-        if addr < 0:
-            m.pc = pc
-            raise VMError(f"negative memory address {addr}", pc=pc, line=line)
-        v = float(mem_get(addr, 0))
-        fregs[rd] = v
-        PX(pn)
-        RLX(rl)
-        RL[-1] = MEM_LOC_BASE + addr
-        RV(base)
-        RV(v)
-        WLX(wl)
-        WV(v)
-        return npc
-    return ex
-
-
-def _build_fsw(m, inst, pc, cols):
-    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-    regs = m.regs
-    fregs = m.fregs
-    memory = m.memory
-    rs1 = inst.rs1
-    rs2 = inst.rs2
-    imm = inst.imm
-    line = inst.line
-    npc = pc + 1
-    pn = _pair(pc, npc)
-    rl = _locs(rs1, FP_REG_BASE + rs2)
-    wl = _locs(0)
-
-    def ex():
-        base = regs[rs1]
-        addr = base + imm
-        if addr < 0:
-            m.pc = pc
-            raise VMError(f"negative memory address {addr}", pc=pc, line=line)
-        v = fregs[rs2]
-        memory[addr] = v
-        PX(pn)
-        RLX(rl)
-        RV(base)
-        RV(v)
-        WLX(wl)
-        WL[-1] = MEM_LOC_BASE + addr
-        WV(v)
-        return npc
-    return ex
-
-
-def _build_j(m, inst, pc, cols):
-    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-    target = int(inst.imm)
-    pn = _pair(pc, target)
-
-    def ex():
-        PX(pn)
-        return target
-    return ex
-
-
-def _build_jal(m, inst, pc, cols):
-    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-    regs = m.regs
-    rd = inst.rd
-    target = int(inst.imm)
-    link = pc + 1
-    pn = _pair(pc, target)
-    wl = _locs(rd)
-
-    def ex():
-        PX(pn)
-        if rd:
-            regs[rd] = link
-            WLX(wl)
-            WV(link)
-        return target
-    return ex
-
-
-def _build_jr(m, inst, pc, cols):
-    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-    regs = m.regs
-    rs1 = inst.rs1
-    pn = _pair(pc, 0)
-    rl = _locs(rs1)
-
-    def ex():
-        a = regs[rs1]
-        PX(pn)
-        PCN[-1] = a
-        RLX(rl)
-        RV(a)
-        return a
-    return ex
-
-
-def _build_fdiv(m, inst, pc, cols):
-    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-    fregs = m.fregs
-    rd = inst.rd
-    rs1 = inst.rs1
-    rs2 = inst.rs2
-    line = inst.line
-    npc = pc + 1
-    pn = _pair(pc, npc)
-    rl = _locs(FP_REG_BASE + rs1, FP_REG_BASE + rs2)
-    wl = _locs(FP_REG_BASE + rd)
-
-    def ex():
-        a = fregs[rs1]
-        b = fregs[rs2]
-        if b == 0.0:
-            m.pc = pc
-            raise VMError("floating division by zero", pc=pc, line=line)
-        r = a / b
-        fregs[rd] = r
-        PX(pn)
-        RLX(rl)
-        RV(a)
-        RV(b)
-        WLX(wl)
-        WV(r)
-        return npc
-    return ex
-
-
-def _build_fsqrt(m, inst, pc, cols):
-    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-    fregs = m.fregs
-    rd = inst.rd
-    rs1 = inst.rs1
-    line = inst.line
-    npc = pc + 1
-    pn = _pair(pc, npc)
-    rl = _locs(FP_REG_BASE + rs1)
-    wl = _locs(FP_REG_BASE + rd)
-
-    def ex():
-        a = fregs[rs1]
-        if a < 0.0:
-            m.pc = pc
-            raise VMError("square root of a negative value", pc=pc, line=line)
-        r = a ** 0.5
-        fregs[rd] = r
-        PX(pn)
-        RLX(rl)
-        RV(a)
-        WLX(wl)
-        WV(r)
-        return npc
-    return ex
-
-
-def _mk_fp_unary(fn):
-    def build(m, inst, pc, cols):
-        PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-        fregs = m.fregs
-        rd = inst.rd
-        rs1 = inst.rs1
-        npc = pc + 1
-        pn = _pair(pc, npc)
-        rl = _locs(FP_REG_BASE + rs1)
-        wl = _locs(FP_REG_BASE + rd)
-
-        def ex():
-            a = fregs[rs1]
-            r = fn(a)
-            fregs[rd] = r
-            PX(pn)
-            RLX(rl)
-            RV(a)
-            WLX(wl)
-            WV(r)
-            return npc
-        return ex
-    return build
-
-
-def _build_fli(m, inst, pc, cols):
-    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-    fregs = m.fregs
-    rd = inst.rd
-    value = float(inst.imm)
-    npc = pc + 1
-    pn = _pair(pc, npc)
-    wl = _locs(FP_REG_BASE + rd)
-
-    def ex():
-        fregs[rd] = value
-        PX(pn)
-        WLX(wl)
-        WV(value)
-        return npc
-    return ex
-
-
-def _build_cvtif(m, inst, pc, cols):
-    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-    regs = m.regs
-    fregs = m.fregs
-    rd = inst.rd
-    rs1 = inst.rs1
-    npc = pc + 1
-    pn = _pair(pc, npc)
-    rl = _locs(rs1)
-    wl = _locs(FP_REG_BASE + rd)
-
-    def ex():
-        a = regs[rs1]
-        r = float(a)
-        fregs[rd] = r
-        PX(pn)
-        RLX(rl)
-        RV(a)
-        WLX(wl)
-        WV(r)
-        return npc
-    return ex
-
-
-def _build_cvtfi(m, inst, pc, cols):
-    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-    regs = m.regs
-    fregs = m.fregs
-    rd = inst.rd
-    rs1 = inst.rs1
-    npc = pc + 1
-    pn = _pair(pc, npc)
-    rl = _locs(FP_REG_BASE + rs1)
-    wl = _locs(rd)
-
-    def ex():
-        a = fregs[rs1]
-        r = _wrap64(int(a))
-        PX(pn)
-        RLX(rl)
-        RV(a)
-        if rd:
-            regs[rd] = r
-            WLX(wl)
-            WV(r)
-        return npc
-    return ex
-
-
-def _build_nop(m, inst, pc, cols):
-    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-    npc = pc + 1
-    pn = _pair(pc, npc)
-
-    def ex():
-        PX(pn)
-        return npc
-    return ex
-
-
-def _build_halt(m, inst, pc, cols):
-    PCN, PX, RL, RLX, RV, WL, WLX, WV = cols
-    pn = _pair(pc, pc)
-    stop = len(m.program.instructions)  # out of range: the run loop stops
-
-    def ex():
-        m.halted = True
-        m.pc = pc
-        PX(pn)
-        return stop
-    return ex
-
-
-_EXEC_BUILDERS: dict[Opcode, object] = {}
-for _op, _fn in _INT_RR_FN.items():
-    _EXEC_BUILDERS[_op] = _mk_int_rr(_fn)
-for _op, _fn in _INT_RI_FN.items():
-    _EXEC_BUILDERS[_op] = _mk_int_ri(_fn)
-for _op, _fn in _BRANCH_FN.items():
-    _EXEC_BUILDERS[_op] = _mk_branch(_fn)
-for _op, _fn in _FP_RR_FN.items():
-    _EXEC_BUILDERS[_op] = _mk_fp_rr(_fn)
-for _op, _fn in _FP_CMP_FN.items():
-    _EXEC_BUILDERS[_op] = _mk_fp_cmp(_fn)
-_EXEC_BUILDERS[Opcode.DIV] = _build_div
-_EXEC_BUILDERS[Opcode.REM] = _build_div
-_EXEC_BUILDERS[Opcode.LI] = _build_li
-_EXEC_BUILDERS[Opcode.MOV] = _build_mov
-_EXEC_BUILDERS[Opcode.LW] = _build_lw
-_EXEC_BUILDERS[Opcode.SW] = _build_sw
-_EXEC_BUILDERS[Opcode.FLW] = _build_flw
-_EXEC_BUILDERS[Opcode.FSW] = _build_fsw
-_EXEC_BUILDERS[Opcode.J] = _build_j
-_EXEC_BUILDERS[Opcode.JAL] = _build_jal
-_EXEC_BUILDERS[Opcode.JR] = _build_jr
-_EXEC_BUILDERS[Opcode.FDIV] = _build_fdiv
-_EXEC_BUILDERS[Opcode.FSQRT] = _build_fsqrt
-_EXEC_BUILDERS[Opcode.FNEG] = _mk_fp_unary(lambda a: -a)
-_EXEC_BUILDERS[Opcode.FABS] = _mk_fp_unary(abs)
-_EXEC_BUILDERS[Opcode.FMOV] = _mk_fp_unary(lambda a: a)
-_EXEC_BUILDERS[Opcode.FLI] = _build_fli
-_EXEC_BUILDERS[Opcode.CVTIF] = _build_cvtif
-_EXEC_BUILDERS[Opcode.CVTFI] = _build_cvtfi
-_EXEC_BUILDERS[Opcode.NOP] = _build_nop
-_EXEC_BUILDERS[Opcode.HALT] = _build_halt
+            body += ["if v.__class__ is float:",
+                     *("    " + x for x in _raises(spec.faults_at("v"))),
+                     "    v = _int(v)"]
+        rvals.append("v")
+        rlocs.append("0")
+    if spec.is_store:
+        body.append(f"memory[ad] = {spec.expr}")
+        wvals.append(spec.expr)
+        wlocs.append("0")
+    elif "d" in fmt and not r0:
+        expr = substitute(spec.expr, {"n": "(b & 63)" if "t" in fmt
+                                      else "(i & 63)", "link": "npc"})
+        regs, loc = _reg(dfile, "rd")
+        body.append(f"{regs}[rd] = r = "
+                    f"{wrap64(expr, 't') if spec.wrap else expr}")
+        wvals.append("r")
+        wlocs.append(loc)
+    record = []
+    if rvals:
+        record.append("RLX(rl)")
+        if spec.is_load:
+            record.append(f"RL[-1] = {MEM_LOC_BASE} + ad")
+        record += [f"RV({x})" for x in rvals]
+    if wvals:
+        record.append("WLX(wl)")
+        if spec.is_store:
+            record.append(f"WL[-1] = {MEM_LOC_BASE} + ad")
+        record += [f"WV({x})" for x in wvals]
+
+    if spec.cls is OpClass.BRANCH:
+        body += [*record, f"if {spec.expr}:", "    bal[pc] += 1",
+                 "    PX(jump)", "    return i",
+                 "bal[pc] -= 1", "PX(fall)", "return npc"]
+    elif op is Opcode.HALT:
+        body += ["m.halted = True", "m.pc = pc", "PX(stay)", "return stop"]
+    elif "L" in fmt:  # j / jal
+        body += ["PX(jump)", *record, "return i"]
+    elif spec.cls is OpClass.JUMP:  # jr
+        body += ["PX(dyn)", "PCN[-1] = a", *record, "return a"]
+    else:
+        body += ["PX(fall)", *record, "return npc"]
+
+    # bind-time locals, each kept only if the closure or a kept local
+    # after it uses it (``i`` is also a branch or jump target); the
+    # [pc, next_pc] pairs are fall through, jump or take the branch, a
+    # jr's dynamic target (patched in), and halt
+    prelude = [
+        ("i", f"{'_float' if 'f' in fmt else '_int'}(imm)"),
+        ("npc", "pc + 1"),
+        ("fall", "_A('i', (pc, npc))"), ("jump", "_A('i', (pc, i))"),
+        ("dyn", "_A('i', (pc, 0))"), ("stay", "_A('i', (pc, pc))"),
+        ("rl", f"_A('q', ({', '.join(rlocs)},))"),
+        ("wl", f"_A('q', ({', '.join(wlocs)},))"),
+    ]
+    used = _names("\n".join(body))
+    kept = []
+    for name, src in reversed(prelude):
+        if name in used:
+            kept.insert(0, f"    {name} = {src}")
+            used |= _names(src)
+    source = "".join([
+        "def _factory(m, pc, rd, rs1, rs2, imm, line, regs, fregs, memory, "
+        "mem_get, bal, stop, PCN, PX, RL, RLX, RV, WL, WLX, WV):\n",
+        *(x + "\n" for x in kept),
+        "    def ex():\n", *(f"        {x}\n" for x in body),
+        "    return ex\n"])
+    return source, len(rvals), len(wvals)
+
+
+def _names(code: str) -> set[str]:
+    """The names ``code`` loads, leaving out attributes and strings."""
+    return set(_NAME.findall(_STRING.sub("", code)))
+
+
+@functools.cache
+def _exec_factory(op: Opcode, r0: bool) -> tuple:
+    """The compiled tier-0 closure factory of ``op`` (see above), and
+    its record's read and write pair counts."""
+    source, nreads, nwrites = _exec_source(op, r0)
+    ns = {"_A": array, "VMError": VMError, "trunc": Machine._trunc_div,
+          "inf": math.inf, "_int": int, "_float": float, "_abs": abs}
+    exec(compile(source, f"<tier 0 {op.name.lower()}>", "exec"), ns)
+    return ns["_factory"], nreads, nwrites
 
 
 def run_source(source: str, *, name: str = "<anonymous>",

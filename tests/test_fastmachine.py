@@ -242,6 +242,65 @@ class TestEdgeCases:
             "halt\n"
         )
 
+    def test_lw_of_non_finite_word_faults(self):
+        # ±inf has no integer: the load raises the interpreter's VMError,
+        # with the store before it retired (nan is a golden ISA case:
+        # two nans never compare equal in the state check)
+        differential_asm(
+            "li r3, 7\n"
+            "fli f1, 1e308\n"
+            "fmul f2, f1, f1\n"
+            "fsw f2, 100(r0)\n"
+            "lw r1, 100(r0)\n"
+            "halt\n"
+        )
+        differential_asm(
+            "fli f1, 1e308\n"
+            "fli f4, -1e308\n"
+            "fmul f2, f1, f4\n"
+            "fsw f2, 100(r0)\n"
+            "lw r0, 100(r0)\n"
+            "halt\n"
+        )
+
+    def test_lw_of_non_finite_word_faults_in_hot_loop(self):
+        # the word grows 10% per iteration until it overflows after
+        # ~7450, inside a compiled block in the first-entry and
+        # production arms
+        differential_asm(
+            "fli f1, 1.0\n"
+            "fli f2, 1.1\n"
+            "loop: fmul f1, f1, f2\n"
+            "fsw f1, 100(r0)\n"
+            "lw r1, 100(r0)\n"
+            "addi r4, r4, 1\n"
+            "j loop\n"
+        )
+
+    def test_cvtfi_of_non_finite_faults(self):
+        differential_asm(
+            "li r3, 7\n"
+            "fli f1, 1e308\n"
+            "fmul f2, f1, f1\n"
+            "cvtfi r1, f2\n"
+            "halt\n"
+        )
+        differential_asm(
+            "fli f1, 1e308\n"
+            "fli f4, -1e308\n"
+            "fmul f2, f1, f4\n"
+            "cvtfi r0, f2\n"
+            "halt\n"
+        )
+        differential_asm(
+            "fli f1, 1.0\n"
+            "fli f2, 1.1\n"
+            "loop: fmul f1, f1, f2\n"
+            "cvtfi r1, f1\n"
+            "addi r4, r4, 1\n"
+            "j loop\n"
+        )
+
     def test_halt_inside_hot_region(self):
         differential_asm(
             "li r1, 0\n"
