@@ -37,11 +37,11 @@ Commands
     view, and torn (partially written) lines are reported instead of
     silently dropped.  See :mod:`repro.obs`.
 ``sweep``
-    Run a sweep through the sharded service: enqueue kernel × config
-    shards, spawn N worker processes over the shared cache, and print
-    the per-kernel outcome — bit-identical results to ``figures``'s
-    in-process ``collect_profiles``.  ``--enqueue-only`` just loads
-    the queue (workers started separately drain it).
+    Profile every kernel (``collect_profiles``, as ``figures`` does)
+    with ``--workers N`` worker processes draining the shard queue
+    over the shared cache, and print the per-kernel outcome.
+    ``--enqueue-only`` just loads the queue (workers started
+    separately drain it).
 ``worker``
     One worker shard: claim/lease/complete loop over the persistent
     queue, stealing stale leases from crashed workers.  Normally
@@ -460,23 +460,23 @@ def _print_sweep_outcome(run) -> None:
             for p in run]
     rows += [[f.name, "FAILED", f"{f.kind}: {f.message}"] for f in run.failures]
     print(format_table(["kernel", "status", "detail"], rows,
-                       title="Service sweep"))
+                       title="Sweep"))
     if run.manifest_path is not None:
         print(f"run manifest: {run.manifest_path}", file=sys.stderr)
 
 
 def _cmd_sweep(args) -> int:
-    from repro.exp.service import ShardQueue, enqueue_sweep, run_service_sweep
+    from repro.exp.service import ShardQueue, enqueue_sweep
 
-    config = ExperimentConfig(max_instructions=args.budget)
+    config = ExperimentConfig(max_instructions=args.budget,
+                              max_workers=args.workers)
     if args.enqueue_only:
         plan = enqueue_sweep(config)
         queue = ShardQueue()
         print(f"enqueued {len(plan.enqueued)} shard(s), "
               f"{len(plan.resumed)} already cached; queue: {queue.counts()}")
         return 0
-    run = run_service_sweep(config, workers=args.workers,
-                            lease_ttl=args.lease_ttl)
+    run = collect_profiles(config)
     _print_sweep_outcome(run)
     return 0 if run.ok else 1
 
@@ -648,7 +648,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also run the (slow) finite-RTM grid")
     p_fig.add_argument("--fig9-budget", type=int, default=8_000)
     p_fig.add_argument("--no-cache", action="store_true",
-                       help="bypass the persistent trace/profile cache")
+                       help="bypass the persistent trace/profile cache "
+                       "(the kernels then run one after another in this "
+                       "process: worker processes return profiles "
+                       "through the cache)")
 
     p_rtm = sub.add_parser("rtm", help="finite-RTM design sweep")
     p_rtm.add_argument("workload")
@@ -687,18 +690,15 @@ def build_parser() -> argparse.ArgumentParser:
                        "defaults to the most recent run")
 
     p_sw = sub.add_parser(
-        "sweep", help="run a sweep through the sharded service",
+        "sweep", help="profile every kernel through the shard queue",
     )
     p_sw.add_argument("--budget", type=int, default=20_000)
     p_sw.add_argument("--workers", type=int, default=None,
                       help="worker processes to spawn (default: one per "
-                      "core; 0 = drain inline in this process)")
+                      "core; 0 or 1 = run in this process)")
     p_sw.add_argument("--enqueue-only", action="store_true",
                       help="load the queue and exit; separately started "
                       "workers drain it")
-    p_sw.add_argument("--lease-ttl", type=float, default=600.0,
-                      help="seconds before a live worker's lease may be "
-                      "stolen (dead workers are stolen from immediately)")
 
     p_wk = sub.add_parser(
         "worker", help="run one shard worker over the persistent queue",

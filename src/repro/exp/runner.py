@@ -10,21 +10,23 @@ original per-scenario pipeline (row-layout trace, one
 ``DataflowModel.analyze`` per scenario) as the independent oracle for
 differential tests and as the slow baseline for the engine benchmark.
 
-``collect_profiles`` fans the 14 kernels out over a process pool
-(each worker regenerates its own trace — cheaper than shipping
-multi-megabyte streams through pickles, per the owner-computes rule).
+``collect_profiles`` runs the 14 kernels either in this process or,
+with several workers and the cache on, as shards of the persistent
+queue in :mod:`repro.exp.service` drained by ``repro worker``
+processes (each regenerates its own trace and hands its profile back
+through the cache, per the owner-computes rule).
 
-The fan-out is *fault tolerant and observable*: every run appends a
+The sweep is *fault tolerant and observable*: every run appends a
 JSONL manifest under ``<cache_dir>/runs/`` (see
 :mod:`repro.obs.manifest`), a kernel that fails — raises, hangs past
 ``config.task_timeout``, or takes its worker process down — is
 retried with backoff up to ``config.task_retries`` extra attempts and
-then *recorded* as a failure instead of killing the sweep, and a
-broken process pool degrades to sequential execution in the parent.
-Completed profiles land in the persistent cache as they finish, so an
-interrupted sweep is checkpointed for free: the next invocation
-resumes from the cache and recomputes only the failed/missing
-kernels, bit-identical to an uninterrupted run.
+then *recorded* as a failure instead of killing the sweep, and once
+every worker has exited the shards they left behind are drained in
+the parent.  Completed profiles land in the persistent cache as they
+finish, so an interrupted sweep is checkpointed for free: the next
+invocation resumes from the cache and recomputes only the
+failed/missing kernels, bit-identical to an uninterrupted run.
 
 ``REPRO_FAULT_INJECT="li=crash,gcc=raise"`` (testing/CI only) makes
 the named kernels fail on purpose: ``crash`` kills the worker process
@@ -33,11 +35,8 @@ the named kernels fail on purpose: ``crash`` kills the worker process
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -321,11 +320,10 @@ def _maybe_inject_fault(name: str) -> None:
     """Honour ``REPRO_FAULT_INJECT`` (testing/CI fault injection).
 
     ``crash`` terminates the worker process abruptly — but only when
-    actually running inside a worker (a process-pool child, or a
-    service worker shard, which marks itself with
-    ``REPRO_SERVICE_WORKER``); in the parent (e.g. during the
-    sequential fallback) it degrades to an exception so the injection
-    can never take the whole run down.
+    actually running inside a ``repro worker`` process, which marks
+    itself with ``REPRO_SERVICE_WORKER``; in the parent (e.g. during
+    the inline drain) it degrades to an exception so the injection can
+    never take the whole run down.
     """
     spec = os.environ.get(FAULT_ENV)
     if not spec:
@@ -335,28 +333,12 @@ def _maybe_inject_fault(name: str) -> None:
         if kernel.strip() != name:
             continue
         mode = mode.strip() or "raise"
-        in_worker = (
-            multiprocessing.parent_process() is not None
-            or os.environ.get("REPRO_SERVICE_WORKER") == "1"
-        )
-        if mode == "crash" and in_worker:
+        if mode == "crash" and os.environ.get("REPRO_SERVICE_WORKER") == "1":
             os._exit(3)
         if mode.startswith("sleep"):
             time.sleep(float(mode[len("sleep"):] or "3600"))
             return
         raise RuntimeError(f"injected fault for kernel {name!r} ({mode})")
-
-
-def _profile_task(
-    args: tuple[str, ExperimentConfig]
-) -> tuple[str, BenchmarkProfile, dict]:
-    """Worker body: one kernel, telemetry captured in its own scope."""
-    name, config = args
-    with obs.scope() as registry:
-        _maybe_inject_fault(name)
-        profile = run_profile(name, config)
-        snapshot = registry.snapshot()
-    return name, profile, snapshot
 
 
 class _Collector:
@@ -419,9 +401,9 @@ class _Collector:
 def _run_sequential(collector: _Collector, names: list[str]) -> None:
     """Profile ``names`` in-process, with the same retry policy.
 
-    Used for single-worker configs and as the degraded mode after a
-    process-pool crash.  ``task_timeout`` cannot preempt in-process
-    work, so it is not enforced here.
+    Used for single-worker and cache-off sweeps and inside each queue
+    shard.  ``task_timeout`` cannot preempt in-process work, so it is
+    not enforced here.
     """
     config = collector.config
     for name in names:
@@ -431,112 +413,16 @@ def _run_sequential(collector: _Collector, names: list[str]) -> None:
             collector.start_attempt(name)
             t0 = time.monotonic()
             try:
-                _, profile, snapshot = _profile_task((name, config))
+                # each attempt's telemetry is captured in its own scope
+                with obs.scope() as registry:
+                    _maybe_inject_fault(name)
+                    profile = run_profile(name, config)
+                    snapshot = registry.snapshot()
             except Exception as exc:
                 collector.errored(name, type(exc).__name__, str(exc))
                 continue
             collector.succeeded(name, profile, time.monotonic() - t0,
                                 snapshot)
-
-
-def _run_pool(collector: _Collector, names: list[str], workers: int) -> None:
-    """Fan ``names`` out over a spawn-context process pool.
-
-    Per-task timeouts are measured from submission; a timed-out or
-    crashed attempt is retried (with backoff) like any other failure.
-    A broken pool falls back to :func:`_run_sequential` for everything
-    not yet completed.
-    """
-    config = collector.config
-    context = multiprocessing.get_context("spawn")
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-    in_flight: dict = {}
-    abandoned = False
-    pool_broken = False
-
-    def submit(name: str) -> bool:
-        nonlocal pool_broken
-        collector.start_attempt(name)
-        try:
-            future = pool.submit(_profile_task, (name, config))
-        except BrokenProcessPool:
-            pool_broken = True
-            return False
-        in_flight[future] = (name, time.monotonic())
-        return True
-
-    try:
-        for name in names:
-            if not submit(name):
-                break
-        while in_flight and not pool_broken:
-            poll = 0.1 if config.task_timeout is not None else None
-            completed, _ = wait(list(in_flight), timeout=poll,
-                                return_when=FIRST_COMPLETED)
-            now = time.monotonic()
-            for future in completed:
-                name, submitted = in_flight.pop(future)
-                try:
-                    _, profile, snapshot = future.result()
-                except BrokenProcessPool:
-                    pool_broken = True
-                    break
-                except Exception as exc:
-                    if collector.errored(name, type(exc).__name__, str(exc)):
-                        collector.backoff(name)
-                        submit(name)
-                    continue
-                collector.succeeded(name, profile, now - submitted, snapshot)
-            if pool_broken:
-                break
-            if config.task_timeout is not None:
-                for future in list(in_flight):
-                    name, submitted = in_flight[future]
-                    if now - submitted <= config.task_timeout:
-                        continue
-                    del in_flight[future]
-                    if not future.cancel():
-                        # already running: the worker may be hung; it
-                        # will be terminated at shutdown
-                        abandoned = True
-                    if collector.errored(
-                        name, "TimeoutError",
-                        f"kernel exceeded task_timeout="
-                        f"{config.task_timeout}s",
-                    ):
-                        collector.backoff(name)
-                        submit(name)
-    finally:
-        if abandoned or pool_broken:
-            # don't wait on hung or dead workers; reclaim them hard
-            for process in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    process.terminate()
-                except OSError:  # pragma: no cover - already gone
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-        else:
-            pool.shutdown(wait=True)
-
-    if pool_broken:
-        remaining = sorted(
-            {name for name, _ in in_flight.values()}
-            | {
-                name for name in names
-                if name not in collector.done
-                and name not in collector.failures
-            }
-        )
-        collector.emit("worker_crash", in_flight=remaining)
-        _log.warning(
-            "a profile worker crashed; kernels not yet completed: %s — "
-            "falling back to sequential execution",
-            ", ".join(remaining) or "<none>",
-        )
-        obs.incr("runner.worker_crash")
-        collector.emit("fallback_sequential", remaining=remaining)
-        ordered = [n for n in names if n in remaining]
-        _run_sequential(collector, ordered)
 
 
 def collect_profiles(
@@ -545,6 +431,14 @@ def collect_profiles(
     manifest: RunManifest | bool | None = None,
 ) -> ProfileRun:
     """Profiles for every configured workload, fanned out over cores.
+
+    The kernels run in this process when ``config.max_workers`` is 1
+    (or 0), when fewer than two are pending, when the cache is off, or
+    for ``tier0_static`` estimates.  Otherwise they run as shards of
+    the persistent queue, drained by that many ``repro worker``
+    processes (:func:`repro.exp.service.sweep.run_queued`).  The queue
+    returns profiles through the cache, so it cannot run without one.
+    Both ways give bit-identical profiles.
 
     Fault-tolerant: a kernel that raises, times out or kills its
     worker is retried (``config.task_retries`` extra attempts with
@@ -599,10 +493,15 @@ def collect_profiles(
         workers = config.max_workers
         if workers is None:
             workers = default_worker_count(len(pending))
-        if workers <= 1 or len(pending) < 2:
+        # the queue hands profiles back through the cache, which the
+        # static estimator's profiles never enter
+        if (workers <= 1 or len(pending) < 2 or config.tier0_static
+                or not config.use_cache or not tracecache.cache_enabled()):
             _run_sequential(collector, pending)
         else:
-            _run_pool(collector, pending, workers)
+            from repro.exp.service.sweep import run_queued
+
+            run_queued(collector, pending, workers)
 
     profiles = [collector.done[n] for n in names if n in collector.done]
     failures = [collector.failures[n] for n in names

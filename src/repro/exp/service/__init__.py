@@ -1,9 +1,8 @@
 """Sharded sweep service: queue, worker shards, and an async front end.
 
-``collect_profiles`` fans a sweep out over a process pool inside one
-Python process; this package splits the same work across *independent
-processes* coordinated only through the shared ``.repro-cache/``
-artifact store:
+``collect_profiles`` runs a multi-worker sweep through this package:
+the work is split across *independent processes* coordinated only
+through the shared ``.repro-cache/`` artifact store:
 
 - :mod:`repro.exp.service.queue` — a persistent work queue of
   kernel × config shards under ``<cache_dir>/service/queue/``, with
@@ -13,10 +12,10 @@ artifact store:
   the queue through the existing retry/timeout/manifest machinery of
   :mod:`repro.exp.runner`, writing a per-worker run manifest that
   ``repro obs show`` merges into one run view;
-- :mod:`repro.exp.service.sweep` — the coordinator: enqueue a sweep,
-  spawn N worker processes, reap stragglers, and assemble a
-  :class:`~repro.exp.runner.ProfileRun` bit-identical to a
-  single-process ``collect_profiles``;
+- :mod:`repro.exp.service.sweep` — the coordinator behind
+  ``collect_profiles``: enqueue the pending kernels, spawn N worker
+  processes, reap them as they exit, enforce ``task_timeout``, drain
+  leftovers inline, and read the profiles back from the cache;
 - :mod:`repro.exp.service.server` — the ``repro serve`` asyncio front
   end: profile/figure queries answered from the cache in the hot path
   (never touching the VM), misses enqueued as shards for the workers.
@@ -28,14 +27,13 @@ and the system re-converges by recomputing into a cache hit.
 """
 
 from repro.exp.service.queue import ShardJob, ShardQueue, service_dir
-from repro.exp.service.sweep import enqueue_sweep, run_service_sweep
+from repro.exp.service.sweep import enqueue_sweep
 from repro.exp.service.worker import run_worker
 
 __all__ = [
     "ShardJob",
     "ShardQueue",
     "enqueue_sweep",
-    "run_service_sweep",
     "run_worker",
     "service_dir",
 ]

@@ -145,9 +145,15 @@ class ShardQueue:
         Idempotent: a shard already pending/leased/done is left alone
         (its current state is returned).  A previously *failed* shard
         is re-queued when ``retry_failed`` — an explicit enqueue is a
-        request to try again.
+        request to try again.  So is a *done* shard whose profile has
+        left the cache (``repro cache clear``): the record alone would
+        answer for a result nobody can read.
         """
         job_id = shard_job_id(workload, config)
+        done = self._path("done", job_id)
+        if done.is_file() and not tracecache.profile_path(
+                workload, config.cache_key()).is_file():
+            done.unlink(missing_ok=True)
         for state in ("done", "leased", "pending"):
             if self._path(state, job_id).is_file():
                 return job_id, state

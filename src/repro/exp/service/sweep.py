@@ -1,39 +1,41 @@
-"""Sweep coordinator: enqueue shards, spawn workers, assemble results.
+"""Sweep coordinator: enqueue shards, spawn workers, collect results.
 
-``run_service_sweep`` is the service-mode twin of
-:func:`~repro.exp.runner.collect_profiles`: same config in, same
-:class:`~repro.exp.runner.ProfileRun` out (profiles in config order,
-failures and resumed kernels recorded, one merged manifest view) —
-bit-identical results, because both paths compute each profile with
+:func:`run_queued` is :func:`~repro.exp.runner.collect_profiles`'s
+fan-out: the pending kernels go onto the persistent queue as shards
+and N independent ``repro worker`` *processes* drain it through one
+shared ``.repro-cache/``.  The profiles are bit-identical to an
+in-process sweep, because every shard runs
 :func:`~repro.exp.runner.run_profile` under the same content-addressed
-cache key.  The difference is the execution substrate: shards go onto
-the persistent queue and N independent worker *processes* drain it
-through one shared ``.repro-cache/``.
+cache key and the cache carries the results back.
 
 Crash behaviour is belt and braces: a worker that dies mid-shard
-leaves a stale lease that surviving workers steal; if *every* worker
-dies (or ``workers=0``), the coordinator drains the queue inline as
-the degraded mode — mirroring ``collect_profiles``'s broken-pool
-fallback to sequential execution.
+leaves a lease that surviving workers steal as soon as the
+coordinator has reaped it; if *every* worker dies, the coordinator
+drains what is left inline.  :func:`enqueue_sweep` loads the queue
+for workers started separately (``repro sweep --enqueue-only``).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.exp.config import ExperimentConfig
-from repro.exp.runner import BenchmarkProfile, ProfileFailure, ProfileRun
-from repro.exp.service.queue import DEFAULT_LEASE_TTL, ShardQueue, shard_job_id
+from repro.exp.runner import BenchmarkProfile, ProfileFailure, _Collector
+from repro.exp.service.queue import DEFAULT_LEASE_TTL, ShardQueue
 from repro.exp.service.worker import run_worker
-from repro.obs import get_logger
 from repro.obs.manifest import RunManifest
 from repro.vm import tracecache
 
-_log = get_logger("service.sweep")
+_log = obs.get_logger("service.sweep")
+
+#: Seconds between the coordinator's checks on its workers.
+POLL_INTERVAL = 0.05
 
 
 @dataclass(slots=True)
@@ -90,7 +92,9 @@ def spawn_worker_process(
     The child inherits the environment (``REPRO_CACHE_DIR`` above all,
     which is the whole coordination substrate) and marks itself with
     ``REPRO_SERVICE_WORKER=1`` so fault injection treats it as a
-    killable worker, not a parent.
+    killable worker, not a parent.  Its stdout summary line is
+    dropped, so it never mixes into the parent's output (its manifest
+    records the same); its stderr log stays attached.
     """
     cmd = [
         sys.executable, "-m", "repro", "worker",
@@ -99,100 +103,101 @@ def spawn_worker_process(
     ]
     if not exit_when_empty:
         cmd.append("--forever")
-    return subprocess.Popen(cmd, env=os.environ.copy())
+    return subprocess.Popen(cmd, env=os.environ.copy(),
+                            stdout=subprocess.DEVNULL)
 
 
-def run_service_sweep(
-    config: ExperimentConfig | None = None,
-    *,
-    workers: int | None = None,
-    run_id: str | None = None,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
-    manifest: RunManifest | bool | None = None,
-) -> ProfileRun:
-    """A full sweep through the shard queue; returns a ProfileRun.
+def run_queued(collector: _Collector, names: list[str], workers: int) -> None:
+    """Profile ``names`` as queue shards drained by ``workers`` processes.
 
-    ``workers`` counts the worker *processes* spawned (default: the
-    runner's usual one-per-core heuristic, capped by shard count);
-    ``workers=0`` keeps everything in the coordinator, which then
-    drains the queue inline.  After the workers exit the coordinator
-    always runs one inline drain pass — that is the degraded mode that
-    finishes the sweep even if every worker crashed.
+    ``collect_profiles``'s fan-out: enqueue one shard per kernel, spawn
+    the ``repro worker`` processes under the run's id, and poll until
+    they have all exited.  Each poll reaps the workers that exited, so
+    a crashed worker's lease is stolen at once (an unreaped one would
+    look alive), and kills any of them whose lease is older than
+    ``task_timeout``: the shard then fails with ``TimeoutError`` or,
+    while ``task_retries`` allows, goes back to the queue for a
+    replacement worker.  Shards still open once every worker has
+    exited are drained inline here, after a ``worker_crash`` +
+    ``fallback_sequential`` event pair.  Outcomes land in
+    ``collector``: profiles read back from the cache, failures from
+    the queue's records.
     """
-    if config is None:
-        config = ExperimentConfig()
-    from repro.util.parallel import default_worker_count
-
-    t0 = time.monotonic()
-    wants_manifest = manifest is not False
-    if isinstance(manifest, RunManifest):
-        coordinator = manifest
-    elif wants_manifest:
-        coordinator = RunManifest(run_id)
-    else:
-        coordinator = None
-    rid = coordinator.run_id if coordinator is not None else (run_id or "adhoc")
-
+    config = collector.config
     queue = ShardQueue()
-    names = list(config.workloads)
-    if coordinator is not None:
-        coordinator.start(tuple(names), config.to_dict())
-    plan = enqueue_sweep(config, queue=queue)
-    if coordinator is not None:
-        coordinator.emit(
-            "sweep_enqueued", enqueued=plan.enqueued, resumed=plan.resumed,
+    jobs = {queue.enqueue(name, config)[0]: name for name in names}
+    collector.emit("sweep_enqueued", enqueued=list(names))
+    run_id = (collector.manifest or RunManifest()).run_id
+    ids = itertools.count()
+
+    def spawn() -> subprocess.Popen:
+        return spawn_worker_process(f"w{next(ids)}", run_id)
+
+    procs = [spawn() for _ in range(workers)]
+    try:
+        while procs:
+            time.sleep(POLL_INTERVAL)
+            procs = [proc for proc in procs if proc.poll() is None]
+            if config.task_timeout is None:
+                continue
+            now = time.time()
+            by_pid = {proc.pid: proc for proc in procs}
+            for job in queue.jobs("leased"):
+                proc = by_pid.get(job.pid)
+                if (proc is None or job.job_id not in jobs
+                        or now - job.claimed_t <= config.task_timeout):
+                    continue
+                name = jobs[job.job_id]
+                message = f"kernel exceeded task_timeout={config.task_timeout}s"
+                collector.attempts[name] = job.attempts
+                retry = collector.errored(name, "TimeoutError", message)
+                if retry:
+                    collector.backoff(name)
+                else:
+                    # settle before the kill, so nobody steals it back
+                    queue.fail(job, f"TimeoutError: {message}")
+                proc.kill()
+                proc.wait()
+                procs.remove(proc)
+                if retry:
+                    procs.append(spawn())
+    finally:
+        for proc in procs:  # only reached by an exception
+            proc.kill()
+            proc.wait()
+
+    remaining = [
+        name for job_id, name in jobs.items()
+        if (job := queue.find(job_id)) is not None
+        and job.state in ("pending", "leased")
+    ]
+    if remaining:
+        collector.emit("worker_crash", in_flight=remaining)
+        _log.warning(
+            "every worker exited with kernels still queued: %s — "
+            "draining them in this process", ", ".join(remaining),
         )
+        obs.incr("runner.worker_crash")
+        collector.emit("fallback_sequential", remaining=remaining)
+        run_worker("coordinator", queue=queue, manifest=collector.manifest)
 
-    procs: list[subprocess.Popen] = []
-    if plan.enqueued:
-        if workers is None:
-            workers = default_worker_count(len(plan.enqueued))
-        for k in range(workers):
-            procs.append(spawn_worker_process(f"w{k}", rid,
-                                              lease_ttl=lease_ttl))
-    crashed = 0
-    for proc in procs:
-        if proc.wait() != 0:
-            crashed += 1
-    if crashed and coordinator is not None:
-        coordinator.emit("worker_crash", crashed=crashed,
-                         in_flight=[j.workload for j in queue.jobs("leased")])
-
-    # degraded mode: whatever the workers left behind (crashed leases,
-    # never-claimed shards, the workers=0 case) is drained inline
-    if queue.outstanding():
-        if procs:
-            _log.warning(
-                "%d shard(s) still outstanding after the workers exited; "
-                "draining inline in the coordinator", queue.outstanding(),
-            )
-        run_worker("coordinator", queue=queue, manifest=coordinator,
-                   exit_when_empty=True, lease_ttl=lease_ttl)
-
-    profiles: list[BenchmarkProfile] = []
-    failures: list[ProfileFailure] = []
-    for name in names:
-        cached = tracecache.load_cached_profile(name, config.cache_key())
-        if isinstance(cached, BenchmarkProfile):
-            profiles.append(cached)
+    key = config.cache_key()
+    for job_id, name in jobs.items():
+        if name in collector.failures:
             continue
-        job = queue.find(shard_job_id(name, config))
-        message = job.error if job is not None and job.error else "shard lost"
-        kind, _, detail = message.partition(": ")
-        failures.append(ProfileFailure(
-            name=name, kind=kind or "Error", message=detail or message,
+        cached = tracecache.load_cached_profile(name, key)
+        if isinstance(cached, BenchmarkProfile):
+            collector.done[name] = cached
+            continue
+        job = queue.find(job_id)
+        if job is not None and job.state == "failed" and job.error:
+            kind, _, message = job.error.partition(": ")
+        else:
+            kind = "ShardLost"
+            message = (f"shard {job_id} is "
+                       f"{job.state if job else 'gone'} but its profile "
+                       f"is not in the cache")
+        collector.failures[name] = ProfileFailure(
+            name=name, kind=kind, message=message,
             attempts=job.attempts if job is not None else 0,
-        ))
-    if coordinator is not None:
-        coordinator.end(
-            ok=[p.name for p in profiles],
-            failed=[f.name for f in failures],
-            resumed=plan.resumed,
-            seconds=round(time.monotonic() - t0, 6),
         )
-    return ProfileRun(
-        profiles,
-        failures=failures,
-        resumed=plan.resumed,
-        manifest_path=coordinator.path if coordinator is not None else None,
-    )

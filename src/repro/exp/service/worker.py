@@ -17,9 +17,11 @@ cache by content key.  That is what makes stolen or duplicated shards
 harmless — recomputing a shard that someone already finished is a
 cache hit.
 
-In-process work cannot be preempted, so ``task_timeout`` is enforced
-the same way ``_run_sequential`` enforces it (not at all); the queue's
-lease TTL is the backstop for a genuinely wedged worker.
+A worker cannot preempt its own shard, so it does not enforce
+``task_timeout``: the sweep coordinator
+(:func:`~repro.exp.service.sweep.run_queued`) kills a worker whose
+lease outlives it.  For workers nobody supervises, the queue's lease
+TTL is the backstop for a wedged shard.
 """
 
 from __future__ import annotations

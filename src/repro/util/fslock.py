@@ -77,11 +77,13 @@ def file_lock(path: str | os.PathLike, *, shared: bool = False):
 
 
 def pid_alive(pid: int) -> bool:
-    """True when a process with ``pid`` exists (signal-0 probe).
+    """True when a process with ``pid`` runs (signal-0 probe).
 
     ``EPERM`` counts as alive — the process exists, we just may not
-    signal it.  Pid reuse can report a recycled pid as alive; callers
-    that care combine this with an age threshold.
+    signal it.  An exited process its parent has not reaped yet (a
+    zombie) still answers signal 0; where ``/proc`` shows its state,
+    it counts as dead.  Pid reuse can report a recycled pid as alive;
+    callers that care combine this with an age threshold.
     """
     if pid <= 0:
         return False
@@ -91,7 +93,13 @@ def pid_alive(pid: int) -> bool:
         return False
     except PermissionError:  # pragma: no cover - other-uid process
         return True
-    return True
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            stat = fh.read()
+    except OSError:  # no /proc here: trust the signal probe
+        return True
+    # "<pid> (<comm>) <state> ...": comm may itself contain ")"
+    return stat[stat.rfind(b")") + 2:][:1] not in (b"Z", b"X")
 
 
 def make_tmp(directory: str | os.PathLike, prefix: str) -> pathlib.Path:

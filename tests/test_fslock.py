@@ -71,6 +71,17 @@ class TestPidAlive:
         assert not fslock.pid_alive(0)
         assert not fslock.pid_alive(-5)
 
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_unreaped_zombie_is_dead(self):
+        # an exited child its parent has not waited for still answers
+        # signal 0; it must not pass for a live lease holder
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        try:
+            os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
+            assert not fslock.pid_alive(child.pid)
+        finally:
+            child.wait()
+
 
 class TestTmpFiles:
     def test_make_tmp_embeds_pid(self, tmp_path):

@@ -5,20 +5,23 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
+from repro import obs
 from repro.exp.config import ExperimentConfig
-from repro.exp.runner import BenchmarkProfile, collect_profiles, run_profile
-from repro.exp.service import (
-    ShardQueue,
-    enqueue_sweep,
-    run_service_sweep,
-    run_worker,
+from repro.exp.runner import (
+    FAULT_ENV,
+    BenchmarkProfile,
+    collect_profiles,
+    run_profile,
 )
+from repro.exp.service import ShardQueue, enqueue_sweep, run_worker
+from repro.exp.service import sweep as sweep_mod
 from repro.exp.service.queue import shard_job_id
 from repro.exp.service.server import (
     ServiceFrontend,
@@ -31,6 +34,8 @@ TINY = ExperimentConfig(max_instructions=600, workloads=("li",),
                         max_workers=1)
 SMALL = ExperimentConfig(max_instructions=1200, workloads=("compress", "li"),
                          max_workers=1)
+#: SMALL through the shard queue: two kernels, two worker processes
+QUEUED = dataclasses.replace(SMALL, max_workers=2)
 
 
 @pytest.fixture
@@ -66,8 +71,6 @@ class TestShardQueue:
         assert queue.counts()["pending"] == 1
 
     def test_claim_records_lease(self, cache_dir):
-        import os
-
         queue = ShardQueue()
         queue.enqueue("li", TINY)
         job = queue.claim("w1")
@@ -93,15 +96,40 @@ class TestShardQueue:
         assert config.cache_key() == TINY.cache_key()
         assert config.workloads == TINY.workloads
 
+    def test_done_shard_without_profile_is_requeued(self, cache_dir):
+        queue = ShardQueue()
+        queue.enqueue("li", TINY)
+        queue.complete(queue.claim("w1"))  # done, but nothing cached
+        job_id, state = queue.enqueue("li", TINY)
+        assert state == "pending"
+        assert queue.counts() == {"pending": 1, "leased": 0,
+                                  "done": 0, "failed": 0}
+        assert queue.find(job_id).state == "pending"
+
+    def test_steal_unreaped_zombie_lease(self, cache_dir):
+        queue = ShardQueue()
+        queue.enqueue("li", TINY)
+        job = queue.claim("w1")
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        try:
+            # exited, but not reaped: a zombie still answers signal 0
+            os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
+            job.pid = child.pid
+            queue._write("leased", job)
+            assert queue.steal_stale("w2") == 1
+        finally:
+            child.wait()
+
     def test_complete_settles_shard(self, cache_dir):
         queue = ShardQueue()
         queue.enqueue("li", TINY)
         job = queue.claim("w1")
+        run_profile("li", TINY)  # a worker caches the profile first
         queue.complete(job)
         assert queue.counts()["done"] == 1
         assert queue.outstanding() == 0
         assert queue.find(job.job_id).state == "done"
-        # enqueueing a done shard is a no-op
+        # enqueueing a done shard whose profile is cached is a no-op
         assert queue.enqueue("li", TINY) == (job.job_id, "done")
 
     def test_fail_records_error_and_requeues_on_demand(self, cache_dir):
@@ -149,8 +177,6 @@ class TestShardQueue:
         assert queue.steal_stale("w2", lease_ttl=600) == 1
 
     def test_unreadable_lease_judged_by_file_age(self, cache_dir):
-        import os
-
         queue = ShardQueue()
         queue.enqueue("li", TINY)
         job = queue.claim("w1")
@@ -203,38 +229,97 @@ class TestServiceSweep:
     def test_inline_sweep_bit_identical_to_collect_profiles(
         self, cache_dir, tmp_path, monkeypatch,
     ):
-        run = run_service_sweep(SMALL, workers=0, manifest=False)
+        run = collect_profiles(QUEUED, manifest=False)
         assert run.ok
         assert [p.name for p in run] == list(SMALL.workloads)
+        assert ShardQueue().counts()["done"] == 2  # it went through the queue
 
-        # reference: the classic single-process path, separate cache
+        # reference: the in-process path, separate cache
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "ref-cache"))
         reference = collect_profiles(SMALL, manifest=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
         assert list(run) == list(reference)
 
     def test_second_sweep_resumes_everything(self, cache_dir):
-        run_service_sweep(TINY, workers=0, manifest=False)
+        collect_profiles(TINY, manifest=False)
         plan = enqueue_sweep(TINY)
         assert plan.resumed == ["li"] and not plan.enqueued
 
     def test_spawned_worker_process_completes_sweep(self, cache_dir):
-        run = run_service_sweep(TINY, workers=1, manifest=False)
-        assert run.ok and [p.name for p in run] == ["li"]
+        run = collect_profiles(QUEUED, manifest=False)
+        assert run.ok and [p.name for p in run] == ["compress", "li"]
         done = ShardQueue().jobs("done")
-        assert [j.workload for j in done] == ["li"]
-        # the shard really ran in the child, not the coordinator
-        import os
-
-        assert done[0].pid != os.getpid()
+        assert sorted(j.workload for j in done) == ["compress", "li"]
+        # the shards really ran in the children, not the coordinator
+        assert all(j.pid != os.getpid() for j in done)
 
     def test_failures_surface_in_profile_run(self, cache_dir, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "li=raise")
-        config = dataclasses.replace(TINY, task_retries=0)
-        run = run_service_sweep(config, workers=0, manifest=False)
+        monkeypatch.setenv(FAULT_ENV, "li=raise")
+        config = dataclasses.replace(QUEUED, task_retries=0)
+        run = collect_profiles(config, manifest=False)
         assert not run.ok
+        assert [p.name for p in run] == ["compress"]
         assert [f.name for f in run.failures] == ["li"]
         assert run.failures[0].kind == "RuntimeError"
+
+    def test_no_cache_multi_worker_run_writes_nothing(self, cache_dir):
+        # the queue needs the cache, so this runs in-process
+        config = dataclasses.replace(QUEUED, use_cache=False)
+        run = collect_profiles(config)
+        assert run.ok and run.manifest_path is None
+        assert not cache_dir.exists()
+
+    def test_sweep_after_cache_clear_gets_every_profile(self, cache_dir):
+        first = collect_profiles(QUEUED, manifest=False)
+        tracecache.clear_cache()
+        # the queue still holds both shards as done
+        assert ShardQueue().counts()["done"] == 2
+        again = collect_profiles(QUEUED, manifest=False)
+        assert again.ok and not again.resumed
+        assert list(again) == list(first)
+
+    def test_timed_out_shard_retries_in_a_new_worker(self, cache_dir,
+                                                     monkeypatch):
+        monkeypatch.setenv(FAULT_ENV, "compress=sleep60")
+        config = dataclasses.replace(QUEUED, task_timeout=1.0,
+                                     task_retries=1, retry_backoff=0.0)
+        run = collect_profiles(config)
+        assert [p.name for p in run] == ["li"]
+        (failure,) = run.failures
+        assert failure.kind == "TimeoutError" and failure.attempts == 2
+        kinds = [e["event"] for e in obs.read_events(run.manifest_path)]
+        assert kinds.count("profile_error") == 2
+        assert "retry" in kinds and "worker_crash" not in kinds
+        assert ShardQueue().find(shard_job_id("compress", config)).state \
+            == "failed"
+
+
+class TestCrashedWorkerSweep:
+    """A crashed worker's lease is stolen at once, not after its TTL."""
+
+    @pytest.mark.parametrize("kernel", ["compress", "li", "tomcatv"])
+    def test_crash_sweep_finishes_well_inside_the_lease_ttl(
+        self, cache_dir, monkeypatch, kernel,
+    ):
+        spawn = sweep_mod.spawn_worker_process
+        monkeypatch.setattr(
+            sweep_mod, "spawn_worker_process",
+            lambda worker, run_id: spawn(worker, run_id, lease_ttl=60.0),
+        )
+        monkeypatch.setenv(FAULT_ENV, f"{kernel}=crash")
+        config = ExperimentConfig(
+            max_instructions=800, workloads=("compress", "li", "tomcatv"),
+            max_workers=2, task_retries=0, retry_backoff=0.0,
+        )
+        start = time.monotonic()
+        run = collect_profiles(config)
+        assert time.monotonic() - start < 20.0
+        assert [f.name for f in run.failures] == [kernel]
+        assert [p.name for p in run] == [
+            n for n in config.workloads if n != kernel
+        ]
+        summary = obs.summarize(obs.read_events(run.manifest_path))
+        assert summary["complete"] and summary["worker_crashes"] == 1
 
 
 def _serve(targets, defaults=None, setup=None):
@@ -303,6 +388,16 @@ class TestServeFrontend:
         assert results[0][0] == 200
         assert results[0][1]["job"]["state"] == "pending"
         assert results[1][0] == 404
+
+    def test_profile_miss_after_cache_clear_requeues(self, cache_dir):
+        queue = ShardQueue()
+        enqueue_sweep(TINY, queue=queue)
+        run_worker("wtest", queue=queue, manifest=None)
+        tracecache.clear_cache()
+        [(status, body)] = _serve(["/profile?workload=li"], defaults=TINY)
+        assert status == 202
+        assert body["state"] == "pending"
+        assert queue.counts()["pending"] == 1
 
     def test_unknown_workload_404(self, cache_dir):
         [(status, body)] = _serve(["/profile?workload=doom"], defaults=TINY)

@@ -82,6 +82,20 @@ class TestTier0Dispatch:
         direct = estimate_profile("li", config)
         assert via_runner == direct
 
+    def test_multi_worker_sweep_estimates_in_process(self, no_vm):
+        # estimates never enter the cache, which is how queue workers
+        # hand profiles back, so the sweep keeps them in this process
+        from repro.exp.runner import collect_profiles
+
+        config = ExperimentConfig(
+            max_instructions=8_000, tier0_static=True, max_workers=2,
+            workloads=("li", "tomcatv"),
+        )
+        run = collect_profiles(config, manifest=False)
+        assert run.ok
+        assert list(run) == [estimate_profile(n, config)
+                             for n in config.workloads]
+
     def test_tier0_static_is_semantic(self):
         static = ExperimentConfig(tier0_static=True)
         dynamic = ExperimentConfig(tier0_static=False)
