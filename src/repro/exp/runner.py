@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Any
 
 from repro import obs
 from repro.baselines.ilr import ilr_reuse_plan, instruction_reusability
@@ -84,6 +85,41 @@ class BenchmarkProfile:
     #: proportionality constant K -> speed-up, finite window
     tlr_speedup_win_prop: dict[float, float] = field(default_factory=dict)
     io_stats: TraceIOStats | None = None
+
+
+#: The speed-up tables keyed by reuse latency (int cycles), and the one
+#: keyed by the proportionality constant K (float).
+_LATENCY_TABLES = ("ilr_speedup_inf", "ilr_speedup_win", "tlr_speedup_inf",
+                   "tlr_speedup_win")
+_K_TABLE = "tlr_speedup_win_prop"
+_PROFILE_FIELDS = tuple(f.name for f in fields(BenchmarkProfile))
+_IO_FIELDS = tuple(f.name for f in fields(TraceIOStats))
+
+
+def profile_to_json(profile: BenchmarkProfile) -> dict[str, Any]:
+    """A profile as a JSON-safe dict, fields in declaration order, with
+    the numeric dict keys stringified.  This is the profile cache's
+    document and the ``profile`` of ``repro serve``'s answers."""
+    out = {f: getattr(profile, f) for f in _PROFILE_FIELDS}
+    for f in _LATENCY_TABLES + (_K_TABLE,):
+        out[f] = {str(k): v for k, v in out[f].items()}
+    io = profile.io_stats
+    out["io_stats"] = (None if io is None else
+                       {f: getattr(io, f) for f in _IO_FIELDS})
+    return out
+
+
+def profile_from_json(doc: dict[str, Any]) -> BenchmarkProfile:
+    """The inverse of :func:`profile_to_json`: latency keys back to
+    ``int``, K keys to ``float``, ``io_stats`` to :class:`TraceIOStats`.
+    JSON floats round-trip exactly, so the result ``==`` the original."""
+    kwargs = dict(doc)
+    for f in _LATENCY_TABLES:
+        kwargs[f] = {int(k): v for k, v in doc[f].items()}
+    kwargs[_K_TABLE] = {float(k): v for k, v in doc[_K_TABLE].items()}
+    io = doc["io_stats"]
+    kwargs["io_stats"] = None if io is None else TraceIOStats(**io)
+    return BenchmarkProfile(**kwargs)
 
 
 def profile_scenarios(config: ExperimentConfig) -> list[Scenario]:
@@ -171,8 +207,8 @@ def run_profile(
         return estimate_profile(name, config)
     if config.use_cache:
         cached = tracecache.load_cached_profile(name, config.cache_key())
-        if isinstance(cached, BenchmarkProfile):
-            return cached
+        if cached is not None:
+            return profile_from_json(cached)
     workload = get_workload(name)
 
     clock = time.perf_counter
@@ -217,7 +253,8 @@ def run_profile(
                            drained - producer - sum(inits))
     obs.incr("profiles.computed")
     if config.use_cache:
-        tracecache.store_cached_profile(name, config.cache_key(), profile)
+        tracecache.store_cached_profile(name, config.cache_key(),
+                                        profile_to_json(profile))
     return profile
 
 
@@ -483,10 +520,10 @@ def collect_profiles(
                     name, config.cache_key()
                 )
                 snapshot = registry.snapshot()
-            if isinstance(cached, BenchmarkProfile):
+            if cached is not None:
                 resumed.append(name)
-                collector.succeeded(name, cached, 0.0, snapshot,
-                                    source="cache")
+                collector.succeeded(name, profile_from_json(cached), 0.0,
+                                    snapshot, source="cache")
 
     pending = [n for n in names if n not in collector.done]
     if pending:

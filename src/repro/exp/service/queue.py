@@ -75,6 +75,9 @@ class ShardJob:
     #: outcome fields
     completed_t: float | None = None
     error: str | None = None
+    #: profile attempts the failing worker made (``attempts`` counts
+    #: claims, and one claim retries up to ``task_retries`` times)
+    profile_attempts: int | None = None
 
     def to_record(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
@@ -286,11 +289,14 @@ class ShardQueue:
             pass
         incr("service.completed")
 
-    def fail(self, job: ShardJob, error: str) -> None:
-        """Mark a leased shard failed with its final error."""
+    def fail(self, job: ShardJob, error: str,
+             profile_attempts: int | None = None) -> None:
+        """Mark a leased shard failed with its final error and the
+        number of profile attempts behind it."""
         job.state = "failed"
         job.completed_t = time.time()
         job.error = error
+        job.profile_attempts = profile_attempts
         self._dir("failed").mkdir(parents=True, exist_ok=True)
         self._write("failed", job)
         try:

@@ -3,8 +3,11 @@
 A deliberately small asyncio HTTP/1.1 server (stdlib only — the
 container bakes no web framework) with one job: keep the hot path
 *pure cache*.  A profile or figure query whose inputs are already in
-the shared store is answered by unpickling a few kilobytes — the VM,
-the analysis stack, even the queue are never touched.  A miss is
+the shared store is answered from its cache entries — the VM, the
+analysis stack, even the queue are never touched.  A ``/profile`` hit
+sends the entry's stored JSON bytes, checked against the entry's
+length and CRC32 header and spliced into the answer: no profile
+decode and no JSON encode.  A miss is
 answered ``202 Accepted`` after enqueuing the corresponding
 kernel × config shards; worker processes (spawned with ``--workers``
 or run separately via ``repro worker --forever``) drain them, and the
@@ -39,7 +42,7 @@ import urllib.parse
 from typing import Any, Callable
 
 from repro.exp.config import ExperimentConfig
-from repro.exp.runner import BenchmarkProfile
+from repro.exp.runner import profile_from_json, profile_to_json
 from repro.exp.service.queue import ShardQueue, shard_job_id
 from repro.obs import get_logger, incr
 from repro.vm import tracecache
@@ -68,13 +71,9 @@ def config_from_query(
     return dataclasses.replace(defaults, **overrides)
 
 
-def profile_to_json(profile: BenchmarkProfile) -> dict[str, Any]:
-    """A profile as a JSON-safe dict (numeric dict keys stringified)."""
-    out = dataclasses.asdict(profile)
-    for fld in ("ilr_speedup_inf", "ilr_speedup_win", "tlr_speedup_inf",
-                "tlr_speedup_win", "tlr_speedup_win_prop"):
-        out[fld] = {str(k): v for k, v in out[fld].items()}
-    return out
+def _encode(body: dict) -> bytes:
+    """One answer's bytes, as every JSON route sends them."""
+    return json.dumps(body, indent=2).encode() + b"\n"
 
 
 class ServiceFrontend:
@@ -84,11 +83,30 @@ class ServiceFrontend:
                  queue: ShardQueue | None = None):
         self.defaults = defaults if defaults is not None else ExperimentConfig()
         self.queue = queue if queue is not None else ShardQueue()
-        #: finished static estimates, keyed by (workload, config key) —
+        #: encoded static answers, keyed by (workload, config key) —
         #: the estimator is milliseconds but the hot path should not
-        #: re-analyse on every poll
-        self._static_memo: dict[tuple, dict] = {}
+        #: re-analyse or re-encode on every poll
+        self._static_memo: dict[tuple, bytes] = {}
         self._static_bands: dict | None | bool = False  # False = unloaded
+        #: per known workload, a cache hit's answer up to its profile
+        self._hit_heads: dict[str, bytes] = {}
+
+    def _hit_head(self, workload: str) -> bytes | None:
+        """``{"source": "cache", "workload": ..., "profile": `` as
+        bytes, or None for an unknown workload.  A hit appends the
+        stored profile bytes and the closing brace."""
+        head = self._hit_heads.get(workload)
+        if head is None:
+            from repro.workloads.base import get_workload
+
+            try:
+                get_workload(workload)
+            except KeyError:
+                return None
+            head = ('{"source": "cache", "workload": %s, "profile": '
+                    % json.dumps(workload)).encode()
+            self._hit_heads[workload] = head
+        return head
 
     # -- handlers (synchronous; called via executor) -------------------
     def handle_health(self, params: dict[str, str]) -> tuple[int, dict]:
@@ -106,7 +124,9 @@ class ServiceFrontend:
             },
         }
 
-    def handle_profile(self, params: dict[str, str]) -> tuple[int, dict]:
+    def handle_profile(
+        self, params: dict[str, str]
+    ) -> tuple[int, dict | bytes]:
         workload = params.get("workload")
         if not workload:
             return 400, {"error": "missing ?workload="}
@@ -116,17 +136,14 @@ class ServiceFrontend:
             return 400, {"error": f"bad query parameter: {exc}"}
         if params.get("mode") == "static":
             return self.handle_profile_static(workload, config)
-        cached = tracecache.load_cached_profile(workload, config.cache_key())
-        if isinstance(cached, BenchmarkProfile):
-            incr("serve.profile.hit")
-            return 200, {"source": "cache", "workload": workload,
-                         "profile": profile_to_json(cached)}
-        from repro.workloads.base import get_workload
-
-        try:
-            get_workload(workload)
-        except KeyError:
+        head = self._hit_head(workload)
+        if head is None:
             return 404, {"error": f"unknown workload {workload!r}"}
+        stored = tracecache.load_cached_profile_json(
+            workload, config.cache_key())
+        if stored is not None:
+            incr("serve.profile.hit")
+            return 200, head + stored + b"}\n"
         job_id, state = self.queue.enqueue(workload, config)
         incr("serve.profile.miss")
         return 202, {"source": "enqueued", "workload": workload,
@@ -134,7 +151,7 @@ class ServiceFrontend:
 
     def handle_profile_static(
         self, workload: str, config: ExperimentConfig
-    ) -> tuple[int, dict]:
+    ) -> tuple[int, dict | bytes]:
         """``/profile?mode=static`` — predicted profile, zero execution.
 
         Always a hot-path ``200``: the static estimator needs no trace
@@ -158,7 +175,7 @@ class ServiceFrontend:
             if self._static_bands is False:
                 self._static_bands = load_bands()
             band = kernel_band(self._static_bands, workload)
-            body = {
+            body = _encode({
                 "source": "static",
                 "workload": workload,
                 "profile": profile_to_json(profile),
@@ -170,7 +187,7 @@ class ServiceFrontend:
                     if band else
                     "no recorded bands — run 'repro static validate'"
                 ),
-            }
+            })
             self._static_memo[key] = body
         incr("serve.profile.static")
         return 200, body
@@ -193,8 +210,8 @@ class ServiceFrontend:
             cached = tracecache.load_cached_profile(
                 workload, config.cache_key()
             )
-            if isinstance(cached, BenchmarkProfile):
-                profiles.append(cached)
+            if cached is not None:
+                profiles.append(profile_from_json(cached))
             else:
                 missing.append(workload)
         if missing:
@@ -227,7 +244,10 @@ class ServiceFrontend:
         "/job": handle_job,
     }
 
-    def dispatch(self, path: str, params: dict[str, str]) -> tuple[int, dict]:
+    def dispatch(
+        self, path: str, params: dict[str, str]
+    ) -> tuple[int, dict | bytes]:
+        """``(status, body)``: a dict to encode, or the answer's bytes."""
         handler = self.ROUTES.get(path)
         if handler is None:
             return 404, {"error": f"no route {path!r}"}
@@ -262,7 +282,7 @@ class ServiceFrontend:
         except Exception as exc:  # never kill the server on one request
             _log.warning("request handler error: %s", exc)
             status, body = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        payload = json.dumps(body, indent=2).encode() + b"\n"
+        payload = body if isinstance(body, bytes) else _encode(body)
         reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
                   404: "Not Found", 405: "Method Not Allowed",
                   500: "Internal Server Error"}.get(status, "OK")

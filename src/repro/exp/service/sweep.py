@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.exp.config import ExperimentConfig
-from repro.exp.runner import BenchmarkProfile, ProfileFailure, _Collector
+from repro.exp.runner import ProfileFailure, _Collector, profile_from_json
 from repro.exp.service.queue import DEFAULT_LEASE_TTL, ShardQueue
 from repro.exp.service.worker import run_worker
 from repro.obs.manifest import RunManifest
@@ -69,8 +69,8 @@ def enqueue_sweep(
     queue = queue if queue is not None else ShardQueue()
     plan = SweepPlan()
     for name in config.workloads:
-        cached = tracecache.load_cached_profile(name, config.cache_key())
-        if isinstance(cached, BenchmarkProfile):
+        if tracecache.load_cached_profile_json(
+                name, config.cache_key()) is not None:
             plan.resumed.append(name)
             continue
         job_id, _state = queue.enqueue(name, config,
@@ -121,7 +121,8 @@ def run_queued(collector: _Collector, names: list[str], workers: int) -> None:
     exited are drained inline here, after a ``worker_crash`` +
     ``fallback_sequential`` event pair.  Outcomes land in
     ``collector``: profiles read back from the cache, failures from
-    the queue's records.
+    the queue's records, whose ``profile_attempts`` is the attempt
+    count the in-process path reports.
     """
     config = collector.config
     queue = ShardQueue()
@@ -186,18 +187,19 @@ def run_queued(collector: _Collector, names: list[str], workers: int) -> None:
         if name in collector.failures:
             continue
         cached = tracecache.load_cached_profile(name, key)
-        if isinstance(cached, BenchmarkProfile):
-            collector.done[name] = cached
+        if cached is not None:
+            collector.done[name] = profile_from_json(cached)
             continue
         job = queue.find(job_id)
         if job is not None and job.state == "failed" and job.error:
             kind, _, message = job.error.partition(": ")
+            attempts = job.profile_attempts or job.attempts
         else:
             kind = "ShardLost"
             message = (f"shard {job_id} is "
                        f"{job.state if job else 'gone'} but its profile "
                        f"is not in the cache")
+            attempts = job.attempts if job is not None else 0
         collector.failures[name] = ProfileFailure(
-            name=name, kind=kind, message=message,
-            attempts=job.attempts if job is not None else 0,
+            name=name, kind=kind, message=message, attempts=attempts,
         )

@@ -70,7 +70,7 @@ def process_shard(
         return True
     failure = collector.failures[job.workload]
     error = f"{failure.kind}: {failure.message}"
-    queue.fail(job, error)
+    queue.fail(job, error, failure.attempts)
     if manifest is not None:
         manifest.emit("shard_failed", name=job.workload, job=job.job_id,
                       error=error)

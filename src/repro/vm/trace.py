@@ -15,7 +15,7 @@ Two trace containers exist:
   stdlib :mod:`array` module (pc / op / latency / next-pc columns plus
   flattened read/write location and value columns with per-instruction
   offsets).  :meth:`repro.vm.machine.Machine.run` emits this form
-  natively; it is cheaper to hold, pickle and cache than forty
+  natively; it is cheaper to hold, serialise and cache than forty
   thousand ``DynInst`` objects, and the streaming dataflow engine and the
   reusability/liveness analyses consume its columns directly.
 
@@ -383,8 +383,9 @@ class ColumnarTrace:
             f"halted={self.halted}, truncated={self.truncated})"
         )
 
-    # Arrays pickle as compact bytes; drop the materialisation cache so
-    # cached trace files and pool transfers stay small.
+    # Serialised state (copies, and the retired-format size reference
+    # in scripts/bench_engine.py) is the arrays alone, without the
+    # materialised rows.
     def __getstate__(self):
         return {slot: getattr(self, slot) for slot in self.__slots__
                 if slot != "_rows"}

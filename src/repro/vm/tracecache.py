@@ -4,16 +4,26 @@ Every pytest session and every figure regeneration used to re-execute
 all 14 VM kernels from scratch, although the kernels are deterministic:
 the trace is a pure function of the assembly source, the VM semantics
 and the instruction budget.  This module memoises that function on
-disk, plus one level up — the fully analysed
-:class:`~repro.exp.runner.BenchmarkProfile` — so a warm run of
-``collect_profiles`` skips both VM execution *and* the dataflow
+disk, plus one level up — the fully analysed profile, as the JSON
+document :func:`repro.exp.runner.profile_to_json` builds — so a warm
+run of ``collect_profiles`` skips both VM execution *and* the dataflow
 analysis.
 
 Layout (under :func:`cache_dir`, default ``.repro-cache/``)::
 
     .repro-cache/
         traces/<workload>-s<scale>-n<budget>-<key>.trace   (tracefile v3)
-        profiles/<workload>-n<budget>-<key>.pkl            (pickled profile)
+        profiles/<workload>-n<budget>-<key>.json           (profile entry)
+        index/profiles.json                                (profile index)
+
+A profile entry is one header line, ``repro-profile <schema> <payload
+bytes> <crc32 hex>``, followed by the payload: the profile document as
+compact JSON.  This layer stores and returns documents and knows
+nothing of the profile type.  An entry whose magic, schema, length or
+checksum does not match is a miss (counted as ``profile_cache.corrupt``)
+and the recompute's store rewrites it; a load never returns a document
+other than the one stored.  :func:`load_cached_profile_json` returns
+the checked payload bytes, which ``repro serve`` sends as they are.
 
 Keys are sha256 digests over everything the cached value depends on:
 the workload's *generated assembly source* (which folds in the
@@ -67,7 +77,7 @@ import inspect
 import json
 import os
 import pathlib
-import pickle
+import zlib
 from functools import lru_cache
 from typing import Any
 
@@ -81,6 +91,11 @@ _log = get_logger("tracecache")
 
 #: Default cache directory, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+#: First header field of a profile entry, and the entry schema version
+#: (bump it when the header or the document layout changes).
+PROFILE_MAGIC = b"repro-profile"
+PROFILE_SCHEMA = 1
 
 #: Modules whose source defines what a trace *is*: editing any of them
 #: invalidates every cached trace.
@@ -218,7 +233,7 @@ def _read_index(path: pathlib.Path) -> dict[str, Any]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+    except (OSError, ValueError):  # JSON and UTF-8 errors are ValueErrors
         return {}
     profiles = data.get("profiles") if isinstance(data, dict) else None
     return profiles if isinstance(profiles, dict) else {}
@@ -475,37 +490,97 @@ def profile_path(name: str, config_key: tuple) -> pathlib.Path:
     counts, so two runs that differ in any semantic setting (budget,
     window, latency sweeps, ...) can never alias to one entry.
     """
+    return _profile_path(cache_dir(), name, config_key)
+
+
+@lru_cache(maxsize=4096)
+def _profile_path(root: pathlib.Path, name: str,
+                  config_key: tuple) -> pathlib.Path:
+    """:func:`profile_path`, memoised: ``repro serve`` asks for the same
+    few paths on every request."""
     key = _entry_key(_modules_digest(ANALYSIS_MODULES), name, config_key)
     budget = dict(config_key).get("max_instructions")
-    fname = f"{name}-n{_budget_tag(budget)}-{key}.pkl"
-    return cache_dir() / "profiles" / fname
+    fname = f"{name}-n{_budget_tag(budget)}-{key}.json"
+    return root / "profiles" / fname
 
 
-def load_cached_profile(name: str, config_key: tuple) -> Any | None:
-    """The cached profile object, or None on a miss."""
+class ProfileEntryError(ValueError):
+    """A profile entry whose header or payload does not check out."""
+
+
+def encode_profile_entry(document: Any) -> bytes:
+    """One profile entry: the header line, then ``document`` as JSON.
+
+    The header is ``<magic> <schema> <payload bytes> <crc32 hex>``;
+    the payload is ASCII JSON (``repr`` floats round-trip exactly).
+    """
+    payload = json.dumps(document, separators=(",", ":")).encode("ascii")
+    header = b"%s %d %d %08x\n" % (
+        PROFILE_MAGIC, PROFILE_SCHEMA, len(payload), zlib.crc32(payload))
+    return header + payload
+
+
+def decode_profile_entry(data: bytes) -> bytes:
+    """The checked payload of one entry; :class:`ProfileEntryError`
+    when the magic, schema, length or checksum does not match."""
+    header, sep, payload = data.partition(b"\n")
+    fields = header.split(b" ")
+    if not sep or len(fields) != 4 or fields[0] != PROFILE_MAGIC:
+        raise ProfileEntryError("bad header")
+    if fields[1] != b"%d" % PROFILE_SCHEMA:
+        raise ProfileEntryError(f"schema {fields[1]!r}, expected "
+                                f"{PROFILE_SCHEMA}")
+    if fields[2] != b"%d" % len(payload):
+        raise ProfileEntryError(f"length {fields[2]!r}, payload has "
+                                f"{len(payload)} bytes")
+    if fields[3] != b"%08x" % zlib.crc32(payload):
+        raise ProfileEntryError("checksum mismatch")
+    return payload
+
+
+def _profile_miss(path: pathlib.Path, exc: Exception) -> None:
+    _log.warning("corrupt profile cache entry %s (%s); treating as a "
+                 "miss", path, exc)
+    incr("profile_cache.corrupt")
+    incr("profile_cache.miss")
+
+
+def load_cached_profile_json(name: str, config_key: tuple) -> bytes | None:
+    """The cached profile's JSON payload bytes, checked against the
+    entry header, or None on a miss (a damaged entry is a miss)."""
     if not cache_enabled():
         return None
     _open_store()
     path = profile_path(name, config_key)
-    if not path.is_file():
-        incr("profile_cache.miss")
-        return None
     try:
         with open(path, "rb") as fh:
-            profile = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError) as exc:
-        _log.warning("corrupt profile cache entry %s (%s); treating as a "
-                     "miss", path, exc)
-        incr("profile_cache.corrupt")
+            payload = decode_profile_entry(fh.read())
+    except FileNotFoundError:
         incr("profile_cache.miss")
         return None
+    except (OSError, ProfileEntryError) as exc:
+        _profile_miss(path, exc)
+        return None
     incr("profile_cache.hit")
-    return profile
+    return payload
 
 
-def store_cached_profile(name: str, config_key: tuple, profile: Any) -> None:
-    """Persist a profile (no-op when the cache is disabled).
+def load_cached_profile(name: str, config_key: tuple) -> Any | None:
+    """The cached profile document (as stored), or None on a miss."""
+    payload = load_cached_profile_json(name, config_key)
+    if payload is None:
+        return None
+    try:
+        return json.loads(payload)
+    except ValueError as exc:  # a checksummed payload that is not JSON
+        _profile_miss(profile_path(name, config_key), exc)
+        return None
+
+
+def store_cached_profile(name: str, config_key: tuple,
+                         document: Any) -> None:
+    """Persist a JSON-safe profile document (no-op when the cache is
+    disabled).
 
     Entry bytes and the index record are written as one per-entry
     locked transaction (lock order: entry lock, then index lock inside
@@ -516,16 +591,12 @@ def store_cached_profile(name: str, config_key: tuple, profile: Any) -> None:
         return
     _open_store()
     path = profile_path(name, config_key)
-
-    def write(tmp: pathlib.Path) -> None:
-        with open(tmp, "wb") as fh:
-            pickle.dump(profile, fh, protocol=pickle.HIGHEST_PROTOCOL)
-
+    entry = encode_profile_entry(document)
     with _entry_lock(path):
-        _atomic_write(path, write)
+        _atomic_write(path, lambda tmp: tmp.write_bytes(entry))
         _index_record(path.name, {
             "workload": name,
-            "bytes": path.stat().st_size,
+            "bytes": len(entry),
             "pid": os.getpid(),
         })
     incr("profile_cache.store")

@@ -18,6 +18,7 @@ from repro.exp.runner import (
     FAULT_ENV,
     BenchmarkProfile,
     collect_profiles,
+    profile_from_json,
     run_profile,
 )
 from repro.exp.service import ShardQueue, enqueue_sweep, run_worker
@@ -199,7 +200,7 @@ class TestWorker:
         assert report.completed == ["li"] and not report.failed
         assert queue.counts()["done"] == 1
         cached = tracecache.load_cached_profile("li", TINY.cache_key())
-        assert isinstance(cached, BenchmarkProfile)
+        assert isinstance(profile_from_json(cached), BenchmarkProfile)
 
     def test_failed_shard_keeps_runner_error_shape(self, cache_dir,
                                                    monkeypatch):
@@ -261,6 +262,22 @@ class TestServiceSweep:
         assert [p.name for p in run] == ["compress"]
         assert [f.name for f in run.failures] == ["li"]
         assert run.failures[0].kind == "RuntimeError"
+
+    def test_failure_matches_in_process_failure(self, tmp_path,
+                                                monkeypatch):
+        # the queue's attempt count is the worker's profile attempts,
+        # not the shard's claim count
+        monkeypatch.setenv(FAULT_ENV, "li=raise")
+        failures = {}
+        for workers in (1, 2):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / str(workers)))
+            config = dataclasses.replace(QUEUED, max_workers=workers,
+                                         task_retries=1, retry_backoff=0.0)
+            [failure] = collect_profiles(config, manifest=False).failures
+            failures[workers] = (failure.name, failure.kind,
+                                 failure.message, failure.attempts)
+        assert failures[2] == failures[1]
+        assert failures[1][3] == 2
 
     def test_no_cache_multi_worker_run_writes_nothing(self, cache_dir):
         # the queue needs the cache, so this runs in-process

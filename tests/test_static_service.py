@@ -19,10 +19,11 @@ def frontend(tmp_path, monkeypatch):
 
 class TestServeStaticMode:
     def test_static_mode_is_always_a_hot_hit(self, frontend):
-        code, body = frontend.dispatch(
+        code, answer = frontend.dispatch(
             "/profile", {"workload": "li", "mode": "static"}
         )
         assert code == 200
+        body = json.loads(answer)
         assert body["source"] == "static"
         assert body["profile"]["percent_reusable"] > 0.0
 
@@ -52,9 +53,10 @@ class TestServeStaticMode:
         }
         (tmp_path / "BENCH_static.json").write_text(json.dumps(report))
         frontend = ServiceFrontend(ExperimentConfig(max_instructions=4_000))
-        _, body = frontend.dispatch(
+        _, answer = frontend.dispatch(
             "/profile", {"workload": "li", "mode": "static"}
         )
+        body = json.loads(answer)
         assert body["error_band"] == {"percent_reusable": 0.03}
 
     def test_dynamic_mode_untouched(self, frontend):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exp.config import ExperimentConfig
-from repro.exp.runner import run_profile
+from repro.exp.runner import profile_to_json, run_profile
 from repro.vm import tracecache
 from repro.workloads.base import run_workload
 
@@ -158,7 +158,7 @@ class TestProfileLayer:
         # the recompute rewrote the entry: it loads cleanly again
         assert tracecache.load_cached_profile(
             "li", config.cache_key()
-        ) == cold
+        ) == profile_to_json(cold)
         leftovers = [p for p in path.parent.iterdir()
                      if p.name.endswith(".tmp")]
         assert not leftovers
