@@ -19,7 +19,13 @@ per-scenario reference pipeline:
   (``repro.exp.runner.profile_scenarios``), split into the
   scenario-independent ``shared_seconds`` (an ``analyze_all([])``
   drain) and ``fold_seconds_per_scenario``, with a bit-identity check
-  against the per-scenario ``DataflowModel`` oracle.  Its
+  against the per-scenario ``DataflowModel`` oracle.  Its ``folds``
+  section forces each of the engine's two folds (generated and level)
+  for compress and li at 6 and 24 scenarios, and runs the cost rule:
+  fold ns per instruction per scenario, level count and mean width,
+  the rule's pick, and each fold's bit-identity; it fails when a fold
+  is not bit-identical or when the rule's 24-scenario pick is slower
+  than the generated fold in the same run.  Its
   ``scale_curve`` holds, for compress and li at 5x, 25x and 125x
   ``--budget`` (200k, 1M and 5M by default), the ns per instruction of
   the signature history alone (``signature_flags``), of the shared part
@@ -98,6 +104,7 @@ machine.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import os
@@ -124,6 +131,7 @@ from repro.core.reuse_tlr import (  # noqa: E402
 )
 from repro.core.traces import maximal_reusable_spans  # noqa: E402
 from repro.dataflow.model import DataflowModel, Scenario  # noqa: E402
+from repro.dataflow import streaming  # noqa: E402
 from repro.dataflow.streaming import StreamingDataflowEngine  # noqa: E402
 from repro.exp.config import ExperimentConfig  # noqa: E402
 from repro.exp.runner import (  # noqa: E402
@@ -352,6 +360,117 @@ def bench_streaming_engine(budget: int, config: ExperimentConfig) -> dict:
         "scenarios_per_sec": round(len(scens) / elapsed, 1),
         "bit_identical": results == oracle_results(trace, scens),
     }
+
+
+#: Kernels and scenario counts of the fold comparison: the 6-scenario
+#: ``repro analyze`` set and the 24-scenario figure profile.
+FOLD_KERNELS = ("compress", "li")
+FOLD_ROUNDS = 5
+#: Fewest instructions the folds are compared at: below a few
+#: sub-blocks, warm-up and timer noise would decide the speed gate.
+FOLD_MIN_BUDGET = 20_000
+
+
+def _fold_sets(config: ExperimentConfig) -> dict[int, list[Scenario]]:
+    six = dataclasses.replace(config, reuse_latencies=(1,),
+                              proportional_ks=())
+    return {len(profile_scenarios(c)): profile_scenarios(c)
+            for c in (six, config)}
+
+
+def bench_folds(budget: int, config: ExperimentConfig) -> dict:
+    """Both folds of ``StreamingDataflowEngine``, each forced for every
+    sub-block, and the cost rule's pick, for compress and li at 6 and
+    24 scenarios: fold ns per instruction per scenario (a drain minus
+    an ``analyze_all([])`` drain; medians of interleaved rounds), the
+    level count and mean width, the sub-blocks the rule gave each fold,
+    and each fold's bit-identity with ``oracle_results``.  The level
+    pass is timed on its own too, so the rule's three constants can be
+    re-derived from one report (DESIGN.md §7.1)."""
+    levels_fn = streaming._levels
+    spent = [0.0]
+
+    def timed_levels(*args):
+        start = time.perf_counter()
+        try:
+            return levels_fn(*args)
+        finally:
+            spent[0] += time.perf_counter() - start
+
+    budget = max(budget, FOLD_MIN_BUDGET)
+    out: dict = {"budget": budget, "kernels": {}, "rounds": FOLD_ROUNDS}
+    ok = True
+    for name in FOLD_KERNELS:
+        trace = run_workload(name, max_instructions=budget, use_cache=False)
+        n = len(trace)
+        per_set = {}
+        for count, scens in _fold_sets(config).items():
+            oracle = oracle_results(trace, scens)
+            times: dict = {"shared": [], "generated": [], "level": [],
+                           "rule": [], "pass": []}
+            same = {}
+            for rnd in range(FOLD_ROUNDS + 1):  # round 0 warms up
+                for fold in ("shared", "generated", "level", "rule"):
+                    forced = fold if fold in ("generated", "level") else None
+                    spent[0] = 0.0
+                    with mock.patch.object(streaming, "_FORCE_FOLD", forced), \
+                            mock.patch.object(streaming, "_levels",
+                                              timed_levels):
+                        engine = StreamingDataflowEngine(trace)
+                        start = time.perf_counter()
+                        results = engine.analyze_all(
+                            [] if fold == "shared" else scens)
+                        elapsed = time.perf_counter() - start
+                    if fold == "shared":
+                        if rnd:
+                            times["shared"].append(elapsed)
+                        continue
+                    same[fold] = results == oracle
+                    if fold == "level":
+                        levels = engine.folds["levels"]
+                        if rnd:
+                            times["pass"].append(spent[0])
+                    if fold == "rule":
+                        picked = {k: engine.folds[k]
+                                  for k in ("generated", "level")}
+                    if rnd:
+                        times[fold].append(elapsed)
+            shared = median(times["shared"])
+
+            def ns(fold):
+                return round((median(times[fold]) - shared) / n / count
+                             * 1e9, 1)
+
+            step = ns("generated")
+            pass_ns = median(times["pass"]) / n * 1e9
+            level_ns = ((median(times["level"]) - shared) / n * 1e9
+                        - pass_ns) * n / levels
+            entry = {
+                "fold_ns_per_instr_per_scenario": {
+                    "generated": step, "level": ns("level"),
+                    "rule": ns("rule")},
+                "levels": levels,
+                "mean_width": round(n / levels, 2),
+                "rule_picked_sub_blocks": picked,
+                "bit_identical": same,
+                "level_pass_ns_per_instr": round(pass_ns, 1),
+                "level_step_ns": round(level_ns),
+                "ratios_to_step": {"level": round(level_ns / step, 1),
+                                   "pass": round(pass_ns / step, 2)},
+            }
+            # a rule that kept the generated fold everywhere ran it
+            entry["ok"] = all(same.values()) and (
+                count < 24 or not picked["level"]
+                or ns("rule") <= step)
+            ok = ok and entry["ok"]
+            per_set[str(count)] = entry
+        out["kernels"][name] = {"instructions": n, "scenarios": per_set}
+    out["constants"] = {"STEP_NS": streaming.STEP_NS,
+                        "LEVEL_NS": streaming.LEVEL_NS,
+                        "PASS_NS": streaming.PASS_NS,
+                        "WIDEST": streaming.WIDEST}
+    out["ok"] = ok
+    return out
 
 
 #: Scale-curve budgets as multiples of ``--budget``.
@@ -862,6 +981,9 @@ def main(argv: list[str] | None = None) -> int:
                 **bench_streaming_engine(
                     args.budget,
                     ExperimentConfig(max_instructions=args.budget)),
+                "folds": bench_folds(
+                    args.budget,
+                    ExperimentConfig(max_instructions=args.budget)),
                 "scale_curve": bench_scale_curve(args.budget, tmp),
             },
             "collect_profiles": bench_collect_profiles(args.budget),
@@ -883,6 +1005,20 @@ def main(argv: list[str] | None = None) -> int:
         print("FAIL: streaming engine results are not bit-identical "
               "to the per-scenario oracle", file=sys.stderr)
         ok = False
+    folds = report["streaming_engine"]["folds"]
+    for name, kernel in folds["kernels"].items():
+        for count, entry in kernel["scenarios"].items():
+            if not all(entry["bit_identical"].values()):
+                print(f"FAIL: a fold is not bit-identical to the oracle "
+                      f"on {name} at {count} scenarios: "
+                      f"{entry['bit_identical']}", file=sys.stderr)
+                ok = False
+            elif not entry["ok"]:
+                print(f"FAIL: the fold the rule picked on {name} at "
+                      f"{count} scenarios is slower than the generated "
+                      f"fold: {entry['fold_ns_per_instr_per_scenario']}",
+                      file=sys.stderr)
+                ok = False
     curve = report["streaming_engine"]["scale_curve"]
     for name, kernel in curve["per_kernel"].items():
         if not kernel["ok"]:

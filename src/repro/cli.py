@@ -488,8 +488,10 @@ def _cmd_worker(args) -> int:
     # mark this process as a killable worker shard (fault injection's
     # ``crash`` mode takes the process down instead of raising)
     os.environ["REPRO_SERVICE_WORKER"] = "1"
-    manifest = RunManifest(args.run_id, worker=args.worker_id) \
-        if args.run_id else RunManifest(worker=args.worker_id)
+    # no --run-id: a run of its own; an empty one (a sweep that records
+    # no manifest): none
+    manifest = None if args.run_id == "" else \
+        RunManifest(args.run_id, worker=args.worker_id)
     report = run_worker(
         args.worker_id,
         manifest=manifest,
@@ -706,7 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_wk.add_argument("--worker-id", default=f"w{os.getpid()}",
                       help="name used in leases and manifest events")
     p_wk.add_argument("--run-id", default=None,
-                      help="sweep run id to attach this worker's manifest to")
+                      help="sweep run id to attach this worker's manifest "
+                      "to ('' records no manifest)")
     p_wk.add_argument("--forever", action="store_true",
                       help="keep polling when the queue is empty (serve "
                       "mode) instead of exiting")

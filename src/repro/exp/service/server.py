@@ -120,7 +120,6 @@ class ServiceFrontend:
                 "dir": info["dir"],
                 "traces": info["traces"],
                 "profiles": info["profiles"],
-                "profile_index": info["profile_index"],
             },
         }
 

@@ -29,7 +29,6 @@ from repro.exp.config import ExperimentConfig
 from repro.exp.runner import ProfileFailure, _Collector, profile_from_json
 from repro.exp.service.queue import DEFAULT_LEASE_TTL, ShardQueue
 from repro.exp.service.worker import run_worker
-from repro.obs.manifest import RunManifest
 from repro.vm import tracecache
 
 _log = obs.get_logger("service.sweep")
@@ -82,7 +81,7 @@ def enqueue_sweep(
 
 def spawn_worker_process(
     worker: str,
-    run_id: str,
+    run_id: str | None,
     *,
     exit_when_empty: bool = True,
     lease_ttl: float = DEFAULT_LEASE_TTL,
@@ -94,11 +93,12 @@ def spawn_worker_process(
     ``REPRO_SERVICE_WORKER=1`` so fault injection treats it as a
     killable worker, not a parent.  Its stdout summary line is
     dropped, so it never mixes into the parent's output (its manifest
-    records the same); its stderr log stays attached.
+    records the same); its stderr log stays attached.  With ``run_id``
+    None it records no manifest.
     """
     cmd = [
         sys.executable, "-m", "repro", "worker",
-        "--worker-id", worker, "--run-id", run_id,
+        "--worker-id", worker, "--run-id", run_id or "",
         "--lease-ttl", str(lease_ttl),
     ]
     if not exit_when_empty:
@@ -128,7 +128,8 @@ def run_queued(collector: _Collector, names: list[str], workers: int) -> None:
     queue = ShardQueue()
     jobs = {queue.enqueue(name, config)[0]: name for name in names}
     collector.emit("sweep_enqueued", enqueued=list(names))
-    run_id = (collector.manifest or RunManifest()).run_id
+    # workers of a run that records no manifest record none either
+    run_id = collector.manifest.run_id if collector.manifest else None
     ids = itertools.count()
 
     def spawn() -> subprocess.Popen:

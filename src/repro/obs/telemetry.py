@@ -10,14 +10,16 @@ real work).
 
 Registries nest.  ``scope()`` pushes a fresh registry so one task's
 numbers can be captured in isolation (the experiment runner wraps each
-kernel in a scope and ships the snapshot back through the process
-pool); on exit the scoped totals are merged into the enclosing
-registry, so whole-session totals still accumulate.
+kernel attempt in a scope and records the snapshot in that attempt's
+run-manifest event); on exit the scoped totals are merged into the
+enclosing registry, so whole-session totals still accumulate.
 
-Workers in a process pool each get their own module state (spawned
-interpreters), which is exactly the isolation we want: a worker
-snapshots its own registry and the parent merges it into the run
-manifest.
+A multi-process sweep runs its kernels in ``repro worker`` processes
+drained from the shard queue.  Each is its own interpreter with its
+own registry, which is exactly the isolation we want: a worker writes
+its kernels' snapshots to its own manifest file of the run
+(``run-<id>-w<worker>.jsonl``), and ``repro obs show`` merges the
+coordinator's manifest with its workers' into one run view.
 """
 
 from __future__ import annotations

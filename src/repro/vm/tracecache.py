@@ -14,7 +14,6 @@ Layout (under :func:`cache_dir`, default ``.repro-cache/``)::
     .repro-cache/
         traces/<workload>-s<scale>-n<budget>-<key>.trace   (tracefile v3)
         profiles/<workload>-n<budget>-<key>.json           (profile entry)
-        index/profiles.json                                (profile index)
 
 A profile entry is one header line, ``repro-profile <schema> <payload
 bytes> <crc32 hex>``, followed by the payload: the profile document as
@@ -57,12 +56,9 @@ once, across processes.  The discipline, in lock order:
    zero-byte sibling under ``locks/``), so two writers of the same key
    serialize instead of double-writing; writers of different keys
    never contend.
-3. The profile index (``index/profiles.json``) is updated under its
-   own lock with a compare-and-swap discipline: the current index is
-   re-read *inside* the lock, merged, and atomically replaced — a
-   pre-lock read is never trusted, so concurrent writers can not drop
-   each other's updates (the classic last-writer-wins race).
-   Lock order is entry lock → index lock, never the reverse.
+3. There is no index: the entry name carries the workload and budget,
+   and the header carries the size, so ``cache_info`` counts entries
+   with the directory scan it runs anyway.
 4. A writer killed between ``mkstemp`` and ``os.replace`` leaves an
    orphan temp file; opening the cache reaps temp files whose creator
    pid is dead (immediately) or unknown and old (after an hour) —
@@ -200,7 +196,7 @@ def reap_orphans(*, max_age: float = fslock.DEFAULT_TMP_MAX_AGE) -> int:
     """
     root = cache_dir()
     removed = 0
-    for sub in ("traces", "profiles", "index"):
+    for sub in ("traces", "profiles"):
         removed += fslock.reap_stale_tmps(root / sub, max_age=max_age)
     if removed:
         incr("cache.orphans_reaped", removed)
@@ -214,60 +210,6 @@ def _open_store() -> None:
         return
     _reaped_roots.add(root)
     reap_orphans()
-
-
-# ----------------------------------------------------------------------
-# profile index
-# ----------------------------------------------------------------------
-
-def _index_path() -> pathlib.Path:
-    return cache_dir() / "index" / "profiles.json"
-
-
-def _index_lock():
-    return fslock.file_lock(cache_dir() / "locks" / "profile-index.lock")
-
-
-def _read_index(path: pathlib.Path) -> dict[str, Any]:
-    """The index mapping (entry file name -> metadata); {} on damage."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):  # JSON and UTF-8 errors are ValueErrors
-        return {}
-    profiles = data.get("profiles") if isinstance(data, dict) else None
-    return profiles if isinstance(profiles, dict) else {}
-
-
-def load_profile_index() -> dict[str, Any]:
-    """A point-in-time snapshot of the profile index (read-only)."""
-    return _read_index(_index_path())
-
-
-def _index_record(fname: str, meta: dict[str, Any]) -> None:
-    """Merge one entry into the index, safely against racing writers.
-
-    The compare-and-swap discipline: the current index is re-read
-    *under the index lock* (never reused from before the lock), the
-    entry is merged in, and the result replaces the file atomically.
-    Two processes storing different keys concurrently therefore both
-    land in the index — an unlocked read-modify-write here was the
-    last-writer-wins race that silently dropped one of them.
-    """
-    path = _index_path()
-    with _index_lock():
-        profiles = _read_index(path)
-        profiles[fname] = meta
-        _atomic_write(path, lambda tmp: tmp.write_text(
-            json.dumps({"schema": 1, "profiles": profiles},
-                       sort_keys=True, separators=(",", ":")),
-            encoding="utf-8",
-        ))
-
-
-def _index_clear() -> None:
-    with _index_lock():
-        _index_path().unlink(missing_ok=True)
 
 
 # ----------------------------------------------------------------------
@@ -582,10 +524,8 @@ def store_cached_profile(name: str, config_key: tuple,
     """Persist a JSON-safe profile document (no-op when the cache is
     disabled).
 
-    Entry bytes and the index record are written as one per-entry
-    locked transaction (lock order: entry lock, then index lock inside
-    :func:`_index_record`), so a reader of the index never sees an
-    entry the store lost, and two same-key writers serialize.
+    The entry is written atomically under its per-entry lock, so two
+    same-key writers serialize.
     """
     if not cache_enabled():
         return
@@ -594,11 +534,6 @@ def store_cached_profile(name: str, config_key: tuple,
     entry = encode_profile_entry(document)
     with _entry_lock(path):
         _atomic_write(path, lambda tmp: tmp.write_bytes(entry))
-        _index_record(path.name, {
-            "workload": name,
-            "bytes": len(entry),
-            "pid": os.getpid(),
-        })
     incr("profile_cache.store")
 
 
@@ -645,7 +580,6 @@ def cache_info(*, per_entry: bool = False) -> dict[str, Any]:
     info: dict[str, Any] = {
         "dir": str(root),
         "enabled": cache_enabled(),
-        "profile_index": len(load_profile_index()),
         "traces": 0,
         "trace_bytes": 0,
         "profiles": 0,
@@ -697,9 +631,8 @@ def clear_cache() -> int:
             directory.rmdir()
         except OSError:
             pass
-    # lock files and the profile index are bookkeeping, not entries:
-    # wipe them without adding to the removal count
-    _index_clear()
+    # lock files are bookkeeping, not entries: wipe them without
+    # adding to the removal count
     locks = root / "locks"
     if locks.is_dir():
         for entry in locks.iterdir():
@@ -709,8 +642,4 @@ def clear_cache() -> int:
             locks.rmdir()
         except OSError:
             pass
-    try:
-        (root / "index").rmdir()
-    except OSError:
-        pass
     return removed

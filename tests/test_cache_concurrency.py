@@ -4,8 +4,8 @@ These tests spawn real OS processes (``sys.executable -c``) against
 one cache directory, exercising the races the service architecture
 depends on surviving:
 
-* the profile-index compare-and-swap (two concurrent writers must
-  both land — the old unlocked read-modify-write dropped one),
+* two concurrent writers of different keys (every entry must land
+  and load as stored),
 * ≥4 processes hammering the *same* keys (no corrupt entries, no
   lost profiles, bytes identical to a sequential run),
 * crash-orphan temp files reaped when the cache is next opened.
@@ -55,8 +55,8 @@ def _key(budget: int) -> tuple:
 
 
 # Each child stores a disjoint range of keys, concurrently with its
-# siblings.  Under last-writer-wins index updates, most of one child's
-# records vanish; under CAS they all survive.
+# siblings.  Every entry must survive and load as the document stored
+# (a shared index rewritten last-writer-wins once dropped records here).
 _WRITER = """
 from repro.vm import tracecache
 
@@ -70,18 +70,15 @@ for i in range(start, start + count):
 
 class TestIndexRace:
     def test_two_concurrent_writers_both_land(self, cache_dir):
-        """Regression: concurrent index updates must not drop entries."""
+        """Regression: concurrent stores must not drop entries."""
         per_child = 20
         procs = [
             _spawn(_WRITER.format(start=0, count=per_child)),
             _spawn(_WRITER.format(start=per_child, count=per_child)),
         ]
         _wait_all(procs)
-        index = tracecache.load_profile_index()
-        assert len(index) == 2 * per_child
-        workloads = {meta["workload"] for meta in index.values()}
-        assert workloads == {f"w{i}" for i in range(2 * per_child)}
-        # every indexed entry exists on disk and loads
+        assert tracecache.cache_info()["profiles"] == 2 * per_child
+        # both writers' entries exist on disk and load as stored
         for i in range(2 * per_child):
             assert tracecache.load_cached_profile(f"w{i}", _key(i)) == {"i": i}
 
@@ -115,11 +112,8 @@ class TestSameKeyStress:
                         "series": list(range(64))}
             assert tracecache.load_cached_profile(name, _key(budget)) == expected
 
-        # no index corruption or drops
-        index = tracecache.load_profile_index()
-        assert {meta["workload"] for meta in index.values()} == {
-            name for name, _ in keys
-        }
+        # no duplicate or stray entries either
+        assert tracecache.cache_info()["profiles"] == len(keys)
 
         # no torn writes left behind: every entry file's bytes are
         # bit-identical to a sequential store of the same payload

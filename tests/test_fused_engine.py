@@ -1,11 +1,13 @@
 """Differential tests: the streaming engine against the per-scenario model.
 
 The :class:`StreamingDataflowEngine` re-implements every reuse-plan
-family inside one generated fold over a shared, sub-block-wise
-dependence precompute.  The per-scenario :class:`DataflowModel` (plus
-the plan builders in ``baselines.ilr`` and ``core.reuse_tlr``) is the
-independent oracle; the engine must match it bit-for-bit, not just
-within a tolerance, at every chunk size and sub-block cap.
+family twice over a shared, sub-block-wise dependence precompute: a
+generated per-instruction fold and a level fold that steps every
+scenario of a dataflow level at once.  The per-scenario
+:class:`DataflowModel` (plus the plan builders in ``baselines.ilr``
+and ``core.reuse_tlr``) is the independent oracle; the engine must
+match it bit-for-bit, not just within a tolerance, with either fold
+forced for every sub-block, at every chunk size and sub-block cap.
 """
 
 from __future__ import annotations
@@ -182,19 +184,37 @@ def assert_matches_reference(stream, scens, chunk_size):
     return engine
 
 
-@given(
+def assert_fold_matches_reference(fold, stream, scens, chunk_size, cap,
+                                  slice_size):
+    with mock.patch.object(streaming, "_FORCE_FOLD", fold), \
+            mock.patch.object(streaming, "SUB_BLOCK_CAP", cap), \
+            mock.patch.object(ilr, "SIGNATURE_SLICE", slice_size):
+        assert_matches_reference(stream, scens, chunk_size)
+
+
+PROPERTY = given(
     dyn_streams() | shaped_streams() | valued_streams(),
     scenario_lists(),
     st.sampled_from([1, 7, 4096]),
     st.sampled_from(CAPS),
     st.sampled_from(SLICES),
 )
+
+
+@PROPERTY
 @settings(max_examples=300, deadline=None)
 def test_fused_engine_matches_per_scenario_model(stream, scens, chunk_size,
                                                  cap, slice_size):
-    with mock.patch.object(streaming, "SUB_BLOCK_CAP", cap), \
-            mock.patch.object(ilr, "SIGNATURE_SLICE", slice_size):
-        assert_matches_reference(stream, scens, chunk_size)
+    assert_fold_matches_reference("generated", stream, scens, chunk_size,
+                                  cap, slice_size)
+
+
+@PROPERTY
+@settings(max_examples=300, deadline=None)
+def test_level_fold_matches_per_scenario_model(stream, scens, chunk_size,
+                                               cap, slice_size):
+    assert_fold_matches_reference("level", stream, scens, chunk_size, cap,
+                                  slice_size)
 
 
 @given(dyn_streams())
@@ -244,7 +264,16 @@ def loop_stream(body, trips):
 
 class TestFoldEdges:
     """Deterministic corners of the generated fold and its precompute,
-    each exact against the per-scenario reference."""
+    each exact against the per-scenario reference.
+    :class:`TestLevelFoldEdges` runs every case through the level
+    fold."""
+
+    FOLD = "generated"
+
+    @pytest.fixture(autouse=True)
+    def _force_fold(self):
+        with mock.patch.object(streaming, "_FORCE_FOLD", self.FOLD):
+            yield
 
     @pytest.mark.parametrize("cap", CAPS)
     def test_three_producers_and_no_reads(self, cap):
@@ -332,6 +361,58 @@ class TestFoldEdges:
         assert engine.avg_span_length == average_span_length(spans)
         assert engine.io_stats == trace_io_stats(spans)
 
+    @pytest.mark.parametrize("cap", [1, 7])
+    def test_window_longer_than_the_sub_block(self, cap):
+        # 12- and 20-entry rings outlive every sub-block: the level fold
+        # reads its first W gates from the carried ring and refills it
+        body = [lambda t: inst(0, reads=[(5, t)], writes=[(5, t + 1)]),
+                lambda t: inst(1, reads=[(6, 0)], writes=[(7, 1)], latency=3),
+                lambda t: inst(2, reads=[(7, 1), (5, t + 1)],
+                               writes=[(64, t)], latency=2)]
+        stream = loop_stream(body, 20)
+        scens = [Scenario("base", window_size=12),
+                 Scenario("ilr", window_size=20, latency=0.5),
+                 Scenario("tlr", window_size=12, latency=1.0),
+                 Scenario("tlr", window_size=20, k=1 / 3,
+                          fetch_free=False)]
+        with mock.patch.object(streaming, "SUB_BLOCK_CAP", cap):
+            for chunk_size in (1, 5, 4096):
+                assert_matches_reference(stream, scens, chunk_size)
+
+    @pytest.mark.parametrize("cap", [1, 7])
+    def test_span_gates_from_the_prelude(self, cap):
+        # each trip writes 1 and 2 outside any span (a fresh induction
+        # value, cut after), then repeats a span that reads them: with
+        # a small cap its gate producers are carried-in prelude entries
+        body = [lambda t: inst(0, reads=[(9, t)], writes=[(9, t + 1)],
+                               latency=4),
+                lambda t: inst(1, writes=[(1, 3)], latency=5),
+                lambda t: inst(2, writes=[(2, 4)], latency=2),
+                lambda t: inst(3, reads=[(9, t + 1)], writes=[(8, t)]),
+                lambda t: inst(4, reads=[(1, 3), (2, 4)], writes=[(3, 7)],
+                               latency=3),
+                lambda t: inst(5, reads=[(3, 7), (64, 0)], writes=[(65, 7)])]
+        stream = loop_stream(body, 6)
+        with mock.patch.object(streaming, "SUB_BLOCK_CAP", cap):
+            for chunk_size in (1, 4, 4096):
+                assert_matches_reference(stream, EDGE_SCENARIOS, chunk_size)
+
+    def test_non_dyadic_k(self):
+        # 0.1 and 1/3 round in binary: K * io must be the oracle's own
+        # float product, not a rescaled one
+        stream = loop_stream([
+            lambda t: inst(0, reads=[(1, 0)], writes=[(2, 1)], latency=2),
+            lambda t: inst(1, reads=[(2, 1), (3, 5), (64, 1)],
+                           writes=[(4, 2), (65, 3)]),
+        ], 12)
+        scens = [Scenario("tlr", window_size=None, k=0.1),
+                 Scenario("tlr", window_size=3, k=1 / 3),
+                 Scenario("tlr", window_size=None, k=0.1, fetch_free=False),
+                 Scenario("tlr", window_size=5, k=1 / 3, fetch_free=False)]
+        for cap in CAPS:
+            with mock.patch.object(streaming, "SUB_BLOCK_CAP", cap):
+                assert_matches_reference(stream, scens, 7)
+
     def test_same_signature_reuses_the_generated_fold(self):
         stream = loop_stream([lambda t: inst(0, reads=[(1, 0)],
                                              writes=[(2, 1)])], 4)
@@ -348,6 +429,15 @@ class TestFoldEdges:
         assert streaming._fold_for.cache_info().misses == misses
         assert streaming._fold_for(streaming._signature(first)) is \
             streaming._fold_for(streaming._signature(second))
+
+
+class TestLevelFoldEdges(TestFoldEdges):
+    """The same corners through the level fold."""
+
+    FOLD = "level"
+    # no fold runs without scenarios, and only the generated one compiles
+    test_no_scenarios_still_summarises = None
+    test_same_signature_reuses_the_generated_fold = None
 
 
 class TestOnRealWorkloads:

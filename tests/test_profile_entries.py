@@ -1,6 +1,6 @@
 """Profile cache entries: the checksummed JSON format, the profile
 document's exact round-trip, the byte-splicing ``/profile`` hit path,
-and a byte-mutation fuzzer over stored entries and the profile index."""
+and a byte-mutation fuzzer over stored entries."""
 
 from __future__ import annotations
 
@@ -258,23 +258,3 @@ class TestEntryFuzz:
             assert path.read_bytes() == raw
         finally:
             path.write_bytes(raw)
-
-    @FUZZ
-    @given(data=st.data())
-    def test_mutated_index_never_changes_an_answer(self, warm_entry, data):
-        path, raw, doc, profile, answer = warm_entry
-        index = tracecache.cache_dir() / "index" / "profiles.json"
-        original = index.read_bytes()
-        index.write_bytes(_mutate(data, original))
-        try:
-            assert tracecache.load_cached_profile(
-                "li", TINY.cache_key()) == doc
-            assert ServiceFrontend(TINY).dispatch(
-                "/profile", {"workload": "li"}) == (200, answer)
-            tracecache.cache_info()
-            # a store rewrites the index whole
-            tracecache.store_cached_profile("li", TINY.cache_key(), doc)
-            assert path.name in tracecache.load_profile_index()
-            assert path.read_bytes() == raw
-        finally:
-            index.write_bytes(original)

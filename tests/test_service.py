@@ -241,6 +241,13 @@ class TestServiceSweep:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
         assert list(run) == list(reference)
 
+    def test_sweep_without_manifest_writes_no_run_file(self, cache_dir):
+        # the workers of a run that records no manifest record none
+        run = collect_profiles(QUEUED, manifest=False)
+        assert run.ok and run.manifest_path is None
+        runs = tracecache.cache_dir() / "runs"
+        assert not runs.exists() or not list(runs.iterdir())
+
     def test_second_sweep_resumes_everything(self, cache_dir):
         collect_profiles(TINY, manifest=False)
         plan = enqueue_sweep(TINY)
@@ -464,4 +471,4 @@ class TestServeFrontend:
         assert body["queue"] == {"pending": 0, "leased": 0,
                                  "done": 0, "failed": 0}
         assert body["cache"]["profiles"] == 1
-        assert body["cache"]["profile_index"] == 1
+        assert "profile_index" not in body["cache"]

@@ -16,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -32,10 +33,15 @@ from repro.core.rtm.collector import FixedLengthHeuristic, ILRHeuristic
 from repro.core.rtm.memory import RTM_PRESETS
 from repro.core.rtm.simulator import FiniteReuseSimulator
 from repro.core.traces import maximal_reusable_spans
+from repro.dataflow import streaming
 from repro.dataflow.model import Scenario
 from repro.dataflow.streaming import StreamingDataflowEngine
 from repro.exp.config import ExperimentConfig
-from repro.exp.runner import run_profile, run_profile_reference
+from repro.exp.runner import (
+    profile_scenarios,
+    run_profile,
+    run_profile_reference,
+)
 from repro.vm.trace import ColumnarTrace, extend_columnar
 from repro.vm.tracestream import as_chunk_stream
 from repro.workloads.base import all_workloads, run_workload, stream_workload
@@ -88,6 +94,31 @@ class TestStreamingEngine:
             got = StreamingDataflowEngine(
                 trace, chunk_size=311).analyze_all(SCENARIOS)
             assert got == expected, name
+
+    @pytest.mark.parametrize("fold", ["generated", "level"])
+    def test_all_kernels_each_fold(self, fold):
+        for name in KERNELS:
+            trace = run_workload(name, max_instructions=2_000)
+            expected, _, _ = oracle_results(trace)
+            with mock.patch.object(streaming, "_FORCE_FOLD", fold):
+                got = StreamingDataflowEngine(
+                    trace, chunk_size=311).analyze_all(SCENARIOS)
+            assert got == expected, name
+
+    def test_cost_rule(self):
+        # the 6-scenario analyze set never pays for a level pass; the
+        # 24-scenario profile levels compress's ~9-wide sub-blocks and
+        # folds them by level
+        trace = run_workload("compress", max_instructions=20_000)
+        six = ExperimentConfig(reuse_latencies=(1,), proportional_ks=())
+        engine = StreamingDataflowEngine(trace)
+        engine.analyze_all(profile_scenarios(six))
+        assert engine.folds["leveled"] == 0
+        assert engine.folds["level"] == 0
+        engine = StreamingDataflowEngine(trace)
+        engine.analyze_all(profile_scenarios(ExperimentConfig()))
+        assert engine.folds["generated"] == 0
+        assert engine.folds["leveled"] == len(trace)
 
     def test_io_stats_match(self):
         from repro.core.stats import trace_io_stats
