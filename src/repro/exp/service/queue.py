@@ -42,6 +42,7 @@ from typing import Any
 from repro.exp.config import ExperimentConfig
 from repro.obs import get_logger, incr
 from repro.util import fslock
+from repro.util.records import seal, unseal
 from repro.vm import tracecache
 
 _log = get_logger("service.queue")
@@ -118,7 +119,8 @@ class ShardQueue:
         tmp = fslock.make_tmp(path.parent, path.name)
         try:
             tmp.write_text(
-                json.dumps(job.to_record(), sort_keys=True), encoding="utf-8"
+                seal(json.dumps(job.to_record(), sort_keys=True)),
+                encoding="utf-8",
             )
             os.replace(tmp, path)
         except BaseException:
@@ -126,9 +128,11 @@ class ShardQueue:
             raise
 
     def _read(self, path: pathlib.Path) -> ShardJob | None:
-        """Parse one record; None when unreadable (racing writer/corrupt)."""
+        """Parse one record; None when it is gone or damaged (a record
+        whose checksum does not match is damaged)."""
         try:
-            record = json.loads(path.read_text(encoding="utf-8"))
+            text = unseal(path.read_text(encoding="utf-8"))
+            record = json.loads(text) if text is not None else None
         except (OSError, json.JSONDecodeError, UnicodeDecodeError):
             return None
         if not isinstance(record, dict) or "job_id" not in record:
@@ -158,7 +162,7 @@ class ShardQueue:
                 workload, config.cache_key()).is_file():
             done.unlink(missing_ok=True)
         for state in ("done", "leased", "pending"):
-            if self._path(state, job_id).is_file():
+            if self._present(self._path(state, job_id)):
                 return job_id, state
         if self._path("failed", job_id).is_file():
             if not retry_failed:
@@ -179,6 +183,18 @@ class ShardQueue:
         self._write("pending", job)
         incr("service.enqueued")
         return job_id, "pending"
+
+    def _present(self, path: pathlib.Path) -> bool:
+        """Whether ``path`` holds a readable record.  Records are
+        written whole (``os.replace``), so an unreadable one is damage:
+        it is deleted, and the shard counts as absent."""
+        if not path.is_file():
+            return False
+        if self._read(path) is not None:
+            return True
+        _log.warning("damaged queue record %s; treating it as absent", path)
+        path.unlink(missing_ok=True)
+        return False
 
     # -- worker side ---------------------------------------------------
     def claim(

@@ -18,7 +18,7 @@ Endpoints (all ``GET``, all ``application/json``):
 ``/health``
     Liveness: ``{"ok": true, "pid": ...}``.
 ``/status``
-    Queue state counts, cache entry counts, profile-index size.
+    Queue state counts, cache entry counts, memoised answer count.
 ``/profile?workload=li[&budget=N][&window=N][&scale=N]``
     One kernel's :class:`~repro.exp.runner.BenchmarkProfile` as JSON
     (hit), or the enqueued shard's job id (miss, 202).
@@ -28,8 +28,24 @@ Endpoints (all ``GET``, all ``application/json``):
 ``/job?id=<job_id>``
     A shard's queue record (state, lease, error).
 
-Blocking filesystem work (cache reads, queue scans) runs in the
-default executor so one slow disk op never stalls the event loop.
+What runs where.  The event loop parses each request, computes its
+memo key and looks the key up in the front end's answer memo; a hit is
+written straight back, with no thread hop and no file I/O.  Everything
+else runs in the default executor, so one slow disk op never stalls
+the loop: the handlers, with their cache reads, queue scans, figure
+renders and static estimates.  A handler's ``200`` answer to
+``/profile`` (a cache hit or ``mode=static``) or ``/figure`` is filled
+into the memo there, so the first request for a key reads and checks
+its entries exactly as a memo-less server would.
+
+The memo holds encoded answers keyed by (route, workload or figure,
+config key, cache root; plus the workload list for a figure).  Entry
+names carry the analysis-code digest, so an answer is a pure function
+of its key and stays exact for as long as the server runs.  One
+consequence: a memoised key keeps its answer after its entry is
+damaged or removed (``repro cache clear`` included); keys not yet
+memoised miss, enqueue and heal as before.  ``202``/``400``/``404``
+answers, ``/health``, ``/status`` and ``/job`` are never memoised.
 """
 
 from __future__ import annotations
@@ -38,6 +54,7 @@ import asyncio
 import dataclasses
 import json
 import os
+import threading
 import urllib.parse
 from typing import Any, Callable
 
@@ -48,6 +65,10 @@ from repro.obs import get_logger, incr
 from repro.vm import tracecache
 
 _log = get_logger("service.server")
+
+#: Most answers the memo holds.  Past it the oldest filled answer
+#: goes; a later request for it refills it from its cache entries.
+MEMO_ENTRIES = 1024
 
 #: Query parameters accepted as ExperimentConfig overrides, with the
 #: coercion each needs (names follow the CLI flags).
@@ -76,6 +97,16 @@ def _encode(body: dict) -> bytes:
     return json.dumps(body, indent=2).encode() + b"\n"
 
 
+def _known_workload(name: str) -> bool:
+    from repro.workloads.base import get_workload
+
+    try:
+        get_workload(name)
+    except KeyError:
+        return False
+    return True
+
+
 class ServiceFrontend:
     """Route table + handlers; one instance per server."""
 
@@ -83,30 +114,45 @@ class ServiceFrontend:
                  queue: ShardQueue | None = None):
         self.defaults = defaults if defaults is not None else ExperimentConfig()
         self.queue = queue if queue is not None else ShardQueue()
-        #: encoded static answers, keyed by (workload, config key) —
-        #: the estimator is milliseconds but the hot path should not
-        #: re-analyse or re-encode on every poll
-        self._static_memo: dict[tuple, bytes] = {}
         self._static_bands: dict | None | bool = False  # False = unloaded
-        #: per known workload, a cache hit's answer up to its profile
-        self._hit_heads: dict[str, bytes] = {}
+        #: memo key -> encoded ``200`` answer; read on the event loop
+        #: without a lock, filled from executor threads under it
+        self._memo: dict[tuple, bytes] = {}
+        self._memo_lock = threading.Lock()
 
-    def _hit_head(self, workload: str) -> bytes | None:
-        """``{"source": "cache", "workload": ..., "profile": `` as
-        bytes, or None for an unknown workload.  A hit appends the
-        stored profile bytes and the closing brace."""
-        head = self._hit_heads.get(workload)
-        if head is None:
-            from repro.workloads.base import get_workload
+    # -- the answer memo ----------------------------------------------
+    def _memo_key(self, path: str, params: dict[str, str]) -> tuple | None:
+        """The key a ``200`` answer to this request is memoised under,
+        or None for a request whose answers are never memoised."""
+        if path == "/profile":
+            name = params.get("workload")
+            route = "static" if params.get("mode") == "static" else "profile"
+        elif path == "/figure":
+            name, route = params.get("name", "figure3"), "figure"
+        else:
+            return None
+        if not name:
+            return None
+        try:
+            config = config_from_query(params, self.defaults)
+        except ValueError:
+            return None
+        key = (route, name, config.cache_key(), tracecache.cache_dir())
+        return key + (config.workloads,) if route == "figure" else key
 
-            try:
-                get_workload(workload)
-            except KeyError:
-                return None
-            head = ('{"source": "cache", "workload": %s, "profile": '
-                    % json.dumps(workload)).encode()
-            self._hit_heads[workload] = head
-        return head
+    def _recall(self, key: tuple | None) -> bytes | None:
+        """The memoised answer under ``key``, or None."""
+        body = self._memo.get(key)
+        if body is not None:
+            incr("serve.memo.hit")
+        return body
+
+    def _remember(self, key: tuple, body: bytes) -> None:
+        with self._memo_lock:
+            if key not in self._memo and len(self._memo) >= MEMO_ENTRIES:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = body
+        incr("serve.memo.fill")
 
     # -- handlers (synchronous; called via executor) -------------------
     def handle_health(self, params: dict[str, str]) -> tuple[int, dict]:
@@ -121,6 +167,7 @@ class ServiceFrontend:
                 "traces": info["traces"],
                 "profiles": info["profiles"],
             },
+            "memo": {"answers": len(self._memo), "bound": MEMO_ENTRIES},
         }
 
     def handle_profile(
@@ -135,13 +182,14 @@ class ServiceFrontend:
             return 400, {"error": f"bad query parameter: {exc}"}
         if params.get("mode") == "static":
             return self.handle_profile_static(workload, config)
-        head = self._hit_head(workload)
-        if head is None:
+        if not _known_workload(workload):
             return 404, {"error": f"unknown workload {workload!r}"}
         stored = tracecache.load_cached_profile_json(
             workload, config.cache_key())
         if stored is not None:
             incr("serve.profile.hit")
+            head = ('{"source": "cache", "workload": %s, "profile": '
+                    % json.dumps(workload)).encode()
             return 200, head + stored + b"}\n"
         job_id, state = self.queue.enqueue(workload, config)
         incr("serve.profile.miss")
@@ -161,37 +209,31 @@ class ServiceFrontend:
         """
         from repro.static.estimator import estimate_profile
         from repro.static.validate import kernel_band, load_bands
-        from repro.workloads.base import get_workload
 
-        try:
-            get_workload(workload)
-        except KeyError:
+        if not _known_workload(workload):
             return 404, {"error": f"unknown workload {workload!r}"}
-        key = (workload, config.cache_key())
-        body = self._static_memo.get(key)
-        if body is None:
-            profile = estimate_profile(workload, config)
-            if self._static_bands is False:
-                self._static_bands = load_bands()
-            band = kernel_band(self._static_bands, workload)
-            body = _encode({
-                "source": "static",
-                "workload": workload,
-                "profile": profile_to_json(profile),
-                "error_band": band,
-                "error_band_note": (
-                    "per-metric prediction error recorded by "
-                    "'repro static validate' (BENCH_static.json); "
-                    "percent_reusable is absolute/100, others relative"
-                    if band else
-                    "no recorded bands — run 'repro static validate'"
-                ),
-            })
-            self._static_memo[key] = body
+        profile = estimate_profile(workload, config)
+        if self._static_bands is False:
+            self._static_bands = load_bands()
+        band = kernel_band(self._static_bands, workload)
         incr("serve.profile.static")
-        return 200, body
+        return 200, _encode({
+            "source": "static",
+            "workload": workload,
+            "profile": profile_to_json(profile),
+            "error_band": band,
+            "error_band_note": (
+                "per-metric prediction error recorded by "
+                "'repro static validate' (BENCH_static.json); "
+                "percent_reusable is absolute/100, others relative"
+                if band else
+                "no recorded bands — run 'repro static validate'"
+            ),
+        })
 
-    def handle_figure(self, params: dict[str, str]) -> tuple[int, dict]:
+    def handle_figure(
+        self, params: dict[str, str]
+    ) -> tuple[int, dict | bytes]:
         from repro.exp import figures as figmod
         from repro.exp.report import render
 
@@ -223,8 +265,8 @@ class ServiceFrontend:
         else:
             result = fig(profiles)
         incr("serve.figure.hit")
-        return 200, {"source": "cache", "figure": name,
-                     "text": render(result)}
+        return 200, _encode({"source": "cache", "figure": name,
+                             "text": render(result)})
 
     def handle_job(self, params: dict[str, str]) -> tuple[int, dict]:
         job_id = params.get("id")
@@ -247,10 +289,24 @@ class ServiceFrontend:
         self, path: str, params: dict[str, str]
     ) -> tuple[int, dict | bytes]:
         """``(status, body)``: a dict to encode, or the answer's bytes."""
+        key = self._memo_key(path, params)
+        body = self._recall(key)
+        if body is not None:
+            return 200, body
+        return self._answer(path, params, key)
+
+    def _answer(
+        self, path: str, params: dict[str, str], key: tuple | None,
+    ) -> tuple[int, dict | bytes]:
+        """Run the route's handler; memoise its answer under ``key``
+        when that answer is a ``200``."""
         handler = self.ROUTES.get(path)
         if handler is None:
             return 404, {"error": f"no route {path!r}"}
-        return handler(self, params)
+        status, body = handler(self, params)
+        if status == 200 and key is not None:
+            self._remember(key, body)
+        return status, body
 
     # -- asyncio plumbing ----------------------------------------------
     async def handle_connection(
@@ -271,10 +327,15 @@ class ServiceFrontend:
                     k: v[-1] for k, v in
                     urllib.parse.parse_qs(url.query).items()
                 }
-                loop = asyncio.get_running_loop()
-                status, body = await loop.run_in_executor(
-                    None, self.dispatch, url.path, params
-                )
+                key = self._memo_key(url.path, params)
+                body = self._recall(key)
+                if body is not None:
+                    status = 200
+                else:
+                    loop = asyncio.get_running_loop()
+                    status, body = await loop.run_in_executor(
+                        None, self._answer, url.path, params, key
+                    )
         except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
                 TimeoutError, UnicodeDecodeError):
             status, body = 400, {"error": "malformed request"}

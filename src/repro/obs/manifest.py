@@ -29,7 +29,9 @@ line could reach the kernel as several writes with another process's
 bytes spliced between them.  A *killed* writer still leaves at most
 one truncated final line; :func:`read_manifest` tolerates (and counts)
 such torn lines so ``repro obs show`` can both render the readable
-prefix and report what was lost.
+prefix and report what was lost.  Each line is sealed with its CRC32
+(:mod:`repro.util.records`), so a line damaged into other well-formed
+JSON counts as torn too.
 
 A service sweep produces a *family* of manifests sharing one run id:
 the coordinator's ``run-<id>.jsonl`` plus one ``run-<id>-w<worker>``
@@ -51,6 +53,7 @@ import time
 from typing import Any
 
 from repro.obs import telemetry
+from repro.util.records import seal, unseal
 
 #: Manifest schema version, bumped on incompatible event changes.
 SCHEMA_VERSION = 1
@@ -110,7 +113,8 @@ class RunManifest:
         record = {"event": event, "t": time.time(), **fields}
         if self.worker is not None:
             record.setdefault("worker", self.worker)
-        line = (json.dumps(record, separators=(",", ":")) + "\n").encode()
+        line = (seal(json.dumps(record, separators=(",", ":")))
+                + "\n").encode()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
@@ -148,7 +152,8 @@ def read_manifest(
     A run killed mid-write leaves at most a truncated final line;
     treating bad lines as absent keeps every completed event readable,
     and the count lets ``repro obs show`` report the damage instead of
-    hiding it.
+    hiding it.  A bad line is one whose seal does not match; a line
+    with no tab at all predates sealing and is read as it stands.
     """
     events: list[dict[str, Any]] = []
     torn = 0
@@ -157,15 +162,17 @@ def read_manifest(
             line = line.strip()
             if not line:
                 continue
+            text = unseal(line)
+            if text is None and "\t" not in line:
+                text = line  # written before lines were sealed
             try:
-                record = json.loads(line)
+                record = json.loads(text) if text is not None else None
             except json.JSONDecodeError:
-                telemetry.incr("manifest.bad_lines")
-                torn += 1
-                continue
+                record = None
             if isinstance(record, dict):
                 events.append(record)
             else:
+                telemetry.incr("manifest.bad_lines")
                 torn += 1
     return events, torn
 

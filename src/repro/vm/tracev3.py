@@ -14,10 +14,10 @@ v3 is a *chunked* binary format built for streaming:
 - every encoded chunk is independently zlib-compressed and framed
   (magic, raw length, compressed length), so a reader holds O(chunk)
   memory;
-- a footer carries a JSON index of chunk offsets plus stream metadata
-  (program name, halted/truncated flags, instruction count) and the
-  file ends with a fixed tail pointing at the footer, giving O(1)
-  seek to any chunk.  A file missing its tail or footer — e.g. a
+- a footer carries a CRC32-checked JSON index of chunk offsets plus
+  stream metadata (program name, halted/truncated flags, instruction
+  count) and the file ends with a fixed tail pointing at the footer,
+  giving O(1) seek to any chunk.  A file missing its tail or footer — e.g. a
   crashed writer — is *detected* as truncated and raises
   :class:`TraceFileError` instead of yielding garbage.
 
@@ -33,7 +33,7 @@ File layout::
 
     MAGIC_V3
     repeat:  b"TRCC"  u32 raw_len  u32 comp_len  <zlib payload>
-    footer:  b"TRCF"  u32 meta_len  <meta JSON>
+    footer:  b"TRCF"  u32 meta_len  u32 crc32(meta)  <meta JSON>
     tail:    u64 footer_offset  TAIL_MAGIC
 
 Integer columns are encoded as ``varint count`` + ``u8 mode`` +
@@ -638,7 +638,7 @@ class TraceWriter:
         payload = json.dumps(meta, separators=(",", ":")).encode("utf-8")
         footer_offset = self._offset
         self._fh.write(FOOTER_MAGIC)
-        self._fh.write(struct.pack("<I", len(payload)))
+        self._fh.write(struct.pack("<II", len(payload), zlib.crc32(payload)))
         self._fh.write(payload)
         self._fh.write(struct.pack("<Q", footer_offset))
         self._fh.write(TAIL_MAGIC)
@@ -718,18 +718,22 @@ class TraceReader:
             raise self._err("truncated v3 trace (missing footer tail; "
                             "writer did not finish)")
         (footer_offset,) = struct.unpack("<Q", tail[:8])
-        if not len(MAGIC_V3) <= footer_offset <= size - _TAIL_LEN - 8:
+        if not len(MAGIC_V3) <= footer_offset <= size - _TAIL_LEN - 12:
             raise self._err("corrupt v3 trace (footer offset out of range)")
         fh.seek(footer_offset)
-        hdr = fh.read(8)
-        if len(hdr) != 8 or hdr[:4] != FOOTER_MAGIC:
+        hdr = fh.read(12)
+        if len(hdr) != 12 or hdr[:4] != FOOTER_MAGIC:
             raise self._err("corrupt v3 trace (bad footer magic)")
-        (meta_len,) = struct.unpack("<I", hdr[4:])
-        if footer_offset + 8 + meta_len > size - _TAIL_LEN:
+        meta_len, crc = struct.unpack("<II", hdr[4:])
+        if footer_offset + 12 + meta_len > size - _TAIL_LEN:
             raise self._err("corrupt v3 trace (footer overruns tail)")
         payload = fh.read(meta_len)
         if len(payload) != meta_len:
             raise self._err("corrupt v3 trace (short footer)")
+        # the chunk frames are checked by zlib's own checksum; the
+        # footer's fields would otherwise pass damaged but well-formed
+        if zlib.crc32(payload) != crc:
+            raise self._err("corrupt v3 footer (checksum mismatch)")
         try:
             meta = json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

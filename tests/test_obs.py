@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs import telemetry
 from repro.obs.manifest import RunManifest
+from test_profile_entries import _mutate
 
 
 @pytest.fixture
@@ -328,3 +330,42 @@ class TestObsCli:
         assert main(["obs", "show"]) == 0
         out = capsys.readouterr().out
         assert "failed kernels: gcc" in out
+
+
+class TestManifestFuzz:
+    @pytest.fixture
+    def finished_run(self, cache_dir):
+        """A finished one-kernel run: (its manifest, bytes, events)."""
+        manifest = RunManifest(run_id="fuzz")
+        manifest.start(("li",), {"max_instructions": 600})
+        manifest.emit("profile_start", name="li", attempt=1)
+        manifest.emit("profile_done", name="li", attempt=1, seconds=0.25,
+                      source="computed",
+                      telemetry={"counters": {"profiles.computed": 1},
+                                 "timers": {}})
+        manifest.end(ok=["li"], failed=[], resumed=[], seconds=0.5)
+        raw = manifest.path.read_bytes()
+        events, torn = obs.read_manifest(manifest.path)
+        assert torn == 0 and len(events) == 4
+        return manifest, raw, events
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_lines_are_torn_never_different(self, finished_run,
+                                                    data):
+        manifest, raw, original = finished_run
+        manifest.path.write_bytes(_mutate(data, raw))
+        events, _ = obs.read_manifest(manifest.path)
+        # what is read is the original events, in order; the rest is torn
+        remaining = iter(original)
+        assert all(any(event == o for o in remaining) for event in events)
+        obs.summarize(events)
+
+    def test_unsealed_line_is_read_as_it_stands(self, cache_dir):
+        manifest = RunManifest(run_id="old")
+        manifest.path.parent.mkdir(parents=True)
+        manifest.path.write_text('{"event":"run_start","run_id":"old"}\n')
+        events, torn = obs.read_manifest(manifest.path)
+        assert events == [{"event": "run_start", "run_id": "old"}]
+        assert torn == 0

@@ -11,6 +11,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.exp.config import ExperimentConfig
@@ -23,13 +25,15 @@ from repro.exp.runner import (
 )
 from repro.exp.service import ShardQueue, enqueue_sweep, run_worker
 from repro.exp.service import sweep as sweep_mod
-from repro.exp.service.queue import shard_job_id
+from repro.exp.service import server as server_mod
+from repro.exp.service.queue import STATES, ShardJob, shard_job_id
 from repro.exp.service.server import (
     ServiceFrontend,
     config_from_query,
     start_server,
 )
 from repro.vm import tracecache
+from test_profile_entries import _mutate
 
 TINY = ExperimentConfig(max_instructions=600, workloads=("li",),
                         max_workers=1)
@@ -191,6 +195,46 @@ class TestShardQueue:
         assert queue.steal_stale("w2", lease_ttl=1.0) == 1
 
 
+class TestQueueRecordFuzz:
+    """A damaged job or lease record reads as absent, never as another
+    job: ``/job`` answers it ``404`` (never ``500``), the queue never
+    raises over it, and the next enqueue of its shard heals it."""
+
+    @pytest.fixture
+    def records(self, cache_dir):
+        """The pending and the leased record of one shard, as bytes."""
+        queue = ShardQueue()
+        job_id, _ = queue.enqueue("li", TINY)
+        pending = queue._path("pending", job_id).read_bytes()
+        queue.claim("w1")
+        leased = queue._path("leased", job_id).read_bytes()
+        return queue, job_id, {"pending": pending, "leased": leased}
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_record_is_absent_and_heals(self, records, data):
+        queue, job_id, raw = records
+        state = data.draw(st.sampled_from(sorted(raw)))
+        original = ShardJob.from_record(
+            json.loads(raw[state].decode().rpartition("\t")[0]))
+        for other in STATES:
+            queue._path(other, job_id).unlink(missing_ok=True)
+        path = queue._path(state, job_id)
+        path.write_bytes(_mutate(data, raw[state]))
+        found = queue.find(job_id)
+        assert found is None or found == original
+        status, body = ServiceFrontend(TINY, queue=queue).dispatch(
+            "/job", {"id": job_id})
+        assert (status, found) in ((404, None), (200, original))
+        if state == "leased":
+            queue.steal_stale("w2")
+        assert queue.enqueue("li", TINY)[0] == job_id
+        healed = queue.find(job_id)
+        assert healed.experiment_config().cache_key() == TINY.cache_key()
+        assert healed.state == (state if found is not None else "pending")
+
+
 class TestWorker:
     def test_worker_drains_queue_into_cache(self, cache_dir):
         queue = ShardQueue()
@@ -346,34 +390,42 @@ class TestCrashedWorkerSweep:
         assert summary["complete"] and summary["worker_crashes"] == 1
 
 
-def _serve(targets, defaults=None, setup=None):
-    """Run the front end on an ephemeral port; fetch each target."""
+def _serve_rounds(frontend, rounds, between=None):
+    """Fetch each round of targets from one server over ``frontend``;
+    ``between(round_index)`` runs on the event loop before every round
+    after the first.  Returns one ``[(status, raw body)]`` per round."""
 
     async def fetch(port, target):
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        writer.write(
-            f"GET {target} HTTP/1.1\r\nHost: t\r\n\r\n".encode()
-        )
+        writer.write(f"GET {target} HTTP/1.1\r\nHost: t\r\n\r\n".encode())
         await writer.drain()
         raw = await reader.read()
         writer.close()
         await writer.wait_closed()
         head, _, body = raw.partition(b"\r\n\r\n")
-        return int(head.split()[1]), json.loads(body)
+        return int(head.split()[1]), body
 
     async def main():
-        server, frontend, port = await start_server(
-            port=0, frontend=ServiceFrontend(defaults)
-        )
-        if setup is not None:
-            setup(frontend)
+        server, _, port = await start_server(port=0, frontend=frontend)
         try:
-            return [await fetch(port, t) for t in targets]
+            answers = []
+            for index, targets in enumerate(rounds):
+                if index and between is not None:
+                    between(index)
+                answers.append([await fetch(port, t) for t in targets])
+            return answers
         finally:
             server.close()
             await server.wait_closed()
 
     return asyncio.run(main())
+
+
+def _serve(targets, defaults=None):
+    """Run a fresh front end on an ephemeral port; fetch each target
+    and decode its answer."""
+    [answers] = _serve_rounds(ServiceFrontend(defaults), [targets])
+    return [(status, json.loads(body)) for status, body in answers]
 
 
 class TestConfigFromQuery:
@@ -472,3 +524,165 @@ class TestServeFrontend:
                                  "done": 0, "failed": 0}
         assert body["cache"]["profiles"] == 1
         assert "profile_index" not in body["cache"]
+
+
+#: One URL of each memoised kind, over TINY (li only).
+MEMOISED = ["/profile?workload=li", "/profile?workload=li&mode=static",
+            "/figure?name=figure3"]
+
+
+class TestAnswerMemo:
+    def test_memoised_answers_skip_the_executor_and_the_disk(
+        self, cache_dir, monkeypatch,
+    ):
+        run_profile("li", TINY)
+        hops = []
+
+        def refuse(*args, **kwargs):
+            hops.append(args)
+            raise AssertionError("a memoised answer left the event loop")
+
+        def patch(_round):
+            loop = asyncio.get_running_loop()
+            monkeypatch.setattr(loop, "run_in_executor", refuse)
+            monkeypatch.setattr("builtins.open", refuse)
+            monkeypatch.setattr(os, "open", refuse)
+
+        with obs.scope() as registry:
+            first, second = _serve_rounds(ServiceFrontend(TINY),
+                                          [MEMOISED, MEMOISED], patch)
+        assert [status for status, _ in first] == [200, 200, 200]
+        assert second == first and not hops
+        assert registry.counters["serve.memo.fill"] == 3
+        assert registry.counters["serve.memo.hit"] == 3
+
+    def test_equivalent_queries_share_one_answer(self, cache_dir):
+        run_profile("li", TINY)
+        frontend = ServiceFrontend(TINY)
+        [answers] = _serve_rounds(frontend, [[
+            "/profile?workload=li",
+            f"/profile?workload=li&budget={TINY.max_instructions}",
+            "/profile?workload=li&unknown=1",
+        ]])
+        assert answers[0][0] == 200 and answers[1:] == answers[:1] * 2
+        assert len(frontend._memo) == 1
+
+    def test_damaged_entry_keeps_its_memoised_answer(self, cache_dir):
+        run_profile("li", TINY)
+        path = tracecache.profile_path("li", TINY.cache_key())
+        raw = path.read_bytes()
+
+        def damage(round_index):
+            if round_index == 1:
+                path.write_bytes(raw[:len(raw) // 2])
+            else:
+                tracecache.clear_cache()
+
+        frontend = ServiceFrontend(TINY)
+        rounds = _serve_rounds(frontend, [["/profile?workload=li"]] * 3,
+                               damage)
+        assert rounds[0][0][0] == 200
+        assert rounds[1] == rounds[0] and rounds[2] == rounds[0]
+        # a fresh front end has not memoised it: a miss, then healed
+        [[(status, _)]] = _serve_rounds(ServiceFrontend(TINY),
+                                        [["/profile?workload=li"]])
+        assert status == 202
+        run_profile("li", TINY)
+        assert path.read_bytes() == raw
+        assert _serve_rounds(ServiceFrontend(TINY),
+                             [["/profile?workload=li"]]) == [rounds[0]]
+
+    def test_only_200_profile_and_figure_answers_are_memoised(
+        self, cache_dir,
+    ):
+        frontend = ServiceFrontend(TINY)
+        [[(_, miss)]] = _serve_rounds(frontend, [["/profile?workload=li"]])
+        job = json.loads(miss)["job"]
+        targets = ["/health", "/status", f"/job?id={job}", "/job?id=nope",
+                   "/profile", "/profile?workload=doom",
+                   "/profile?workload=doom&mode=static",
+                   "/profile?workload=li&budget=x", "/profile?workload=li",
+                   "/figure?name=figure99", "/figure?name=figure3",
+                   "/nope"]
+        [answers] = _serve_rounds(frontend, [targets])
+        assert [status for status, _ in answers] == [
+            200, 200, 200, 404, 400, 404, 404, 400, 202, 404, 202, 404]
+        assert frontend._memo == {}
+        assert json.loads(answers[1][1])["memo"]["answers"] == 0
+        run_profile("li", TINY)
+        [answers] = _serve_rounds(frontend, [["/profile?workload=li",
+                                              "/status"]])
+        assert answers[0][0] == 200
+        assert json.loads(answers[1][1])["memo"] == {
+            "answers": 1, "bound": server_mod.MEMO_ENTRIES}
+
+    def test_memo_stays_at_its_bound(self, cache_dir, monkeypatch):
+        monkeypatch.setattr(server_mod, "MEMO_ENTRIES", 2)
+        config = dataclasses.replace(TINY, workloads=("li", "compress"))
+        for name in config.workloads:
+            run_profile(name, config)
+        frontend = ServiceFrontend(config)
+        first = [frontend.dispatch(path, params) for path, params in (
+            ("/profile", {"workload": "li"}),
+            ("/profile", {"workload": "compress"}),
+            ("/figure", {"name": "figure3"}),
+            ("/profile", {"workload": "li", "mode": "static"}),
+        )]
+        assert [status for status, _ in first] == [200] * 4
+        assert len(frontend._memo) == 2
+        # the evicted answers refill from their entries, unchanged
+        again = frontend.dispatch("/profile", {"workload": "li"})
+        assert again == first[0] and len(frontend._memo) == 2
+
+    def test_concurrent_fills_keep_the_bound(self, monkeypatch):
+        """Executor threads fill while the loop reads: every answer read
+        is the one filled under its key, and the bound holds."""
+        import threading
+
+        monkeypatch.setattr(server_mod, "MEMO_ENTRIES", 16)
+        frontend = ServiceFrontend(TINY)
+        wrong = []
+
+        def worker(index):
+            for n in range(300):
+                key = ("profile", f"k{index}-{n % 40}")
+                frontend._remember(key, repr(key).encode())
+                other = ("profile", f"k{(index + 1) % 8}-{n % 40}")
+                body = frontend._recall(other)
+                if body is not None and body != repr(other).encode():
+                    wrong.append((other, body))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong and len(frontend._memo) == 16
+
+    def test_figure_key_covers_its_workload_list(self, cache_dir):
+        run_profile("li", TINY)
+        frontend = ServiceFrontend(TINY)
+        assert frontend.dispatch("/figure", {"name": "figure3"})[0] == 200
+        # compress is not cached: a figure over both kernels misses
+        frontend.defaults = dataclasses.replace(
+            TINY, workloads=("li", "compress"))
+        assert frontend.dispatch("/figure", {"name": "figure3"})[0] == 202
+
+    def test_cache_roots_never_share_an_answer(self, cache_dir, tmp_path,
+                                               monkeypatch):
+        run_profile("li", TINY)
+        frontend = ServiceFrontend(TINY)
+        assert frontend.dispatch("/profile", {"workload": "li"})[0] == 200
+        assert frontend.dispatch("/figure", {"name": "figure3"})[0] == 200
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "other"))
+        assert frontend.dispatch("/profile", {"workload": "li"})[0] == 202
+        assert frontend.dispatch("/figure", {"name": "figure3"})[0] == 202
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        assert frontend.dispatch("/profile", {"workload": "li"})[0] == 200

@@ -15,7 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.workloads  # registers the kernels
+from repro.exp.config import ExperimentConfig
+from repro.exp.runner import run_profile
 from repro.lang import compile_source
+from repro.vm import tracecache
 from repro.vm.machine import Machine
 from repro.vm.trace import as_columnar, trace_identical
 from repro.vm.tracefile import (
@@ -25,9 +28,10 @@ from repro.vm.tracefile import (
     trace_file_info,
 )
 from repro.vm.tracestream import FileTraceStream, write_stream
-from repro.vm.tracev3 import TraceReader, TraceWriter, write_v3
-from repro.workloads.base import all_workloads, run_workload
+from repro.vm.tracev3 import TAIL_MAGIC, TraceReader, TraceWriter, write_v3
+from repro.workloads.base import all_workloads, get_workload, run_workload
 from test_fastmachine import rl_programs
+from test_profile_entries import _mutate
 
 KERNELS = [w.name for w in all_workloads()]
 
@@ -486,3 +490,127 @@ class TestInfoColumns:
         assert sum(c["instructions"] for c in chunks) == 2_000
         # the dominant columns carry a real codec mode tag
         assert any("bitmap+f8" in m for m in cols["read_vals"]["modes"])
+
+
+# ----------------------------------------------------------------------
+# byte-mutation fuzzer
+# ----------------------------------------------------------------------
+
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                       HealthCheck.too_slow])
+
+#: The fuzzed kernel and budget: small enough for a run per example,
+#: long enough for several 128-instruction chunks.
+FUZZ_NAME, FUZZ_BUDGET = "li", 700
+FUZZ_CONFIG = ExperimentConfig(max_instructions=FUZZ_BUDGET,
+                               workloads=(FUZZ_NAME,),
+                               reuse_latencies=(1,), proportional_ks=(1.0,))
+
+
+def _read_everything(path):
+    """Every piece of metadata and every chunk a reader yields."""
+    with TraceReader(path) as reader:
+        meta = (reader.program_name, reader.halted, reader.truncated,
+                reader.count, reader.chunk_size, reader.index)
+        return meta, list(reader.chunks(prefetch=0))
+
+
+def _footer_at(raw: bytes) -> int:
+    """The footer offset a v3 file's tail points at."""
+    return int.from_bytes(raw[-len(TAIL_MAGIC) - 8:-len(TAIL_MAGIC)],
+                          "little")
+
+
+def _mutate_v3(data, raw: bytes) -> bytes:
+    """:func:`_mutate` within the whole file, the footer and tail, or
+    the footer's first 96 bytes (its header and scalar fields): uniform
+    positions would rarely hit those few bytes."""
+    footer_at = _footer_at(raw)
+    start, stop = data.draw(st.sampled_from([
+        (0, len(raw)), (footer_at, len(raw)),
+        (footer_at, footer_at + 96)]))
+    return raw[:start] + _mutate(data, raw[start:stop]) + raw[stop:]
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    """A many-chunk v3 file: (path, its bytes, metadata, chunks)."""
+    path = tmp_path_factory.mktemp("v3fuzz") / "t.trace"
+    write_v3(run_workload(FUZZ_NAME, max_instructions=FUZZ_BUDGET), path,
+             chunk_size=128)
+    meta, chunks = _read_everything(path)
+    return path, path.read_bytes(), meta, chunks
+
+
+@pytest.fixture(scope="module")
+def fuzz_entry(tmp_path_factory):
+    """A cache holding the fuzzed kernel's trace and no profile:
+    (entry path, its bytes, the oracle profile)."""
+    import os
+
+    old = os.environ.get("REPRO_CACHE_DIR")
+    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("v3cache"))
+    try:
+        profile = run_profile(FUZZ_NAME, FUZZ_CONFIG)
+        tracecache.profile_path(FUZZ_NAME, FUZZ_CONFIG.cache_key()).unlink()
+        path = tracecache.trace_path(FUZZ_NAME, 1, FUZZ_BUDGET,
+                                     get_workload(FUZZ_NAME).source(1))
+        yield path, path.read_bytes(), profile
+    finally:
+        if old is None:
+            os.environ.pop("REPRO_CACHE_DIR", None)
+        else:
+            os.environ["REPRO_CACHE_DIR"] = old
+
+
+class TestMutationFuzz:
+    """A damaged v3 file gives a typed ``TraceFileError`` or exactly
+    the original chunks and metadata, never a different answer; a
+    damaged cache entry is a miss that the next drain heals."""
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_file_is_typed_error_or_exact(self, fuzz_file, data):
+        path, raw, meta, chunks = fuzz_file
+        path.write_bytes(_mutate_v3(data, raw))
+        try:
+            got_meta, got_chunks = _read_everything(path)
+        except TraceFileError:
+            return
+        finally:
+            path.write_bytes(raw)
+        assert got_meta == meta
+        assert len(got_chunks) == len(chunks)
+        assert all(trace_identical(a, b)
+                   for a, b in zip(got_chunks, chunks))
+
+    def test_every_footer_bit_flip_is_typed(self, fuzz_file):
+        """Each field of the footer, flipped bit by bit: well-formed
+        damage (a program name, a chunk size) must not read back."""
+        path, raw, _, _ = fuzz_file
+        try:
+            for at in range(_footer_at(raw), len(raw)):
+                for bit in range(8):
+                    flipped = bytearray(raw)
+                    flipped[at] ^= 1 << bit
+                    path.write_bytes(flipped)
+                    with pytest.raises(TraceFileError):
+                        _read_everything(path)
+        finally:
+            path.write_bytes(raw)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_cache_entry_heals(self, fuzz_entry, data):
+        path, raw, profile = fuzz_entry
+        mutated = _mutate_v3(data, raw)
+        path.write_bytes(mutated)
+        try:
+            assert run_profile(FUZZ_NAME, FUZZ_CONFIG) == profile
+            # rewritten, unless the damage left the chunks readable
+            assert path.read_bytes() in (raw, mutated)
+        finally:
+            tracecache.profile_path(FUZZ_NAME, FUZZ_CONFIG.cache_key()
+                                    ).unlink(missing_ok=True)
+            path.write_bytes(raw)
