@@ -13,14 +13,14 @@ Commands
     base/ILR/TLR timing for both window scenarios.
 ``figures``
     Regenerate the paper's figures 3-8 tables (and figure 9 with
-    ``--fig9``).
+    ``--fig9``, as one cached ``fig9`` shard per kernel).
 ``rtm WORKLOAD``
     Finite-RTM sweep for one kernel (sizes x heuristics, both reuse
     tests).
 ``disasm WORKLOAD``
     Disassemble a kernel's text segment.
 ``cache {info,clear}``
-    Inspect or wipe the persistent trace/profile cache
+    Inspect or wipe the persistent trace/profile/Figure 9 cache
     (``.repro-cache/``; see ``repro.vm.tracecache``).  ``info`` lists
     every cached trace with its format (v3, or corrupt), on-disk size
     and compression ratio.  Commands that execute kernels accept
@@ -254,6 +254,7 @@ def _cmd_cache(args) -> int:
         [
             ["traces", info["traces"], info["trace_bytes"]],
             ["profiles", info["profiles"], info["profile_bytes"]],
+            ["fig9", info["fig9"], info["fig9_bytes"]],
             ["runs", info["runs"], info["run_bytes"]],
         ],
     ))

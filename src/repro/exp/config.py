@@ -41,7 +41,9 @@ class ExperimentConfig:
     #: proportionality constants swept in figure 8b (1/bandwidth)
     proportional_ks: tuple[float, ...] = (1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)
     workloads: tuple[str, ...] = tuple(FP_SUITE + INT_SUITE)
-    #: worker processes for the benchmark fan-out (None = one per core)
+    #: ``repro worker`` processes draining the shard queue, for the
+    #: profiles and for Figure 9's rows alike (None = one per core, at
+    #: most one per pending kernel; 1 runs in this process)
     max_workers: int | None = None
     #: consult the persistent trace/profile cache (.repro-cache/)
     use_cache: bool = True

@@ -12,13 +12,14 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.core.rtm.memory import RTM_PRESETS
 from repro.core.rtm.collector import FixedLengthHeuristic, Heuristic, ILRHeuristic
-from repro.core.rtm.simulator import FiniteReuseResult, FiniteReuseSimulator
+from repro.core.rtm.simulator import FiniteReuseSimulator
 from repro.exp.config import ExperimentConfig
-from repro.exp.runner import BenchmarkProfile
+from repro.exp.runner import BenchmarkProfile, collect_profiles
 from repro.util.means import arithmetic_mean, harmonic_mean
-from repro.util.parallel import parallel_map
+from repro.vm import tracecache
 from repro.workloads.base import run_workload
 
 
@@ -252,73 +253,74 @@ FIG9_HEURISTICS: list[Heuristic] = [
 ]
 
 
-def _fig9_task(
-    args: tuple[str, Heuristic, tuple[str, ...], int, int, bool]
-) -> list[tuple[str, str, str, float, float]]:
-    """One worker: one benchmark x one heuristic across all RTM sizes."""
-    name, heuristic, rtm_names, max_instructions, scale, use_cache = args
-    trace = run_workload(
-        name, scale=scale, max_instructions=max_instructions,
-        use_cache=use_cache,
-    )
-    out = []
-    for rtm_name in rtm_names:
-        sim = FiniteReuseSimulator(RTM_PRESETS[rtm_name], heuristic)
-        result: FiniteReuseResult = sim.run(trace)
-        out.append(
-            (
-                name,
-                heuristic.name,
-                rtm_name,
-                result.percent_reused,
-                result.avg_reused_trace_size,
-            )
-        )
-    return out
+#: The paper's RTM sizes for figure 9 (:data:`RTM_PRESETS` names).
+FIG9_RTMS = ("512", "4K", "32K", "256K")
 
 
-def figure9(
-    config: ExperimentConfig | None = None,
-    *,
-    rtm_names: tuple[str, ...] = ("512", "4K", "32K", "256K"),
-    heuristics: Sequence[Heuristic] | None = None,
-) -> FigureResult:
-    """Finite-RTM reusability and trace size (Figure 9a/9b).
+def fig9_rows(name: str, config: ExperimentConfig) -> list[list]:
+    """One kernel's Figure 9 rows, ``[heuristic, rtm, reused_pct,
+    avg_trace_size]`` for :data:`FIG9_HEURISTICS` x :data:`FIG9_RTMS`:
+    the body of a ``fig9`` queue shard.
 
-    Rows are ``(heuristic, RTM size)`` pairs with the two metrics
-    averaged arithmetically over the benchmark suite, exactly like the
-    paper's bar chart.
+    The kernel runs once and every simulation walks that materialized
+    trace (a fresh stream per simulation would rebuild its
+    ``DynInst`` rows each time).  With ``config.use_cache`` the rows
+    are read from and stored in the cache's ``fig9`` entries.
     """
-    if config is None:
-        config = ExperimentConfig()
-    heuristics = list(heuristics) if heuristics is not None else FIG9_HEURISTICS
-    tasks = [
-        (name, h, rtm_names, config.max_instructions, config.scale,
-         config.use_cache)
-        for h in heuristics
-        for name in config.workloads
-    ]
-    per_task = parallel_map(_fig9_task, tasks, max_workers=config.max_workers)
-    flat = [item for sub in per_task for item in sub]
+    key = config.cache_key()
+    if config.use_cache:
+        cached = tracecache.load_cached_profile(name, key, "fig9")
+        if cached is not None:
+            return cached
+    trace = run_workload(name, scale=config.scale,
+                         max_instructions=config.max_instructions,
+                         use_cache=config.use_cache)
+    rows = []
+    for heuristic in FIG9_HEURISTICS:
+        for rtm_name in FIG9_RTMS:
+            sim = FiniteReuseSimulator(RTM_PRESETS[rtm_name], heuristic)
+            result = sim.run(trace)
+            obs.incr("fig9.simulations")
+            rows.append([heuristic.name, rtm_name, result.percent_reused,
+                         result.avg_reused_trace_size])
+    if config.use_cache:
+        tracecache.store_cached_profile(name, key, rows, "fig9")
+    return rows
 
+
+def figure9_from_rows(per_kernel: Sequence[list]) -> FigureResult:
+    """Figure 9 from each kernel's :func:`fig9_rows`: every ``(heuristic,
+    RTM size)`` row averaged arithmetically over the kernels, exactly
+    like the paper's bar chart."""
     result = FigureResult(
         figure_id="fig9",
         title="Figure 9: finite-RTM reusability (%) and avg reused trace size",
         headers=["heuristic", "rtm", "reused_pct", "avg_trace_size"],
     )
-    for h in heuristics:
-        for rtm_name in rtm_names:
-            cell = [
-                (pct, size)
-                for (name, hname, rname, pct, size) in flat
-                if hname == h.name and rname == rtm_name
-            ]
-            result.rows.append(
-                [
-                    h.name,
-                    rtm_name,
-                    arithmetic_mean([c[0] for c in cell]),
-                    arithmetic_mean([c[1] for c in cell]),
-                ]
-            )
+    for i, (heuristic, rtm_name, _, _) in enumerate(per_kernel[0]):
+        cells = [rows[i] for rows in per_kernel]
+        result.rows.append([
+            heuristic,
+            rtm_name,
+            arithmetic_mean([c[2] for c in cells]),
+            arithmetic_mean([c[3] for c in cells]),
+        ])
     return result
+
+
+def figure9(config: ExperimentConfig | None = None) -> FigureResult:
+    """Finite-RTM reusability and trace size (Figure 9a/9b).
+
+    Each kernel's rows are one ``fig9`` shard of
+    :func:`~repro.exp.runner.collect_profiles`: in this process or on
+    the shard queue's worker processes, resumed from the cache when
+    warm.  A kernel that fails raises :class:`RuntimeError`, since an
+    average without it would be another figure.
+    """
+    if config is None:
+        config = ExperimentConfig()
+    run = collect_profiles(config, kind="fig9")
+    if run.failures:
+        raise RuntimeError("figure 9: " + "; ".join(
+            f"{f.name} failed ({f.kind}: {f.message})" for f in run.failures))
+    return figure9_from_rows(run)

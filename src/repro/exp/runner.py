@@ -1,4 +1,4 @@
-"""Per-benchmark analysis pipeline and the parallel fan-out.
+"""Per-benchmark analysis pipeline and the one fan-out.
 
 ``run_profile`` executes one kernel and derives every number figures
 3-8 and the section 4.5 statistics need.  The ~24 timing scenarios
@@ -13,8 +13,11 @@ differential tests and as the slow baseline for the engine benchmark.
 ``collect_profiles`` runs the 14 kernels either in this process or,
 with several workers and the cache on, as shards of the persistent
 queue in :mod:`repro.exp.service` drained by ``repro worker``
-processes (each regenerates its own trace and hands its profile back
-through the cache, per the owner-computes rule).
+processes (each regenerates its own trace and hands its result back
+through the cache, per the owner-computes rule).  A shard's *kind*
+picks what it computes per kernel: a ``profile`` (:func:`run_profile`)
+or the kernel's Figure 9 rows (``fig9``,
+:func:`repro.exp.figures.fig9_rows`).
 
 The sweep is *fault tolerant and observable*: every run appends a
 JSONL manifest under ``<cache_dir>/runs/`` (see
@@ -38,7 +41,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any
+from typing import Any, Callable
 
 from repro import obs
 from repro.baselines.ilr import ilr_reuse_plan, instruction_reusability
@@ -53,7 +56,6 @@ from repro.dataflow.model import DataflowModel, Scenario
 from repro.dataflow.streaming import StreamingDataflowEngine
 from repro.exp.config import ExperimentConfig
 from repro.obs.manifest import RunManifest
-from repro.util.parallel import default_worker_count
 from repro.vm import tracecache
 from repro.workloads.base import build_program, get_workload, stream_workload
 
@@ -378,13 +380,36 @@ def _maybe_inject_fault(name: str) -> None:
         raise RuntimeError(f"injected fault for kernel {name!r} ({mode})")
 
 
-class _Collector:
-    """Shared bookkeeping for one ``collect_profiles`` run."""
+def default_worker_count(task_count: int) -> int:
+    """Pick a worker count: never more workers than tasks or cores."""
+    cores = os.cpu_count() or 1
+    return max(1, min(task_count, cores))
 
-    def __init__(self, config: ExperimentConfig, manifest: RunManifest | None):
+
+def shard_kind(kind: str) -> tuple[Callable[[str, ExperimentConfig], Any],
+                                   Callable[[Any], Any]]:
+    """``(compute, from_json)`` for one shard kind: the per-kernel
+    function a shard runs (it reads and fills the kind's cache entries
+    itself) and the reader of a cached document."""
+    if kind == "fig9":
+        from repro.exp.figures import fig9_rows
+
+        return fig9_rows, list
+    if kind != "profile":
+        raise ValueError(f"unknown shard kind {kind!r}")
+    return run_profile, profile_from_json
+
+
+class _Collector:
+    """Shared bookkeeping for one ``collect_profiles`` run of ``kind``."""
+
+    def __init__(self, config: ExperimentConfig, manifest: RunManifest | None,
+                 kind: str = "profile"):
         self.config = config
         self.manifest = manifest
-        self.done: dict[str, BenchmarkProfile] = {}
+        self.kind = kind
+        self.compute, self.from_json = shard_kind(kind)
+        self.done: dict[str, Any] = {}
         self.failures: dict[str, ProfileFailure] = {}
         self.attempts: dict[str, int] = {}
         self.errors: dict[str, tuple[str, str]] = {}
@@ -394,10 +419,10 @@ class _Collector:
             self.manifest.emit(event, **fields)
 
     # -- outcome recording ---------------------------------------------
-    def succeeded(self, name: str, profile: BenchmarkProfile,
+    def succeeded(self, name: str, result: Any,
                   seconds: float, snapshot: dict, source: str = "computed",
                   ) -> None:
-        self.done[name] = profile
+        self.done[name] = result
         self.emit(
             "profile_done", name=name, attempt=self.attempts.get(name, 0),
             seconds=round(seconds, 6), source=source, telemetry=snapshot,
@@ -436,7 +461,8 @@ class _Collector:
 
 
 def _run_sequential(collector: _Collector, names: list[str]) -> None:
-    """Profile ``names`` in-process, with the same retry policy.
+    """Run ``collector.compute`` over ``names`` in-process, with the
+    same retry policy.
 
     Used for single-worker and cache-off sweeps and inside each queue
     shard.  ``task_timeout`` cannot preempt in-process work, so it is
@@ -453,12 +479,12 @@ def _run_sequential(collector: _Collector, names: list[str]) -> None:
                 # each attempt's telemetry is captured in its own scope
                 with obs.scope() as registry:
                     _maybe_inject_fault(name)
-                    profile = run_profile(name, config)
+                    result = collector.compute(name, config)
                     snapshot = registry.snapshot()
             except Exception as exc:
                 collector.errored(name, type(exc).__name__, str(exc))
                 continue
-            collector.succeeded(name, profile, time.monotonic() - t0,
+            collector.succeeded(name, result, time.monotonic() - t0,
                                 snapshot)
 
 
@@ -466,8 +492,13 @@ def collect_profiles(
     config: ExperimentConfig | None = None,
     *,
     manifest: RunManifest | bool | None = None,
+    kind: str = "profile",
 ) -> ProfileRun:
     """Profiles for every configured workload, fanned out over cores.
+
+    With ``kind="fig9"`` the same fan-out collects each kernel's
+    Figure 9 rows (:func:`repro.exp.figures.fig9_rows`) instead: the
+    list holds one row list per kernel.
 
     The kernels run in this process when ``config.max_workers`` is 1
     (or 0), when fewer than two are pending, when the cache is off, or
@@ -501,7 +532,7 @@ def collect_profiles(
     elif manifest is False:
         manifest = None
 
-    collector = _Collector(config, manifest)
+    collector = _Collector(config, manifest, kind)
     names = list(config.workloads)
     t0 = time.monotonic()
     if manifest is not None:
@@ -517,12 +548,12 @@ def collect_profiles(
         for name in names:
             with obs.scope() as registry:
                 cached = tracecache.load_cached_profile(
-                    name, config.cache_key()
+                    name, config.cache_key(), kind
                 )
                 snapshot = registry.snapshot()
             if cached is not None:
                 resumed.append(name)
-                collector.succeeded(name, profile_from_json(cached), 0.0,
+                collector.succeeded(name, collector.from_json(cached), 0.0,
                                     snapshot, source="cache")
 
     pending = [n for n in names if n not in collector.done]

@@ -1,30 +1,37 @@
 """Persistent shard queue: claim/lease/complete over atomic renames.
 
-One *shard* is one kernel × config profile computation — the unit the
-service distributes.  The queue is a directory state machine under
-``<cache_dir>/service/queue/``::
+One *shard* is one kernel × config computation of one ``kind`` — a
+``profile`` (figures 3-8) or the kernel's ``fig9`` rows (Figure 9's
+finite-RTM grid) — the unit the service distributes.  The queue is a
+directory state machine under ``<cache_dir>/service/queue/``::
 
     pending/<job_id>.json     enqueued, unowned
     leased/<job_id>.json      claimed by a worker (record holds the
                               lease: pid, worker id, claim time)
-    done/<job_id>.json        completed; the profile lives in the cache
+    done/<job_id>.json        completed; the result lives in the cache
     failed/<job_id>.json      exhausted its attempts; error recorded
 
 State transitions are single ``os.rename`` calls, which POSIX makes
 atomic *and* exclusive: when two workers grab the same pending shard,
 exactly one rename succeeds and the loser moves on.  No locks are
 needed on the claim path, so claim throughput scales with workers.
+A record's content is rewritten (``os.replace``) only where no other
+transition can move it meanwhile: after the rename into ``leased``,
+``done`` or ``failed``, and before a settled shard's rename back to
+``pending``.  A process killed at any step therefore leaves the shard
+in exactly one state, never none and never two.
 
 Job ids are content-addressed (workload + the config's semantic cache
-key), which makes ``enqueue`` idempotent: the front end can enqueue
-the same miss from many requests and the queue holds one shard.
+key, + the kind for ``fig9`` shards), which makes ``enqueue``
+idempotent: the front end can enqueue the same miss from many
+requests and the queue holds one shard.
 
 Work stealing / crash recovery: a lease carries its owner's pid and
 claim time.  :meth:`ShardQueue.steal_stale` returns shards whose
 owner is dead (pid probe) or whose lease outlived ``lease_ttl`` back
 to ``pending``, where any idle worker picks them up.  A worker killed
 mid-shard therefore delays its shard, never loses it — and because
-profiles are stored under content-addressed keys, a shard that was
+results are stored under content-addressed keys, a shard that was
 *almost* finished re-runs into a cache hit.
 """
 
@@ -66,6 +73,9 @@ class ShardJob:
     job_id: str
     workload: str
     config: dict[str, Any]
+    #: what the shard computes: ``profile`` or ``fig9`` (a record
+    #: written before kinds existed reads as ``profile``)
+    kind: str = "profile"
     state: str = "pending"
     enqueued_t: float = 0.0
     attempts: int = 0
@@ -92,12 +102,15 @@ class ShardJob:
         return ExperimentConfig.from_dict(self.config)
 
 
-def shard_job_id(workload: str, config: ExperimentConfig) -> str:
-    """Content-addressed job id for one kernel × config shard."""
+def shard_job_id(workload: str, config: ExperimentConfig,
+                 kind: str = "profile") -> str:
+    """Content-addressed job id for one kernel × config shard of
+    ``kind``; a ``profile`` shard's id is the one it had before kinds."""
+    salt = () if kind == "profile" else (kind,)
     digest = hashlib.sha256(
-        repr((workload, config.cache_key())).encode()
+        repr((workload, config.cache_key()) + salt).encode()
     ).hexdigest()[:12]
-    return f"{workload}-{digest}"
+    return "-".join((workload,) + salt + (digest,))
 
 
 class ShardQueue:
@@ -145,44 +158,54 @@ class ShardQueue:
     # -- producer side -------------------------------------------------
     def enqueue(
         self, workload: str, config: ExperimentConfig,
-        *, retry_failed: bool = True,
+        kind: str = "profile", *, retry_failed: bool = True,
     ) -> tuple[str, str]:
-        """Add one shard; returns ``(job_id, state)``.
+        """Add one shard of ``kind``; returns ``(job_id, state)``.
 
         Idempotent: a shard already pending/leased/done is left alone
         (its current state is returned).  A previously *failed* shard
         is re-queued when ``retry_failed`` — an explicit enqueue is a
-        request to try again.  So is a *done* shard whose profile has
+        request to try again.  So is a *done* shard whose result has
         left the cache (``repro cache clear``): the record alone would
         answer for a result nobody can read.
         """
-        job_id = shard_job_id(workload, config)
-        done = self._path("done", job_id)
-        if done.is_file() and not tracecache.profile_path(
-                workload, config.cache_key()).is_file():
-            done.unlink(missing_ok=True)
+        job_id = shard_job_id(workload, config, kind)
+        fresh = ShardJob(job_id=job_id, workload=workload,
+                         config=config.to_dict(), kind=kind,
+                         enqueued_t=time.time())
         for state in ("done", "leased", "pending"):
             if self._present(self._path(state, job_id)):
+                if state == "done" and not tracecache.profile_path(
+                        workload, config.cache_key(), kind).is_file():
+                    return self._requeue(fresh, "done")
                 return job_id, state
-        if self._path("failed", job_id).is_file():
+        if self._present(self._path("failed", job_id)):
             if not retry_failed:
                 return job_id, "failed"
-            # lost rename races just mean someone else re-queued it
-            try:
-                os.unlink(self._path("failed", job_id))
-            except FileNotFoundError:
-                pass
-        job = ShardJob(
-            job_id=job_id,
-            workload=workload,
-            config=config.to_dict(),
-            state="pending",
-            enqueued_t=time.time(),
-        )
-        self._dir("pending").mkdir(parents=True, exist_ok=True)
-        self._write("pending", job)
+            return self._requeue(fresh, "failed")
+        self._write("pending", fresh)
         incr("service.enqueued")
         return job_id, "pending"
+
+    def _requeue(self, job: ShardJob, state: str) -> tuple[str, str]:
+        """Send a settled shard back to pending: its fresh record is
+        written in place, then moved (a lost race means someone else
+        re-queued it)."""
+        self._write(state, job)
+        self._move(job.job_id, state, "pending")
+        incr("service.enqueued")
+        return job.job_id, "pending"
+
+    def _move(self, job_id: str, source: str, target: str) -> bool:
+        """Move a shard's record from state ``source`` to ``target`` in
+        one rename; False when it was not in ``source``."""
+        path = self._path(target, job_id)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            os.rename(self._path(source, job_id), path)
+        except FileNotFoundError:
+            return False
+        return True
 
     def _present(self, path: pathlib.Path) -> bool:
         """Whether ``path`` holds a readable record.  Records are
@@ -223,13 +246,8 @@ class ShardQueue:
         )
         for path in candidates:
             job = self._read(path)
-            if job is None:
-                continue
-            target = self._path("leased", job.job_id)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                os.rename(path, target)
-            except FileNotFoundError:
+            if job is None or not self._move(job.job_id, "pending",
+                                             "leased"):
                 continue  # lost the race; somebody else owns it now
             job.state = "leased"
             job.worker = worker
@@ -273,13 +291,7 @@ class ShardQueue:
                 stale = True
             else:
                 stale = now - (job.claimed_t or now) > lease_ttl
-            if not stale:
-                continue
-            target = self._path("pending", path.stem)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                os.rename(path, target)
-            except FileNotFoundError:
+            if not stale or not self._move(path.stem, "leased", "pending"):
                 continue  # owner finished or another stealer won
             stolen += 1
             incr("service.stolen")
@@ -291,34 +303,28 @@ class ShardQueue:
         return stolen
 
     def complete(self, job: ShardJob) -> None:
-        """Mark a leased shard done (profile already in the cache)."""
+        """Mark a leased shard done (result already in the cache).  A
+        lease stolen meanwhile stays with its stealer, whose run is a
+        cache hit."""
+        if not self._move(job.job_id, "leased", "done"):
+            return
         job.state = "done"
         job.completed_t = time.time()
         job.error = None
-        self._dir("done").mkdir(parents=True, exist_ok=True)
         self._write("done", job)
-        # unlink after the done record exists: a crash in between
-        # leaves a stale lease that re-runs into a cache hit
-        try:
-            os.unlink(self._path("leased", job.job_id))
-        except FileNotFoundError:
-            pass
         incr("service.completed")
 
     def fail(self, job: ShardJob, error: str,
              profile_attempts: int | None = None) -> None:
         """Mark a leased shard failed with its final error and the
         number of profile attempts behind it."""
+        if not self._move(job.job_id, "leased", "failed"):
+            return
         job.state = "failed"
         job.completed_t = time.time()
         job.error = error
         job.profile_attempts = profile_attempts
-        self._dir("failed").mkdir(parents=True, exist_ok=True)
         self._write("failed", job)
-        try:
-            os.unlink(self._path("leased", job.job_id))
-        except FileNotFoundError:
-            pass
         incr("service.failed")
 
     # -- inspection ----------------------------------------------------
@@ -344,6 +350,7 @@ class ShardQueue:
                 continue
             job = self._read(path)
             if job is not None:
+                job.state = state
                 out.append(job)
         return out
 

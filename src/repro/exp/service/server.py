@@ -23,8 +23,10 @@ Endpoints (all ``GET``, all ``application/json``):
     One kernel's :class:`~repro.exp.runner.BenchmarkProfile` as JSON
     (hit), or the enqueued shard's job id (miss, 202).
 ``/figure?name=figure3[&budget=N...]``
-    A rendered figure table computed from cached profiles only (hit
+    A rendered figure table computed from cached entries only (hit
     requires *every* configured kernel cached; misses are enqueued).
+    Figures 3-8 read profiles; ``figure9`` reads each kernel's
+    ``fig9`` rows and enqueues ``fig9`` shards.
 ``/job?id=<job_id>``
     A shard's queue record (state, lease, error).
 
@@ -166,6 +168,7 @@ class ServiceFrontend:
                 "dir": info["dir"],
                 "traces": info["traces"],
                 "profiles": info["profiles"],
+                "fig9": info["fig9"],
             },
             "memo": {"answers": len(self._memo), "bound": MEMO_ENTRIES},
         }
@@ -238,32 +241,37 @@ class ServiceFrontend:
         from repro.exp.report import render
 
         name = params.get("name", "figure3")
-        fig = getattr(figmod, name, None)
         if name not in ("figure3", "figure4", "figure5", "figure6",
-                        "figure7", "figure8") or fig is None:
+                        "figure7", "figure8", "figure9"):
             return 404, {"error": f"unknown figure {name!r}"}
         try:
             config = config_from_query(params, self.defaults)
         except ValueError as exc:
             return 400, {"error": f"bad query parameter: {exc}"}
-        profiles, missing = [], []
+        kind = "fig9" if name == "figure9" else "profile"
+        docs, missing = [], []
         for workload in config.workloads:
             cached = tracecache.load_cached_profile(
-                workload, config.cache_key()
+                workload, config.cache_key(), kind
             )
             if cached is not None:
-                profiles.append(profile_from_json(cached))
+                docs.append(cached)
             else:
                 missing.append(workload)
         if missing:
-            jobs = {w: self.queue.enqueue(w, config)[0] for w in missing}
+            jobs = {w: self.queue.enqueue(w, config, kind)[0]
+                    for w in missing}
             incr("serve.figure.miss")
             return 202, {"source": "enqueued", "figure": name,
                          "missing": missing, "jobs": jobs}
-        if name in ("figure4", "figure5", "figure8"):
-            result = fig(profiles, config)
+        if name == "figure9":
+            result = figmod.figure9_from_rows(docs)
         else:
-            result = fig(profiles)
+            fig = getattr(figmod, name)
+            profiles = [profile_from_json(d) for d in docs]
+            result = (fig(profiles, config)
+                      if name in ("figure4", "figure5", "figure8")
+                      else fig(profiles))
         incr("serve.figure.hit")
         return 200, _encode({"source": "cache", "figure": name,
                              "text": render(result)})

@@ -2,11 +2,12 @@
 
 :func:`run_queued` is :func:`~repro.exp.runner.collect_profiles`'s
 fan-out: the pending kernels go onto the persistent queue as shards
-and N independent ``repro worker`` *processes* drain it through one
-shared ``.repro-cache/``.  The profiles are bit-identical to an
-in-process sweep, because every shard runs
-:func:`~repro.exp.runner.run_profile` under the same content-addressed
-cache key and the cache carries the results back.
+of the run's kind (``profile`` or ``fig9``) and N independent ``repro
+worker`` *processes* drain it through one shared ``.repro-cache/``.
+The results are bit-identical to an in-process sweep, because every
+shard runs the kind's compute function
+(:func:`~repro.exp.runner.shard_kind`) under the same
+content-addressed cache key and the cache carries the results back.
 
 Crash behaviour is belt and braces: a worker that dies mid-shard
 leaves a lease that surviving workers steal as soon as the
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.exp.config import ExperimentConfig
-from repro.exp.runner import ProfileFailure, _Collector, profile_from_json
+from repro.exp.runner import ProfileFailure, _Collector
 from repro.exp.service.queue import DEFAULT_LEASE_TTL, ShardQueue
 from repro.exp.service.worker import run_worker
 from repro.vm import tracecache
@@ -108,9 +109,10 @@ def spawn_worker_process(
 
 
 def run_queued(collector: _Collector, names: list[str], workers: int) -> None:
-    """Profile ``names`` as queue shards drained by ``workers`` processes.
+    """Run ``names`` as queue shards drained by ``workers`` processes.
 
-    ``collect_profiles``'s fan-out: enqueue one shard per kernel, spawn
+    ``collect_profiles``'s fan-out: enqueue one shard of
+    ``collector.kind`` per kernel, spawn
     the ``repro worker`` processes under the run's id, and poll until
     they have all exited.  Each poll reaps the workers that exited, so
     a crashed worker's lease is stolen at once (an unreaped one would
@@ -120,13 +122,14 @@ def run_queued(collector: _Collector, names: list[str], workers: int) -> None:
     replacement worker.  Shards still open once every worker has
     exited are drained inline here, after a ``worker_crash`` +
     ``fallback_sequential`` event pair.  Outcomes land in
-    ``collector``: profiles read back from the cache, failures from
+    ``collector``: results read back from the cache, failures from
     the queue's records, whose ``profile_attempts`` is the attempt
     count the in-process path reports.
     """
     config = collector.config
     queue = ShardQueue()
-    jobs = {queue.enqueue(name, config)[0]: name for name in names}
+    jobs = {queue.enqueue(name, config, collector.kind)[0]: name
+            for name in names}
     collector.emit("sweep_enqueued", enqueued=list(names))
     # workers of a run that records no manifest record none either
     run_id = collector.manifest.run_id if collector.manifest else None
@@ -187,9 +190,9 @@ def run_queued(collector: _Collector, names: list[str], workers: int) -> None:
     for job_id, name in jobs.items():
         if name in collector.failures:
             continue
-        cached = tracecache.load_cached_profile(name, key)
+        cached = tracecache.load_cached_profile(name, key, collector.kind)
         if cached is not None:
-            collector.done[name] = profile_from_json(cached)
+            collector.done[name] = collector.from_json(cached)
             continue
         job = queue.find(job_id)
         if job is not None and job.state == "failed" and job.error:
@@ -198,7 +201,7 @@ def run_queued(collector: _Collector, names: list[str], workers: int) -> None:
         else:
             kind = "ShardLost"
             message = (f"shard {job_id} is "
-                       f"{job.state if job else 'gone'} but its profile "
+                       f"{job.state if job else 'gone'} but its result "
                        f"is not in the cache")
             attempts = job.attempts if job is not None else 0
         collector.failures[name] = ProfileFailure(

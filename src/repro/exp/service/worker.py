@@ -1,8 +1,9 @@
 """Worker shard: drain the queue through the runner's machinery.
 
 A worker is an ordinary OS process (``repro worker`` or an inline
-call to :func:`run_worker`) that loops: claim a shard, profile its
-kernel, publish the result.  The profiling itself goes through the
+call to :func:`run_worker`) that loops: claim a shard, run its kind's
+compute function on its kernel (a profile, or Figure 9 rows), publish
+the result.  The computation itself goes through the
 exact retry/backoff/manifest path of a single-process sweep —
 :class:`~repro.exp.runner._Collector` plus
 :func:`~repro.exp.runner._run_sequential` — so a shard enjoys the same
@@ -10,9 +11,9 @@ exact retry/backoff/manifest path of a single-process sweep —
 ``profile_done`` / ``profile_error`` manifest events, tagged with the
 worker id and merged into one run view by ``repro obs show``.
 
-The result channel is the shared profile cache, not the queue: a
+The result channel is the shared cache, not the queue: a
 completed shard's ``done`` record carries no payload, and the
-coordinator (or the serve front end) reads profiles back from the
+coordinator (or the serve front end) reads results back from the
 cache by content key.  That is what makes stolen or duplicated shards
 harmless — recomputing a shard that someone already finished is a
 cache hit.
@@ -53,12 +54,12 @@ def process_shard(
     manifest: RunManifest | None,
     worker: str,
 ) -> bool:
-    """Profile one claimed shard and settle its queue record.
+    """Run one claimed shard and settle its queue record.
 
-    Returns True when the shard completed (profile now in the cache).
+    Returns True when the shard completed (result now in the cache).
     """
     config = job.experiment_config()
-    collector = _Collector(config, manifest)
+    collector = _Collector(config, manifest, job.kind)
     if manifest is not None:
         manifest.emit("shard_claim", name=job.workload, job=job.job_id,
                       shard_attempt=job.attempts)

@@ -1,4 +1,4 @@
-"""Persistent on-disk cache for dynamic traces and benchmark profiles.
+"""Persistent on-disk cache for traces, profiles and Figure 9 rows.
 
 Every pytest session and every figure regeneration used to re-execute
 all 14 VM kernels from scratch, although the kernels are deterministic:
@@ -7,20 +7,24 @@ and the instruction budget.  This module memoises that function on
 disk, plus one level up — the fully analysed profile, as the JSON
 document :func:`repro.exp.runner.profile_to_json` builds — so a warm
 run of ``collect_profiles`` skips both VM execution *and* the dataflow
-analysis.
+analysis.  A kernel's Figure 9 rows (its finite-RTM grid) are a
+second kind of entry in the same format.
 
 Layout (under :func:`cache_dir`, default ``.repro-cache/``)::
 
     .repro-cache/
         traces/<workload>-s<scale>-n<budget>-<key>.trace   (tracefile v3)
         profiles/<workload>-n<budget>-<key>.json           (profile entry)
+        fig9/<workload>-n<budget>-<key>.json               (fig9 entry)
 
 A profile entry is one header line, ``repro-profile <schema> <payload
 bytes> <crc32 hex>``, followed by the payload: the profile document as
 compact JSON.  This layer stores and returns documents and knows
-nothing of the profile type.  An entry whose magic, schema, length or
-checksum does not match is a miss (counted as ``profile_cache.corrupt``)
-and the recompute's store rewrites it; a load never returns a document
+nothing of the profile type; every entry function takes the entry
+``kind`` (:data:`ENTRY_KINDS`), ``"profile"`` by default.  An entry
+whose magic, schema, length or checksum does not match is a miss
+(counted as ``<kind>_cache.corrupt``) and the recompute's store
+rewrites it; a load never returns a document
 other than the one stored.  :func:`load_cached_profile_json` returns
 the checked payload bytes, which ``repro serve`` sends as they are.
 
@@ -28,9 +32,10 @@ Keys are sha256 digests over everything the cached value depends on:
 the workload's *generated assembly source* (which folds in the
 workload name, scale and generator code) plus the source text of the
 modules that define the semantics — the ISA and VM for traces, and
-additionally the analysis stack for profiles.  Any edit to those
-modules changes the digest and silently invalidates old entries; stale
-files are only reclaimed by ``repro cache clear``.
+additionally the analysis stack for profiles or the finite-RTM
+simulator for Figure 9 rows.  Any edit to those modules changes the
+digest and silently invalidates old entries; stale files are only
+reclaimed by ``repro cache clear``.
 
 Knobs
 -----
@@ -118,6 +123,27 @@ ANALYSIS_MODULES = TRACE_MODULES + (
     "repro.exp.runner",
 )
 
+#: Modules that define a kernel's Figure 9 rows (the finite-RTM
+#: simulator on top of the trace, and the shard body that runs it).
+FIG9_MODULES = TRACE_MODULES + (
+    "repro.baselines.ilr",
+    "repro.core.traces",
+    "repro.core.rtm.collector",
+    "repro.core.rtm.entry",
+    "repro.core.rtm.invalidating",
+    "repro.core.rtm.memory",
+    "repro.core.rtm.simulator",
+    "repro.vm.tracestream",
+    "repro.exp.figures",
+)
+
+#: Entry kinds: kind -> (cache subdirectory, modules whose source is
+#: part of the entry key).
+ENTRY_KINDS = {
+    "profile": ("profiles", ANALYSIS_MODULES),
+    "fig9": ("fig9", FIG9_MODULES),
+}
+
 
 def cache_enabled() -> bool:
     """False when the ``REPRO_TRACE_CACHE=0`` kill switch is set."""
@@ -196,7 +222,7 @@ def reap_orphans(*, max_age: float = fslock.DEFAULT_TMP_MAX_AGE) -> int:
     """
     root = cache_dir()
     removed = 0
-    for sub in ("traces", "profiles"):
+    for sub in ("traces", *(d for d, _ in ENTRY_KINDS.values())):
         removed += fslock.reap_stale_tmps(root / sub, max_age=max_age)
     if removed:
         incr("cache.orphans_reaped", removed)
@@ -423,8 +449,10 @@ def tee_cached_trace_stream(
 # profile layer
 # ----------------------------------------------------------------------
 
-def profile_path(name: str, config_key: tuple) -> pathlib.Path:
-    """Cache file path for one analysed benchmark profile.
+def profile_path(name: str, config_key: tuple,
+                 kind: str = "profile") -> pathlib.Path:
+    """Cache file path for one analysed benchmark profile (or, with
+    ``kind="fig9"``, one kernel's Figure 9 rows).
 
     ``config_key`` is :meth:`ExperimentConfig.cache_key`'s tuple of
     ``(field_name, value)`` pairs covering every analysis-relevant
@@ -432,18 +460,19 @@ def profile_path(name: str, config_key: tuple) -> pathlib.Path:
     counts, so two runs that differ in any semantic setting (budget,
     window, latency sweeps, ...) can never alias to one entry.
     """
-    return _profile_path(cache_dir(), name, config_key)
+    return _profile_path(cache_dir(), name, config_key, kind)
 
 
 @lru_cache(maxsize=4096)
-def _profile_path(root: pathlib.Path, name: str,
-                  config_key: tuple) -> pathlib.Path:
+def _profile_path(root: pathlib.Path, name: str, config_key: tuple,
+                  kind: str) -> pathlib.Path:
     """:func:`profile_path`, memoised: ``repro serve`` asks for the same
     few paths on every request."""
-    key = _entry_key(_modules_digest(ANALYSIS_MODULES), name, config_key)
+    sub, modules = ENTRY_KINDS[kind]
+    key = _entry_key(_modules_digest(modules), name, config_key)
     budget = dict(config_key).get("max_instructions")
     fname = f"{name}-n{_budget_tag(budget)}-{key}.json"
-    return root / "profiles" / fname
+    return root / sub / fname
 
 
 class ProfileEntryError(ValueError):
@@ -480,49 +509,50 @@ def decode_profile_entry(data: bytes) -> bytes:
     return payload
 
 
-def _profile_miss(path: pathlib.Path, exc: Exception) -> None:
-    _log.warning("corrupt profile cache entry %s (%s); treating as a "
-                 "miss", path, exc)
-    incr("profile_cache.corrupt")
-    incr("profile_cache.miss")
+def _profile_miss(path: pathlib.Path, exc: Exception, kind: str) -> None:
+    _log.warning("corrupt %s cache entry %s (%s); treating as a "
+                 "miss", kind, path, exc)
+    incr(f"{kind}_cache.corrupt")
+    incr(f"{kind}_cache.miss")
 
 
-def load_cached_profile_json(name: str, config_key: tuple) -> bytes | None:
-    """The cached profile's JSON payload bytes, checked against the
+def load_cached_profile_json(name: str, config_key: tuple,
+                             kind: str = "profile") -> bytes | None:
+    """The cached entry's JSON payload bytes, checked against the
     entry header, or None on a miss (a damaged entry is a miss)."""
     if not cache_enabled():
         return None
     _open_store()
-    path = profile_path(name, config_key)
+    path = profile_path(name, config_key, kind)
     try:
         with open(path, "rb") as fh:
             payload = decode_profile_entry(fh.read())
     except FileNotFoundError:
-        incr("profile_cache.miss")
+        incr(f"{kind}_cache.miss")
         return None
     except (OSError, ProfileEntryError) as exc:
-        _profile_miss(path, exc)
+        _profile_miss(path, exc, kind)
         return None
-    incr("profile_cache.hit")
+    incr(f"{kind}_cache.hit")
     return payload
 
 
-def load_cached_profile(name: str, config_key: tuple) -> Any | None:
-    """The cached profile document (as stored), or None on a miss."""
-    payload = load_cached_profile_json(name, config_key)
+def load_cached_profile(name: str, config_key: tuple,
+                        kind: str = "profile") -> Any | None:
+    """The cached document (as stored), or None on a miss."""
+    payload = load_cached_profile_json(name, config_key, kind)
     if payload is None:
         return None
     try:
         return json.loads(payload)
     except ValueError as exc:  # a checksummed payload that is not JSON
-        _profile_miss(profile_path(name, config_key), exc)
+        _profile_miss(profile_path(name, config_key, kind), exc, kind)
         return None
 
 
-def store_cached_profile(name: str, config_key: tuple,
-                         document: Any) -> None:
-    """Persist a JSON-safe profile document (no-op when the cache is
-    disabled).
+def store_cached_profile(name: str, config_key: tuple, document: Any,
+                         kind: str = "profile") -> None:
+    """Persist a JSON-safe document (no-op when the cache is disabled).
 
     The entry is written atomically under its per-entry lock, so two
     same-key writers serialize.
@@ -530,11 +560,11 @@ def store_cached_profile(name: str, config_key: tuple,
     if not cache_enabled():
         return
     _open_store()
-    path = profile_path(name, config_key)
+    path = profile_path(name, config_key, kind)
     entry = encode_profile_entry(document)
     with _entry_lock(path):
         _atomic_write(path, lambda tmp: tmp.write_bytes(entry))
-    incr("profile_cache.store")
+    incr(f"{kind}_cache.store")
 
 
 # ----------------------------------------------------------------------
@@ -584,12 +614,15 @@ def cache_info(*, per_entry: bool = False) -> dict[str, Any]:
         "trace_bytes": 0,
         "profiles": 0,
         "profile_bytes": 0,
+        "fig9": 0,
+        "fig9_bytes": 0,
         "runs": 0,
         "run_bytes": 0,
     }
     for sub, count_key, bytes_key in (
         ("traces", "traces", "trace_bytes"),
         ("profiles", "profiles", "profile_bytes"),
+        ("fig9", "fig9", "fig9_bytes"),
         ("runs", "runs", "run_bytes"),
     ):
         directory = root / sub
@@ -611,7 +644,8 @@ def cache_info(*, per_entry: bool = False) -> dict[str, Any]:
 
 
 def clear_cache() -> int:
-    """Delete every cached trace/profile; returns the removal count.
+    """Delete every cached trace, profile and Figure 9 entry; returns
+    the removal count.
 
     Run manifests under ``runs/`` are deliberately kept: they are the
     observability record of *past* runs, not derived data, and wiping
@@ -619,7 +653,7 @@ def clear_cache() -> int:
     """
     root = cache_dir()
     removed = 0
-    for sub in ("traces", "profiles"):
+    for sub in ("traces", *(d for d, _ in ENTRY_KINDS.values())):
         directory = root / sub
         if not directory.is_dir():
             continue

@@ -127,28 +127,33 @@ class TestFigures:
             fig.row_for("nonexistent")
 
 
+def _fig9_cells(fig):
+    """Figure 9's rows keyed by ``(heuristic, RTM size)``."""
+    return {(row[0], row[1]): row for row in fig.rows}
+
+
 class TestFigure9:
     def test_small_grid(self):
-        from repro.core.rtm.collector import FixedLengthHeuristic, ILRHeuristic
-
-        cfg = ExperimentConfig(max_instructions=2000, workloads=("compress", "li"))
-        fig = figure9(
-            cfg,
-            rtm_names=("512", "4K"),
-            heuristics=[ILRHeuristic(expand=True), FixedLengthHeuristic(4)],
-        )
-        assert len(fig.rows) == 4
-        for row in fig.rows:
-            assert 0 <= row[2] <= 100  # reused_pct
-            assert row[3] >= 0  # avg trace size
+        cfg = ExperimentConfig(max_instructions=2000,
+                               workloads=("compress", "li"))
+        fig = figure9(cfg)
+        # the paper's grid: 10 heuristics x 4 RTM sizes
+        assert len(fig.rows) == 40
+        assert [row[1] for row in fig.rows[:4]] == ["512", "4K", "32K",
+                                                    "256K"]
+        cells = _fig9_cells(fig)
+        for heuristic in ("ILR EXP", "I4 EXP"):
+            for rtm in ("512", "4K"):
+                row = cells[heuristic, rtm]
+                assert 0 <= row[2] <= 100  # reused_pct
+                assert row[3] >= 0  # avg trace size
 
     def test_bigger_rtm_not_worse(self):
-        from repro.core.rtm.collector import ILRHeuristic
-
         cfg = ExperimentConfig(max_instructions=4000, workloads=("compress",))
-        fig = figure9(cfg, rtm_names=("512", "32K"), heuristics=[ILRHeuristic(True)])
-        small = fig.rows[0][2]
-        big = fig.rows[1][2]
+        fig = figure9(cfg)
+        cells = _fig9_cells(fig)
+        small = cells["ILR EXP", "512"][2]
+        big = cells["ILR EXP", "32K"][2]
         assert big >= small - 1.0  # allow tiny replacement noise
 
 

@@ -1,6 +1,6 @@
 """Profile cache entries: the checksummed JSON format, the profile
 document's exact round-trip, the byte-splicing ``/profile`` hit path,
-and a byte-mutation fuzzer over stored entries."""
+and a byte-mutation fuzzer over stored profile and Figure 9 entries."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from repro import obs
 from repro.core.stats import TraceIOStats
 from repro.exp import runner
 from repro.exp.config import ExperimentConfig
+from repro.exp.figures import fig9_rows
 from repro.exp.runner import (
     BenchmarkProfile,
     profile_from_json,
@@ -216,6 +217,26 @@ def warm_entry(tmp_path_factory):
             os.environ["REPRO_CACHE_DIR"] = old
 
 
+@pytest.fixture(scope="module")
+def warm_fig9_entry(tmp_path_factory):
+    """A cache holding li's TINY Figure 9 rows: (entry path, its bytes,
+    the rows, the original ``/figure?name=figure9`` answer)."""
+    old = os.environ.get("REPRO_CACHE_DIR")
+    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("fuzz9"))
+    try:
+        rows = fig9_rows("li", TINY)
+        path = tracecache.profile_path("li", TINY.cache_key(), "fig9")
+        status, answer = ServiceFrontend(TINY).dispatch(
+            "/figure", {"name": "figure9"})
+        assert status == 200
+        yield path, path.read_bytes(), rows, answer
+    finally:
+        if old is None:
+            os.environ.pop("REPRO_CACHE_DIR", None)
+        else:
+            os.environ["REPRO_CACHE_DIR"] = old
+
+
 def _mutate(data, raw: bytes) -> bytes:
     """One random flip, insertion, deletion or truncation of ``raw``."""
     kind = data.draw(st.sampled_from(["flip", "insert", "delete",
@@ -255,6 +276,28 @@ class TestEntryFuzz:
             assert (status, body) == (200, answer) or status == 202
             # the next run recomputes and rewrites the entry
             assert run_profile("li", TINY) == profile
+            assert path.read_bytes() == raw
+        finally:
+            path.write_bytes(raw)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_fig9_entry_is_exact_or_a_miss_and_heals(
+            self, warm_fig9_entry, data):
+        path, raw, rows, answer = warm_fig9_entry
+        path.write_bytes(_mutate(data, raw))
+        try:
+            key = TINY.cache_key()
+            with obs.scope() as registry:
+                got = tracecache.load_cached_profile("li", key, "fig9")
+            assert got is None or got == rows
+            if got is None:
+                assert registry.counters["fig9_cache.corrupt"] == 1
+            status, body = ServiceFrontend(TINY).dispatch(
+                "/figure", {"name": "figure9"})
+            assert (status, body) == (200, answer) or status == 202
+            # the next run recomputes and rewrites the entry
+            assert fig9_rows("li", TINY) == rows
             assert path.read_bytes() == raw
         finally:
             path.write_bytes(raw)

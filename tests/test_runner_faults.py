@@ -14,7 +14,12 @@ import pytest
 
 from repro import obs
 from repro.exp.config import ExperimentConfig
-from repro.exp.runner import FAULT_ENV, collect_profiles, run_profile
+from repro.exp.runner import (
+    FAULT_ENV,
+    collect_profiles,
+    default_worker_count,
+    run_profile,
+)
 
 WORKLOADS = ("li", "compress", "tomcatv")
 BUDGET = 800
@@ -196,3 +201,11 @@ class TestFaultInjectionParsing:
         run = collect_profiles(tiny_config(task_retries=0))
         assert sorted(f.name for f in run.failures) == ["compress", "li"]
         assert [p.name for p in run] == ["tomcatv"]
+
+
+class TestDefaultWorkerCount:
+    def test_at_least_one(self):
+        assert default_worker_count(0) == 1
+
+    def test_capped_by_tasks(self):
+        assert default_worker_count(1) == 1

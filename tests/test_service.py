@@ -235,6 +235,118 @@ class TestQueueRecordFuzz:
         assert healed.state == (state if found is not None else "pending")
 
 
+class _Crash(BaseException):
+    """The process dying at a kill point (no ``except`` clause of the
+    queue's catches it, as none would run after a kill)."""
+
+
+def _kill_at(monkeypatch, root, at):
+    """Count the record renames, replaces and unlinks the queue makes
+    under ``root`` and raise :class:`_Crash` instead of making the one
+    at index ``at``; returns the list of steps made."""
+    steps = []
+
+    def wrap(name, real):
+        def step(*args, **kwargs):
+            target = str(args[-1] if name != "unlink" else args[0])
+            if target.startswith(str(root)) and target.endswith(".json"):
+                if len(steps) == at:
+                    raise _Crash(f"killed before {name} {target}")
+                steps.append(name)
+            return real(*args, **kwargs)
+        return step
+
+    for name in ("rename", "replace", "unlink"):
+        monkeypatch.setattr(os, name, wrap(name, getattr(os, name)))
+    return steps
+
+
+@pytest.fixture(scope="module")
+def dead_pid():
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+class TestQueueKillPoints:
+    """A process killed at any rename, replace or unlink of ``enqueue``,
+    ``claim``, ``complete``, ``fail`` or ``steal_stale`` leaves its
+    shard in exactly one state: the one before the step or the one the
+    operation moves it to, never lost and never doubled."""
+
+    @staticmethod
+    def _setup(queue, kind, start, dead_pid):
+        """Bring li's shard of ``kind`` to ``start`` (None: no record)."""
+        if start is None:
+            return None
+        queue.enqueue("li", TINY, kind)
+        if start == "pending":
+            return None
+        job = queue.claim("w1")
+        if start == "done":
+            queue.complete(job)  # no result cached: enqueue requeues it
+        elif start == "failed":
+            queue.fail(job, "RuntimeError: boom")
+        elif start == "stale":
+            job.pid = dead_pid
+            queue._write("leased", job)
+        return job
+
+    OPERATIONS = {
+        # name: (state before, state after, operation)
+        "enqueue-new": (None, "pending",
+                        lambda q, job, kind: q.enqueue("li", TINY, kind)),
+        "enqueue-failed": ("failed", "pending",
+                           lambda q, job, kind: q.enqueue("li", TINY, kind)),
+        "enqueue-done-result-gone": (
+            "done", "pending",
+            lambda q, job, kind: q.enqueue("li", TINY, kind)),
+        "claim": ("pending", "leased", lambda q, job, kind: q.claim("w2")),
+        "complete": ("leased", "done", lambda q, job, kind: q.complete(job)),
+        "fail": ("leased", "failed",
+                 lambda q, job, kind: q.fail(job, "RuntimeError: boom")),
+        "steal_stale": ("stale", "pending",
+                        lambda q, job, kind: q.steal_stale("w2")),
+    }
+
+    @pytest.mark.parametrize("kind", ["profile", "fig9"])
+    @pytest.mark.parametrize("operation", sorted(OPERATIONS))
+    def test_crash_at_every_step_leaves_one_state(
+        self, cache_dir, dead_pid, monkeypatch, kind, operation,
+    ):
+        before, after, run = self.OPERATIONS[operation]
+        job_id = shard_job_id("li", TINY, kind)
+        if before is not None:
+            before = "leased" if before == "stale" else before
+        at = 0
+        while True:
+            root = cache_dir / f"queue-{at}"
+            queue = ShardQueue(root)
+            job = self._setup(queue, kind, self.OPERATIONS[operation][0],
+                              dead_pid)
+            with monkeypatch.context() as patch:
+                steps = _kill_at(patch, root, at)
+                try:
+                    run(queue, job, kind)
+                    crashed = False
+                except _Crash:
+                    crashed = True
+            states = [state for state in STATES
+                      if queue._read(queue._path(state, job_id))]
+            if before is None and crashed:
+                assert states in ([], [after]), (at, steps, states)
+            else:
+                assert len(states) == 1, (at, steps, states)
+                assert states[0] in (before, after), (at, steps, states)
+            if not crashed:
+                assert states == [after]
+                assert queue.find(job_id).kind == kind
+                break
+            at += 1
+        # every operation is at most three steps
+        assert 1 <= at <= 3
+
+
 class TestWorker:
     def test_worker_drains_queue_into_cache(self, cache_dir):
         queue = ShardQueue()
