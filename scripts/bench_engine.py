@@ -179,6 +179,7 @@ _RUN_SNIPPET = """\
 import sys, time
 from repro.workloads.base import build_program
 from repro.vm import machine
+from repro.vm.tracestream import run_chunks
 mode, how, budget, rounds = sys.argv[1:3] + [int(a) for a in sys.argv[3:5]]
 if mode == "tier0":
     machine.COMPILE_BAR = sys.maxsize  # nothing ever compiles
@@ -189,7 +190,7 @@ for _ in range(rounds):
     for program in programs:
         m = machine.Machine(program)
         if how == "chunked":
-            for segment in m.run_chunks(budget):
+            for segment in run_chunks(m, budget):
                 count += len(segment)
         else:
             count += len(m.run(budget))
@@ -641,7 +642,7 @@ def bench_tracev3(trace_budget: int, engine_budget: int,
     import pickle
 
     from repro.vm.trace import as_columnar
-    from repro.vm.tracev3 import trace_v3_info, write_v3
+    from repro.vm.tracev3 import trace_v3_info
 
     tmp = pathlib.Path(tmpdir)
     kernels = ("compress", "tomcatv", "go")
@@ -718,7 +719,7 @@ def bench_tracev3(trace_budget: int, engine_budget: int,
     scens = profile_scenarios(config)
     expected = oracle_results(trace, scens)
     engine_path = tmp / "engine.trace"
-    write_v3(trace, engine_path)
+    write_stream(trace, engine_path)
     del trace
     gc.collect()
     start = time.perf_counter()

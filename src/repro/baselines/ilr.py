@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,13 +228,6 @@ def ilr_reuse_plan(
     if len(plan) != flag_count:
         raise ValueError("flags must align with the instruction stream")
     return plan
-
-
-@dataclass(slots=True)
-class _BufferSet:
-    """One set of the finite reuse buffer: signature -> LRU order."""
-
-    entries: OrderedDict = field(default_factory=OrderedDict)
 
 
 class InstructionReuseBuffer:

@@ -87,7 +87,7 @@ from repro.exp.figures import (
     figure6,
     figure7,
     figure8,
-    figure9,
+    figure9_from_rows,
     trace_io_summary,
 )
 from repro.exp.report import render
@@ -197,12 +197,15 @@ def _cmd_figures(args) -> int:
     ):
         print(render(result))
         print()
+    runs = [profiles]
     if args.fig9:
         fig9_config = ExperimentConfig(
             max_instructions=args.fig9_budget, use_cache=not args.no_cache)
-        print(render(figure9(fig9_config)))
-    if getattr(profiles, "manifest_path", None) is not None:
-        print(f"run manifest: {profiles.manifest_path}", file=sys.stderr)
+        runs.append(collect_profiles(fig9_config, kind="fig9"))
+        print(render(figure9_from_rows(runs[-1])))
+    for run in runs:
+        if run.manifest_path is not None:
+            print(f"run manifest: {run.manifest_path}", file=sys.stderr)
     return 0
 
 

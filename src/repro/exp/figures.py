@@ -291,7 +291,17 @@ def fig9_rows(name: str, config: ExperimentConfig) -> list[list]:
 def figure9_from_rows(per_kernel: Sequence[list]) -> FigureResult:
     """Figure 9 from each kernel's :func:`fig9_rows`: every ``(heuristic,
     RTM size)`` row averaged arithmetically over the kernels, exactly
-    like the paper's bar chart."""
+    like the paper's bar chart.
+
+    ``per_kernel`` may be the ``ProfileRun`` of a ``fig9``
+    :func:`~repro.exp.runner.collect_profiles`; if a kernel of it
+    failed, this raises :class:`RuntimeError`, since an average without
+    it would be another figure.
+    """
+    failures = getattr(per_kernel, "failures", ())
+    if failures:
+        raise RuntimeError("figure 9: " + "; ".join(
+            f"{f.name} failed ({f.kind}: {f.message})" for f in failures))
     result = FigureResult(
         figure_id="fig9",
         title="Figure 9: finite-RTM reusability (%) and avg reused trace size",
@@ -314,13 +324,8 @@ def figure9(config: ExperimentConfig | None = None) -> FigureResult:
     Each kernel's rows are one ``fig9`` shard of
     :func:`~repro.exp.runner.collect_profiles`: in this process or on
     the shard queue's worker processes, resumed from the cache when
-    warm.  A kernel that fails raises :class:`RuntimeError`, since an
-    average without it would be another figure.
+    warm.  A kernel that fails raises :class:`RuntimeError`.
     """
     if config is None:
         config = ExperimentConfig()
-    run = collect_profiles(config, kind="fig9")
-    if run.failures:
-        raise RuntimeError("figure 9: " + "; ".join(
-            f"{f.name} failed ({f.kind}: {f.message})" for f in run.failures))
-    return figure9_from_rows(run)
+    return figure9_from_rows(collect_profiles(config, kind="fig9"))

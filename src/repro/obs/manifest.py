@@ -152,28 +152,29 @@ def read_manifest(
     A run killed mid-write leaves at most a truncated final line;
     treating bad lines as absent keeps every completed event readable,
     and the count lets ``repro obs show`` report the damage instead of
-    hiding it.  A bad line is one whose seal does not match; a line
-    with no tab at all predates sealing and is read as it stands.
+    hiding it.  A bad line is one whose seal does not match.  In a
+    manifest with no sealed line at all, written before lines were
+    sealed, a line with no tab is read as it stands; in a sealed one it
+    is damage (an inserted newline can cut ``{}`` off a sealed line).
     """
     events: list[dict[str, Any]] = []
     torn = 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            text = unseal(line)
-            if text is None and "\t" not in line:
-                text = line  # written before lines were sealed
-            try:
-                record = json.loads(text) if text is not None else None
-            except json.JSONDecodeError:
-                record = None
-            if isinstance(record, dict):
-                events.append(record)
-            else:
-                telemetry.incr("manifest.bad_lines")
-                torn += 1
+        lines = [line for line in map(str.strip, fh) if line]
+    texts = [unseal(line) for line in lines]
+    unsealed_file = all(text is None for text in texts)
+    for line, text in zip(lines, texts):
+        if text is None and unsealed_file and "\t" not in line:
+            text = line  # written before lines were sealed
+        try:
+            record = json.loads(text) if text is not None else None
+        except json.JSONDecodeError:
+            record = None
+        if isinstance(record, dict):
+            events.append(record)
+        else:
+            telemetry.incr("manifest.bad_lines")
+            torn += 1
     return events, torn
 
 

@@ -436,44 +436,6 @@ class Machine:
         del self._wlocs[:]
         self._wvals.clear()
 
-    def run_chunks(self, max_instructions: int | None = None, *,
-                   chunk_size: int | None = None):
-        """Execute incrementally, yielding one columnar segment per
-        ``chunk_size`` instructions (see
-        :func:`repro.vm.tracestream.run_chunks`).
-
-        :meth:`run` resumes exactly (the budget is absolute against
-        ``instruction_count``), so the concatenated segments are
-        bit-identical to a single ``run`` with the same budget, and
-        the chunk size never changes which blocks compile.
-        """
-        from repro.vm import tracestream
-
-        return tracestream.run_chunks(
-            self, max_instructions,
-            chunk_size=(chunk_size if chunk_size is not None
-                        else tracestream.DEFAULT_CHUNK_SIZE),
-        )
-
-    def run_to_writer(self, writer, max_instructions: int | None = None, *,
-                      chunk_size: int | None = None) -> int:
-        """Execute incrementally, emitting into a
-        :class:`repro.vm.tracev3.TraceWriter` as chunks retire.
-
-        Returns the number of instructions executed.  The writer's
-        ``halted``/``truncated`` flags are updated from the final
-        machine state; closing (footer emission) is left to the
-        caller, so several segments or machines can share one file.
-        """
-        executed = 0
-        for segment in self.run_chunks(max_instructions,
-                                       chunk_size=chunk_size):
-            writer.write_segment(segment)
-            executed += len(segment)
-        writer.halted = self.halted
-        writer.truncated = not self.halted
-        return executed
-
     def run_rows(self, max_instructions: int | None = None) -> Trace:
         """Execute via the one-at-a-time interpreter, returning the
         row-layout :class:`Trace`.

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.isa.opcodes import Opcode, OpClass, op_class
-from repro.isa.registers import loc_is_mem
 
 
 class DynInst:
@@ -76,33 +75,10 @@ class DynInst:
         self.latency = latency
         self.next_pc = next_pc
 
-    def input_signature(self) -> tuple:
-        """Hashable identity of this instance's inputs.
-
-        Two dynamic instances of the same static instruction with equal
-        signatures read the same locations with the same values — the
-        reusability criterion of section 4.2.  The branch/jump outcome
-        is a pure function of the inputs, so ``next_pc`` need not be
-        part of the signature.
-        """
-        return self.reads
-
-    def is_memory_op(self) -> bool:
-        """True for loads and stores."""
-        return self.op_class in (OpClass.LOAD, OpClass.STORE)
-
     @property
     def op_class(self) -> OpClass:
         """Functional class of the executed opcode."""
         return op_class(self.op)
-
-    def reads_memory(self) -> bool:
-        """True if any read location is a memory word."""
-        return any(loc_is_mem(loc) for loc, _ in self.reads)
-
-    def writes_memory(self) -> bool:
-        """True if any written location is a memory word."""
-        return any(loc_is_mem(loc) for loc, _ in self.writes)
 
     def __repr__(self) -> str:
         return (
@@ -231,65 +207,6 @@ class ColumnarTrace:
             wval.append(val)
         self.write_bounds.append(len(wloc))
         self._rows = None
-
-    def append_flat(
-        self,
-        pc: int,
-        op: int,
-        reads_flat: Sequence,
-        writes_flat: Sequence,
-        latency: int,
-        next_pc: int,
-    ) -> None:
-        """Append from interleaved ``[loc, value, loc, value, ...]`` lists
-        (the tracefile wire layout)."""
-        if len(reads_flat) % 2 or len(writes_flat) % 2:
-            raise ValueError("odd-length location/value list")
-        self.pcs.append(pc)
-        self.ops.append(op)
-        self.lats.append(latency)
-        self.next_pcs.append(next_pc)
-        self.read_locs.extend(reads_flat[::2])
-        self.read_vals.extend(reads_flat[1::2])
-        self.read_bounds.append(len(self.read_locs))
-        self.write_locs.extend(writes_flat[::2])
-        self.write_vals.extend(writes_flat[1::2])
-        self.write_bounds.append(len(self.write_locs))
-        self._rows = None
-
-    @classmethod
-    def from_rows(
-        cls,
-        pcs: Sequence[int],
-        ops: Sequence[int],
-        reads: Sequence[Sequence[tuple[int, int | float]]],
-        writes: Sequence[Sequence[tuple[int, int | float]]],
-        lats: Sequence[int],
-        next_pcs: Sequence[int],
-        *,
-        program_name: str = "<anonymous>",
-        halted: bool = False,
-        truncated: bool = False,
-    ) -> "ColumnarTrace":
-        """Bulk-build from parallel row lists (the ``Machine.run`` path)."""
-        ct = cls(program_name=program_name, halted=halted, truncated=truncated)
-        ct.pcs = array("i", pcs)
-        ct.ops = array("h", ops)
-        ct.lats = array("h", lats)
-        ct.next_pcs = array("i", next_pcs)
-        rloc, rval, rb = ct.read_locs, ct.read_vals, ct.read_bounds
-        for pairs in reads:
-            for loc, val in pairs:
-                rloc.append(loc)
-                rval.append(val)
-            rb.append(len(rloc))
-        wloc, wval, wb = ct.write_locs, ct.write_vals, ct.write_bounds
-        for pairs in writes:
-            for loc, val in pairs:
-                wloc.append(loc)
-                wval.append(val)
-            wb.append(len(wloc))
-        return ct
 
     @classmethod
     def from_trace(cls, trace: "Trace | Sequence[DynInst]") -> "ColumnarTrace":
@@ -529,22 +446,4 @@ def slice_columnar(ct: ColumnarTrace, start: int, stop: int) -> ColumnarTrace:
     out.write_bounds = _rebased(ct.write_bounds, start, stop + 1, -wa)
     out.write_locs = ct.write_locs[wa:wb]
     out.write_vals = ct.write_vals[wa:wb]
-    return out
-
-
-def slice_trace(trace: "AnyTrace", start: int, stop: int) -> Trace:
-    """A sub-range of a trace as a new :class:`Trace` (shares records)."""
-    return Trace(
-        instructions=stream_of(trace)[start:stop],
-        program_name=trace.program_name,
-        halted=False,
-        truncated=True,
-    )
-
-
-def merge_reads(dyninsts: Sequence[DynInst]) -> list[tuple[int, int | float]]:
-    """All reads of a sequence in order (helper for trace liveness tests)."""
-    out: list[tuple[int, int | float]] = []
-    for d in dyninsts:
-        out.extend(d.reads)
     return out

@@ -17,6 +17,13 @@ Layout (under :func:`cache_dir`, default ``.repro-cache/``)::
         profiles/<workload>-n<budget>-<key>.json           (profile entry)
         fig9/<workload>-n<budget>-<key>.json               (fig9 entry)
 
+A trace entry is read only by :func:`load_cached_trace_stream` and
+written only by the tee's commit (:func:`tee_cached_trace_stream`);
+:func:`repro.workloads.base.stream_workload` is the one caller of
+both, and ``run_workload`` drains its stream.  An entry whose chunks
+turn out not to decode is dropped by :func:`drain_healing`, and the
+retry's tee rewrites it.
+
 A profile entry is one header line, ``repro-profile <schema> <payload
 bytes> <crc32 hex>``, followed by the payload: the profile document as
 compact JSON.  This layer stores and returns documents and knows
@@ -84,9 +91,9 @@ from typing import Any
 
 from repro.obs import get_logger, incr
 from repro.util import fslock
-from repro.vm.trace import ColumnarTrace
-from repro.vm.tracefile import TraceFileError, load_trace, save_trace
-from repro.vm.tracev3 import trace_v3_info
+from repro.vm.errors import TraceFileError
+from repro.vm.tracestream import FileTraceStream, TeeChunkStream
+from repro.vm.tracev3 import TraceWriter, trace_v3_info
 
 _log = get_logger("tracecache")
 
@@ -262,57 +269,6 @@ def trace_path(
     return cache_dir() / "traces" / fname
 
 
-def load_cached_trace(
-    name: str,
-    scale: int,
-    max_instructions: int | None,
-    source_text: str,
-) -> ColumnarTrace | None:
-    """The cached trace, or None on a miss (including corrupt files)."""
-    if not cache_enabled():
-        return None
-    _open_store()
-    path = trace_path(name, scale, max_instructions, source_text)
-    if not path.is_file():
-        incr("trace_cache.miss")
-        return None
-    try:
-        trace = load_trace(path)
-    except (TraceFileError, OSError) as exc:
-        _log.warning("corrupt trace cache entry %s (%s); treating as a miss",
-                     path, exc)
-        incr("trace_cache.corrupt")
-        incr("trace_cache.miss")
-        return None
-    if not isinstance(trace, ColumnarTrace):
-        incr("trace_cache.miss")
-        return None
-    incr("trace_cache.hit")
-    return trace
-
-
-def store_cached_trace(
-    name: str,
-    scale: int,
-    max_instructions: int | None,
-    source_text: str,
-    trace: ColumnarTrace,
-) -> None:
-    """Persist a trace (no-op when the cache is disabled).
-
-    The per-entry lock serializes concurrent writers of the same key
-    (the content is identical by construction, so the second writer
-    merely rewrites the same bytes) without slowing unrelated keys.
-    """
-    if not cache_enabled():
-        return
-    _open_store()
-    path = trace_path(name, scale, max_instructions, source_text)
-    with _entry_lock(path):
-        _atomic_write(path, lambda tmp: save_trace(trace, tmp, format="v3"))
-    incr("trace_cache.store")
-
-
 def load_cached_trace_stream(
     name: str,
     scale: int,
@@ -334,8 +290,6 @@ def load_cached_trace_stream(
     if not path.is_file():
         incr("trace_cache.miss")
         return None
-    from repro.vm.tracestream import FileTraceStream
-
     try:
         stream = FileTraceStream(path)
     except (TraceFileError, OSError) as exc:
@@ -350,12 +304,11 @@ def load_cached_trace_stream(
 
 def discard_corrupt_trace(path: pathlib.Path, exc: Exception) -> None:
     """Drop a v3 cache entry that opened (its footer checks out) but
-    whose chunks do not decode, counting it as corrupt and a miss like
-    any other damaged entry.  The next store or tee rewrites it."""
+    whose chunks do not decode, counting it as corrupt.  The lookup
+    that follows counts the miss, and its tee rewrites the entry."""
     _log.warning("corrupt trace cache entry %s (%s); treating as a miss",
                  path, exc)
     incr("trace_cache.corrupt")
-    incr("trace_cache.miss")
     with _entry_lock(path):
         path.unlink(missing_ok=True)
 
@@ -368,8 +321,6 @@ def drain_healing(open_stream, drain):
     discarded and ``drain`` runs again over a fresh ``open_stream()``,
     which misses and executes through the tee, rewriting the entry.
     """
-    from repro.vm.tracestream import FileTraceStream
-
     stream = open_stream()
     try:
         return drain(stream)
@@ -389,25 +340,27 @@ def tee_cached_trace_stream(
     stream,
 ):
     """Wrap an execution stream so its first drain *also* persists the
-    trace into the cache — the direct execute→analyze cold path.
+    trace into the cache — the direct execute→analyze cold path, and
+    the only way a trace entry is written.
 
     The consumer analyzes segments as the machine produces them while
     a :class:`~repro.vm.tracev3.TraceWriter` (threaded when
     ``REPRO_CODEC_THREADS`` allows) writes the same segments to a
-    pid-tagged temp file; a complete drain publishes it under the
-    per-entry lock with an atomic ``os.replace``, and later drains replay from
-    the published entry.  An abandoned or failed drain discards the
-    temp file and publishes nothing.  Racing writers of the same key
-    are safe: contents are identical by construction, and a live
-    writer's pid-tagged temp is never reaped.
+    pid-tagged temp file.  A complete drain commits: it writes the
+    footer, takes the per-entry lock, publishes the temp with an atomic
+    ``os.replace`` and reopens the entry, which later drains replay.
+    An abandoned or failed drain aborts: it closes the writer and
+    removes the temp, publishing nothing.  A process killed before any
+    of those steps leaves no entry or a whole one, plus at most an
+    orphan temp that the next process to open the cache reaps (the
+    kill-point tests in ``test_cache_concurrency.py`` check each step).
+    Racing writers of the same key are safe: contents are identical by
+    construction, and a live writer's pid-tagged temp is never reaped.
 
     With the cache disabled the stream is returned unchanged.
     """
     if not cache_enabled():
         return stream
-    from repro.vm.tracestream import FileTraceStream, TeeChunkStream
-    from repro.vm.tracev3 import TraceWriter
-
     _open_store()
     path = trace_path(name, scale, max_instructions, source_text)
 

@@ -37,7 +37,8 @@ from collections.abc import Iterable
 from repro.isa.opcodes import Opcode
 from repro.obs import get_logger
 from repro.vm.errors import TraceFileError
-from repro.vm.trace import AnyTrace, DynInst, Trace
+from repro.vm.trace import AnyTrace, DynInst, Trace, as_columnar
+from repro.vm.tracestream import FileTraceStream, write_stream
 from repro.vm.tracev3 import MAGIC_V3
 
 FORMAT_TAG = "repro-trace-v1"
@@ -89,9 +90,7 @@ def save_trace(trace: AnyTrace, path: str | pathlib.Path, *,
                 "v3 traces are already compressed per chunk; "
                 "drop the .gz suffix"
             )
-        from repro.vm.tracev3 import write_v3
-
-        write_v3(trace, path)
+        write_stream(trace, path)
         return
     if format != "v1":
         raise TraceFileError(f"unknown trace file format {format!r}; use v1 or v3")
@@ -136,10 +135,12 @@ def load_trace(path: str | pathlib.Path) -> AnyTrace:
                     f"{path}: gzip-wrapped v3 traces are not seekable; "
                     "store v3 files uncompressed"
                 )
-            from repro.vm.tracev3 import TraceReader
-
-            with TraceReader(path) as reader:
-                return reader.materialize()
+            with FileTraceStream(path) as stream:
+                trace = as_columnar(stream)
+            if len(trace) != stream.count:
+                raise TraceFileError(
+                    f"{path}: chunk contents disagree with footer count")
+            return trace
         if prefix == MAGIC_V2:
             _log.warning("legacy v2 trace file %s refused", path)
             raise TraceFileError(f"{path}: legacy v2 trace, regenerate it")

@@ -16,10 +16,11 @@ consumed*.  A **trace stream** is any object with:
   (execution-backed streams learn it as they run).
 
 Consumers hold O(chunk) memory: one segment at a time, never the
-whole trace.  ``as_columnar(stream)`` remains the thin materializing
-adapter for whole-trace consumers.
+whole trace.  ``as_columnar(stream)`` is the one materializing adapter
+for whole-trace consumers (``as_columnar(FileTraceStream(path))`` reads
+a whole v3 file), and :func:`write_stream` is the one v3 file writer.
 
-Three concrete streams cover the pipeline:
+Four concrete streams cover the pipeline:
 
 ``ColumnarChunkStream``
     re-slices a materialized trace (the compatibility path — lets
@@ -31,6 +32,11 @@ Three concrete streams cover the pipeline:
     wraps a machine *factory*; each ``chunks()`` call builds a fresh
     machine and yields segments as it executes (the no-cache path for
     traces too large to hold).
+``TeeChunkStream``
+    wraps a source stream so that its first complete drain also writes
+    every segment to a v3 writer and publishes the file (the trace
+    cache's only write path: :func:`repro.vm.tracecache.
+    tee_cached_trace_stream`); later drains replay the published file.
 """
 
 from __future__ import annotations

@@ -846,21 +846,6 @@ class TraceReader:
                 fut.cancel()
             pool.shutdown(wait=True, cancel_futures=True)
 
-    def materialize(self) -> ColumnarTrace:
-        """The whole trace as one :class:`ColumnarTrace` (adapter path)."""
-        from repro.vm.trace import extend_columnar
-
-        out = ColumnarTrace(
-            program_name=self.program_name,
-            halted=self.halted,
-            truncated=self.truncated,
-        )
-        for ct in self.chunks():
-            extend_columnar(out, ct)
-        if len(out) != self.count:
-            raise self._err("chunk contents disagree with footer count")
-        return out
-
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
@@ -880,29 +865,8 @@ class TraceReader:
 
 
 # ----------------------------------------------------------------------
-# convenience front-ends
+# introspection
 # ----------------------------------------------------------------------
-
-def write_v3(trace, path: str | pathlib.Path, *,
-             chunk_size: int = DEFAULT_CHUNK_SIZE,
-             compresslevel: int = DEFAULT_COMPRESSLEVEL) -> None:
-    """Write a materialized trace as a v3 file (chunked on the way out)."""
-    from repro.vm.trace import as_columnar
-
-    ct = as_columnar(trace)
-    writer = TraceWriter(
-        path,
-        program_name=ct.program_name,
-        chunk_size=chunk_size,
-        compresslevel=compresslevel,
-    )
-    try:
-        writer.write_segment(ct)
-    except BaseException:
-        writer.abort()
-        raise
-    writer.close(halted=ct.halted, truncated=ct.truncated)
-
 
 #: Chunk payload sections, in on-disk order.
 SECTION_NAMES = (

@@ -9,7 +9,8 @@ from repro.vm import tracecache
 from repro.vm.assembler import assemble
 from repro.vm.machine import Machine
 from repro.vm.program import Program
-from repro.vm.trace import ColumnarTrace
+from repro.vm.trace import ColumnarTrace, as_columnar
+from repro.vm.tracestream import DEFAULT_CHUNK_SIZE, ExecutionChunkStream
 
 #: Suite order follows the paper's figures (FP first, then INT).
 FP_SUITE = ["applu", "apsi", "fpppp", "hydro2d", "su2cor", "tomcatv", "turb3d"]
@@ -93,26 +94,21 @@ def run_workload(
     ``max_instructions`` — the analogue of the paper's fixed 50M
     instruction window per program.
 
-    Kernels are deterministic, so the trace is memoised on disk via
-    :mod:`repro.vm.tracecache` (keyed by the generated assembly source
-    and the VM code fingerprint); pass ``use_cache=False`` — or set
-    ``REPRO_TRACE_CACHE=0`` — to force re-execution.
+    The trace is :func:`stream_workload`'s stream with the same
+    arguments, drained whole: a cache hit decodes the v3 entry, a miss
+    executes through the tee that writes the entry, and an entry whose
+    chunks do not decode is discarded and rewritten by a second drain
+    (:func:`repro.vm.tracecache.drain_healing`).  The chunks
+    concatenate to exactly one ``Machine.run`` at the same budget.
+    Pass ``use_cache=False`` — or set ``REPRO_TRACE_CACHE=0`` — to
+    force re-execution.
     """
-    workload = get_workload(name)
-    source = workload.source(scale)
-    if use_cache:
-        cached = tracecache.load_cached_trace(
-            name, scale, max_instructions, source
-        )
-        if cached is not None:
-            return cached
-    machine = Machine(assemble(source, name=name))
-    trace = machine.run(max_instructions=max_instructions)
-    if use_cache:
-        tracecache.store_cached_trace(
-            name, scale, max_instructions, source, trace
-        )
-    return trace
+    return tracecache.drain_healing(
+        lambda: stream_workload(name, scale=scale,
+                                max_instructions=max_instructions,
+                                use_cache=use_cache),
+        as_columnar,
+    )
 
 
 def stream_workload(
@@ -123,8 +119,9 @@ def stream_workload(
     use_cache: bool = True,
     chunk_size: int | None = None,
 ):
-    """Like :func:`run_workload`, but returns a **chunk stream** — the
-    trace is never held whole in memory.
+    """A kernel's dynamic trace as a **chunk stream** — the trace is
+    never held whole in memory.  Every trace-cache read and write goes
+    through here.
 
     Cache hits stream straight out of the v3 entry
     (:class:`~repro.vm.tracestream.FileTraceStream`, O(chunk) decode).
@@ -136,8 +133,6 @@ def stream_workload(
     cache off, an :class:`~repro.vm.tracestream.ExecutionChunkStream`
     re-executes the (deterministic) kernel on every drain.
     """
-    from repro.vm.tracestream import DEFAULT_CHUNK_SIZE, ExecutionChunkStream
-
     if chunk_size is None:
         chunk_size = DEFAULT_CHUNK_SIZE
     workload = get_workload(name)

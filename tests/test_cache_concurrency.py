@@ -8,7 +8,8 @@ depends on surviving:
   and load as stored),
 * ≥4 processes hammering the *same* keys (no corrupt entries, no
   lost profiles, bytes identical to a sequential run),
-* crash-orphan temp files reaped when the cache is next opened.
+* crash-orphan temp files reaped when the cache is next opened,
+* a writer killed before any step of the trace tee's commit or abort.
 
 Children inherit ``REPRO_CACHE_DIR`` (set per test) and
 ``PYTHONPATH`` from the test environment.
@@ -17,13 +18,26 @@ Children inherit ``REPRO_CACHE_DIR`` (set per test) and
 from __future__ import annotations
 
 import os
+import pathlib
 import pickle
 import subprocess
 import sys
 
 import pytest
 
+import repro.workloads  # registers the kernels
 from repro.vm import tracecache
+from repro.vm.machine import Machine
+from repro.vm.trace import as_columnar, trace_identical
+from repro.vm.tracefile import load_trace
+from repro.vm.tracev3 import TraceWriter
+from repro.workloads.base import (
+    build_program,
+    get_workload,
+    run_workload,
+    stream_workload,
+)
+from test_service import _Crash, dead_pid  # noqa: F401 (a fixture)
 
 
 @pytest.fixture
@@ -178,3 +192,71 @@ class TestOrphanReaping:
         tracecache._reaped_roots.discard(str(cache_dir))
         assert tracecache.reap_orphans() == 0
         assert mine.exists()
+
+
+KILL_NAME, KILL_BUDGET = "li", 2_000
+
+#: The tee's commit steps, then its abort steps, in the order they run:
+#: step -> (owner, attribute) that the step calls.
+TEE_STEPS = {
+    "footer": (TraceWriter, "close"),
+    "lock": (tracecache, "_entry_lock"),
+    "replace": (os, "replace"),
+    "reopen": (tracecache, "FileTraceStream"),
+    "abort-writer": (TraceWriter, "abort"),
+    "abort-unlink": (pathlib.Path, "unlink"),
+}
+
+
+class TestTeeKillPoints:
+    """A process killed before any step of the trace tee's commit
+    (footer write, entry lock, ``os.replace``, reopen) or of its abort
+    (writer abort, temp unlink) leaves either no entry or a whole one
+    equal to a fresh run; the next ``run_workload`` heals the entry,
+    and the dead writer's pid-tagged temp is reaped."""
+
+    @pytest.mark.parametrize("threads", [0, 2])
+    @pytest.mark.parametrize("step", list(TEE_STEPS))
+    def test_crash_before_step(self, cache_dir, dead_pid, monkeypatch,
+                               threads, step):
+        monkeypatch.setenv("REPRO_CODEC_THREADS", str(threads))
+        fresh = Machine(build_program(KILL_NAME)).run(KILL_BUDGET)
+        source = get_workload(KILL_NAME).source(1)
+        stream = stream_workload(KILL_NAME, max_instructions=KILL_BUDGET)
+
+        def crash(*args, **kwargs):
+            raise _Crash(f"killed before {step}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(*TEE_STEPS[step], crash)
+            with pytest.raises(_Crash):
+                if step.startswith("abort"):
+                    chunks = stream.chunks()
+                    next(chunks)
+                    chunks.close()  # the consumer abandons the drain
+                else:
+                    as_columnar(stream)
+
+        # only a crash after the rename leaves an entry, and it is whole
+        path = tracecache.trace_path(KILL_NAME, 1, KILL_BUDGET, source)
+        assert path.exists() == (step == "reopen")
+        entry = tracecache.load_cached_trace_stream(
+            KILL_NAME, 1, KILL_BUDGET, source)
+        assert (entry is not None) == (step == "reopen")
+        if entry is not None:
+            assert trace_identical(as_columnar(entry), fresh)
+            entry.close()
+        traces = cache_dir / "traces"
+        temps = sorted(traces.glob("*.tmp"))
+        assert len(temps) == (step != "reopen")
+
+        # the writer's process is dead by the time the next one opens
+        # the cache: retag its temp with a dead pid and reopen
+        for tmp in temps:
+            tmp.rename(tmp.with_name(tmp.name.replace(
+                f".pid{os.getpid()}.", f".pid{dead_pid}.")))
+        tracecache._reaped_roots.discard(str(cache_dir))
+        healed = run_workload(KILL_NAME, max_instructions=KILL_BUDGET)
+        assert trace_identical(healed, fresh)
+        assert list(traces.glob("*.tmp")) == []
+        assert trace_identical(load_trace(path), fresh)

@@ -151,6 +151,34 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "li" in out
 
+    def test_figures_fig9_prints_both_manifests(self, capsys, monkeypatch,
+                                                tmp_path):
+        """``figures --fig9`` names the figures 3-8 run's manifest and
+        the Figure 9 run's, which counts its RTM simulations."""
+        import pathlib
+
+        import repro.cli as cli
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        original = cli.ExperimentConfig
+
+        def tiny(max_instructions, **kwargs):
+            return original(max_instructions=min(max_instructions, 1000),
+                            workloads=("li",), **kwargs)
+
+        monkeypatch.setattr(cli, "ExperimentConfig", tiny)
+        assert main(["figures", "--budget", "1000", "--fig9",
+                     "--fig9-budget", "1000"]) == 0
+        captured = capsys.readouterr()
+        assert "Figure 9" in captured.out
+        paths = [line.removeprefix("run manifest: ")
+                 for line in captured.err.splitlines()
+                 if line.startswith("run manifest: ")]
+        assert len(paths) == 2 and paths[0] != paths[1]
+        figures, fig9 = (pathlib.Path(p).read_text() for p in paths)
+        assert "fig9.simulations" not in figures
+        assert "fig9.simulations" in fig9
+
     def test_cache_info_lists_runs_layer(self, capsys, monkeypatch,
                                          tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))

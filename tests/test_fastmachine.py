@@ -36,6 +36,7 @@ from repro.vm.trace import (
     extend_columnar,
     trace_identical,
 )
+from repro.vm.tracestream import run_chunks
 from repro.workloads.base import all_workloads, build_program, run_workload
 
 KERNELS = [w.name for w in all_workloads()]
@@ -529,7 +530,7 @@ def run_counting_compiles(program, budget, chunk_size=None):
         if chunk_size is None:
             segments = [m.run(max_instructions=budget)]
         else:
-            segments = list(m.run_chunks(budget, chunk_size=chunk_size))
+            segments = list(run_chunks(m, budget, chunk_size=chunk_size))
     return m, segments, compiles
 
 

@@ -362,6 +362,16 @@ class TestManifestFuzz:
         assert all(any(event == o for o in remaining) for event in events)
         obs.summarize(events)
 
+    def test_unsealed_line_in_sealed_manifest_is_torn(self, finished_run):
+        """A newline inserted after a sealed line's ``{`` cuts off
+        ``{}``, valid JSON with no tab: in a sealed manifest it is
+        damage, not a pre-seal record."""
+        manifest, raw, original = finished_run
+        manifest.path.write_bytes(raw[:1] + b"}\n" + raw[1:])
+        events, torn = obs.read_manifest(manifest.path)
+        assert events == original[1:]
+        assert torn == 2
+
     def test_unsealed_line_is_read_as_it_stands(self, cache_dir):
         manifest = RunManifest(run_id="old")
         manifest.path.parent.mkdir(parents=True)

@@ -9,6 +9,9 @@ treats a damaged entry as a miss it atomically rewrites.
 """
 
 import gc
+import json
+import struct
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,8 +31,13 @@ from repro.vm.tracefile import (
     trace_file_info,
 )
 from repro.vm.tracestream import FileTraceStream, write_stream
-from repro.vm.tracev3 import TAIL_MAGIC, TraceReader, TraceWriter, write_v3
-from repro.workloads.base import all_workloads, get_workload, run_workload
+from repro.vm.tracev3 import TAIL_MAGIC, TraceReader, TraceWriter
+from repro.workloads.base import (
+    all_workloads,
+    build_program,
+    get_workload,
+    run_workload,
+)
 from test_fastmachine import rl_programs
 from test_profile_entries import _mutate
 
@@ -42,7 +50,7 @@ CHUNK_SIZES = (1, 7, 4096)
 
 def roundtrip(trace, tmp_path, chunk_size):
     path = tmp_path / f"c{chunk_size}.trace"
-    write_v3(trace, path, chunk_size=chunk_size)
+    write_stream(trace, path, chunk_size=chunk_size)
     loaded = load_trace(path)
     assert trace_identical(trace, loaded)
     assert loaded.program_name == trace.program_name
@@ -68,7 +76,7 @@ class TestRoundTrip:
         trace = run_workload("li", max_instructions=1_000)
         for chunk_size in (1, 7, 256, 4096):
             path = tmp_path / "t.trace"
-            write_v3(trace, path, chunk_size=chunk_size)
+            write_stream(trace, path, chunk_size=chunk_size)
             with TraceReader(path) as reader:
                 sizes = [len(chunk) for chunk in reader.chunks()]
                 assert sum(sizes) == len(trace) == reader.count
@@ -80,7 +88,7 @@ class TestRoundTrip:
         """Row-by-row append and one-shot write produce equal files."""
         trace = run_workload("li", max_instructions=500)
         batch = tmp_path / "batch.trace"
-        write_v3(trace, batch, chunk_size=64)
+        write_stream(trace, batch, chunk_size=64)
         rowwise = tmp_path / "rows.trace"
         with TraceWriter(rowwise, program_name=trace.program_name,
                          chunk_size=64) as writer:
@@ -101,13 +109,41 @@ class TestRoundTrip:
             assert trace_identical(trace, from_v3), name
 
 
+class TestRunWorkload:
+    """``run_workload`` drains ``stream_workload``: cold (executed
+    through the tee), warm (decoded from the entry) and with the cache
+    off, every kernel's trace equals one ``Machine.run``."""
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_cold_warm_and_off_match_one_run(self, name, tmp_path,
+                                             monkeypatch):
+        from repro import obs
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        expected = Machine(build_program(name)).run(3_000)
+        runs = {}
+        for run in ("cold", "warm", "off"):
+            if run == "off":
+                monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+            with obs.scope() as registry:
+                got = run_workload(name, max_instructions=3_000)
+                runs[run] = _trace_counters(
+                    registry.snapshot()["counters"])
+            assert trace_identical(got, expected), (name, run)
+        assert runs == {
+            "cold": {"trace_cache.miss": 1, "trace_cache.store": 1},
+            "warm": {"trace_cache.hit": 1},
+            "off": {},
+        }
+
+
 class TestGeneratedPrograms:
     @settings(
         max_examples=20,
         deadline=None,
         suppress_health_check=[
             HealthCheck.too_slow,
-            # the same file path is reused deliberately: write_v3
+            # the same file path is reused deliberately: write_stream
             # truncates on open, so examples never see stale bytes
             HealthCheck.function_scoped_fixture,
         ],
@@ -123,7 +159,7 @@ class TestGeneratedPrograms:
         except VMError:
             return  # faulting programs (e.g. div by zero) have no trace
         path = tmp_path / "gen.trace"
-        write_v3(trace, path, chunk_size=chunk_size)
+        write_stream(trace, path, chunk_size=chunk_size)
         loaded = load_trace(path)
         assert trace_identical(trace, loaded)
         # chunked reads concatenate to the same stream
@@ -141,7 +177,7 @@ class TestCorruption:
     def valid_file(self, tmp_path):
         trace = run_workload("compress", max_instructions=2_000)
         path = tmp_path / "ok.trace"
-        write_v3(trace, path, chunk_size=256)
+        write_stream(trace, path, chunk_size=256)
         return path
 
     def test_truncation_everywhere_raises_typed(self, valid_file):
@@ -171,6 +207,22 @@ class TestCorruption:
         data = bytearray(valid_file.read_bytes())
         data[0] ^= 0xFF
         valid_file.write_bytes(bytes(data))
+        with pytest.raises(TraceFileError):
+            load_trace(valid_file)
+
+    @pytest.mark.parametrize("edit", ["count", "count-and-chunk"])
+    def test_footer_count_disagreeing_with_chunks_raises_typed(
+            self, valid_file, edit):
+        """A footer whose instruction count disagrees with its chunks,
+        alone or with the last chunk's index count bumped to match,
+        never loads (the footer checksum is recomputed, so the damage
+        is well-formed)."""
+        def bump(meta):
+            meta["count"] += 1
+            if edit == "count-and-chunk":
+                meta["chunks"][-1][1] += 1
+
+        valid_file.write_bytes(_with_footer(valid_file.read_bytes(), bump))
         with pytest.raises(TraceFileError):
             load_trace(valid_file)
 
@@ -229,8 +281,19 @@ def _write_value_mode_1(monkeypatch, trace, path):
             out[start + len(count)] = 1
 
     monkeypatch.setattr(tracev3, "_enc_values", enc_mode_1)
-    write_v3(trace, path, chunk_size=256)
+    write_stream(trace, path, chunk_size=256)
     monkeypatch.setattr(tracev3, "_enc_values", real)
+
+
+#: Trace-cache counters of one lookup that heals an entry whose footer
+#: opens but whose chunks do not decode.
+HEALED_LOOKUP = {"trace_cache.hit": 1, "trace_cache.corrupt": 1,
+                 "trace_cache.miss": 1, "trace_cache.store": 1}
+
+
+def _trace_counters(counters: dict) -> dict:
+    return {key: value for key, value in counters.items()
+            if key.startswith("trace_cache.")}
 
 
 class TestValueModes:
@@ -248,13 +311,13 @@ class TestValueModes:
                 pass
 
     def test_value_mode_1_cache_entry_is_miss(self, monkeypatch):
-        """The cache's decoding loader counts the entry corrupt and a
-        miss, and the next run rewrites it valid.  The streaming loader
-        opens from the footer alone, so for a bare stream the damage
-        surfaces as a typed error on the first drain."""
+        """The streaming loader opens from the footer alone, so for a
+        bare stream the damage surfaces as a typed error on the first
+        drain; ``run_workload`` heals it: one lookup counts the
+        open-time hit, the corrupt entry, one miss and the tee's store,
+        and the entry is rewritten valid."""
         from repro import obs
-        from repro.vm import tracecache
-        from repro.workloads.base import get_workload, stream_workload
+        from repro.workloads.base import stream_workload
 
         name, budget = "li", 800
         fresh = run_workload(name, max_instructions=budget, use_cache=True)
@@ -267,12 +330,10 @@ class TestValueModes:
         with pytest.raises(TraceFileError, match="bad value mode"):
             as_columnar(stream)
         with obs.scope() as registry:
-            assert tracecache.load_cached_trace(
-                name, 1, budget, source) is None
+            again = run_workload(name, max_instructions=budget,
+                                 use_cache=True)
             counters = registry.snapshot()["counters"]
-        assert counters["trace_cache.corrupt"] == 1
-        assert counters["trace_cache.miss"] == 1
-        again = run_workload(name, max_instructions=budget, use_cache=True)
+        assert _trace_counters(counters) == HEALED_LOOKUP
         assert trace_identical(fresh, again)
         assert trace_identical(load_trace(path), fresh)
 
@@ -299,8 +360,7 @@ class TestValueModes:
         with obs.scope() as registry:
             got = run_profile(name, config)
             counters = registry.snapshot()["counters"]
-        assert counters["trace_cache.corrupt"] == 1
-        assert counters["trace_cache.store"] == 1
+        assert _trace_counters(counters) == HEALED_LOOKUP
         expected = run_profile_reference(
             name, dataclasses.replace(config, use_cache=False))
         assert got == expected
@@ -329,7 +389,7 @@ class TestBoundedMemory:
 
         trace = run_workload("compress", max_instructions=4_000)
         path = tmp_path / "many.trace"
-        write_v3(trace, path, chunk_size=100)  # 40 chunks
+        write_stream(trace, path, chunk_size=100)  # 40 chunks
         del trace
         gc.collect()
         baseline = sum(1 for o in gc.get_objects()
@@ -362,7 +422,7 @@ class TestInfo:
     def test_v3_info_fields(self, tmp_path):
         trace = run_workload("compress", max_instructions=2_000)
         path = tmp_path / "t.trace"
-        write_v3(trace, path, chunk_size=512)
+        write_stream(trace, path, chunk_size=512)
         info = trace_file_info(path)
         assert info["format"] == "v3"
         assert info["instructions"] == 2_000
@@ -383,7 +443,7 @@ class TestInfo:
     def test_write_stream_rechunks(self, tmp_path):
         trace = run_workload("li", max_instructions=700)
         src = tmp_path / "src.trace"
-        write_v3(trace, src, chunk_size=64)
+        write_stream(trace, src, chunk_size=64)
         dst = tmp_path / "dst.trace"
         n = write_stream(FileTraceStream(src), dst, chunk_size=100)
         assert n == 700
@@ -440,7 +500,7 @@ class TestPrefetchReader:
 
         trace = run_workload("compress", max_instructions=4_000)
         path = tmp_path / "many.trace"
-        write_v3(trace, path, chunk_size=100)  # 40 chunks
+        write_stream(trace, path, chunk_size=100)  # 40 chunks
         del trace
         gc.collect()
         baseline = sum(1 for o in gc.get_objects()
@@ -462,7 +522,7 @@ class TestPrefetchReader:
     def test_prefetch_yields_identical_chunks(self, tmp_path):
         trace = run_workload("li", max_instructions=1_500)
         path = tmp_path / "t.trace"
-        write_v3(trace, path, chunk_size=128)
+        write_stream(trace, path, chunk_size=128)
         with TraceReader(path) as reader:
             plain = [c for c in reader.chunks(prefetch=0)]
             ahead = [c for c in reader.chunks(prefetch=4)]
@@ -477,7 +537,7 @@ class TestInfoColumns:
 
         trace = run_workload("compress", max_instructions=2_000)
         path = tmp_path / "t.trace"
-        write_v3(trace, path, chunk_size=512)
+        write_stream(trace, path, chunk_size=512)
         info = trace_file_info(path, columns=True, per_chunk=True)
         cols = info["columns"]
         assert set(cols) == set(SECTION_NAMES) | {"header"}
@@ -522,6 +582,19 @@ def _footer_at(raw: bytes) -> int:
                           "little")
 
 
+def _with_footer(raw: bytes, edit) -> bytes:
+    """A v3 file's bytes with ``edit(meta)`` applied to its footer
+    fields, the footer checksum recomputed and the tail kept."""
+    at = _footer_at(raw)
+    (meta_len,) = struct.unpack("<I", raw[at + 4:at + 8])
+    meta = json.loads(raw[at + 12:at + 12 + meta_len])
+    edit(meta)
+    payload = json.dumps(meta, separators=(",", ":")).encode()
+    header = raw[at:at + 4] + struct.pack("<II", len(payload),
+                                          zlib.crc32(payload))
+    return raw[:at] + header + payload + raw[-len(TAIL_MAGIC) - 8:]
+
+
 def _mutate_v3(data, raw: bytes) -> bytes:
     """:func:`_mutate` within the whole file, the footer and tail, or
     the footer's first 96 bytes (its header and scalar fields): uniform
@@ -537,7 +610,7 @@ def _mutate_v3(data, raw: bytes) -> bytes:
 def fuzz_file(tmp_path_factory):
     """A many-chunk v3 file: (path, its bytes, metadata, chunks)."""
     path = tmp_path_factory.mktemp("v3fuzz") / "t.trace"
-    write_v3(run_workload(FUZZ_NAME, max_instructions=FUZZ_BUDGET), path,
+    write_stream(run_workload(FUZZ_NAME, max_instructions=FUZZ_BUDGET), path,
              chunk_size=128)
     meta, chunks = _read_everything(path)
     return path, path.read_bytes(), meta, chunks
