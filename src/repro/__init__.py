@@ -23,82 +23,31 @@ Quickstart::
     print(instruction_reusability(trace).percent_reusable)
 """
 
-from repro.baselines.ilr import (
-    InstructionReuseBuffer,
-    ilr_reuse_plan,
-    instruction_reusability,
-)
-from repro.core.reuse_tlr import (
-    ConstantReuseLatency,
-    ProportionalReuseLatency,
-    tlr_reuse_plan,
-)
-from repro.baselines.prediction import (
-    LastValuePredictor,
-    StridePredictor,
-    value_predictability,
-    value_prediction_plan,
-)
-from repro.core.rtm import (
-    FiniteReuseSimulator,
-    FixedLengthHeuristic,
-    ILRHeuristic,
-    InvalidatingRTM,
-    ReuseTraceMemory,
-    RTM_PRESETS,
-    RTMConfig,
-)
-from repro.core.traces import TraceLimits, maximal_reusable_spans
-from repro.dataflow.model import DataflowModel, ReusePoint, TimingResult
-from repro.exp.config import ExperimentConfig
-from repro.exp.runner import collect_profiles, run_profile
-from repro.isa.disasm import disassemble
-from repro.pipeline import PipelineConfig, PipelineModel, PipelineResult
-from repro.vm.assembler import AssemblyError, assemble
-from repro.vm.machine import Machine
-from repro.vm.program import Program
-from repro.vm.trace import DynInst, Trace
-from repro.vm.tracefile import load_trace, save_trace
+from repro.util.lazy import lazy_exports
+
+# Every public name is imported on first use (see repro.util.lazy):
+# ``import repro`` loads neither numpy nor the VM.
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.baselines.ilr":
+        "InstructionReuseBuffer ilr_reuse_plan instruction_reusability",
+    "repro.baselines.prediction": "LastValuePredictor StridePredictor "
+        "value_predictability value_prediction_plan",
+    "repro.core.reuse_tlr":
+        "ConstantReuseLatency ProportionalReuseLatency tlr_reuse_plan",
+    "repro.core.rtm": "FiniteReuseSimulator FixedLengthHeuristic "
+        "ILRHeuristic InvalidatingRTM ReuseTraceMemory RTM_PRESETS RTMConfig",
+    "repro.core.traces": "TraceLimits maximal_reusable_spans",
+    "repro.dataflow.model": "DataflowModel ReusePoint TimingResult",
+    "repro.exp.config": "ExperimentConfig",
+    "repro.exp.runner": "collect_profiles run_profile",
+    "repro.isa.disasm": "disassemble",
+    "repro.pipeline": "PipelineConfig PipelineModel PipelineResult",
+    "repro.vm.assembler": "AssemblyError assemble",
+    "repro.vm.machine": "Machine",
+    "repro.vm.program": "Program",
+    "repro.vm.trace": "DynInst Trace",
+    "repro.vm.tracefile": "load_trace save_trace",
+})
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "__version__",
-    "assemble",
-    "AssemblyError",
-    "Machine",
-    "Program",
-    "Trace",
-    "DynInst",
-    "DataflowModel",
-    "ReusePoint",
-    "TimingResult",
-    "instruction_reusability",
-    "ilr_reuse_plan",
-    "InstructionReuseBuffer",
-    "maximal_reusable_spans",
-    "TraceLimits",
-    "tlr_reuse_plan",
-    "ConstantReuseLatency",
-    "ProportionalReuseLatency",
-    "ReuseTraceMemory",
-    "InvalidatingRTM",
-    "RTMConfig",
-    "RTM_PRESETS",
-    "ILRHeuristic",
-    "FixedLengthHeuristic",
-    "FiniteReuseSimulator",
-    "ExperimentConfig",
-    "run_profile",
-    "collect_profiles",
-    "LastValuePredictor",
-    "StridePredictor",
-    "value_predictability",
-    "value_prediction_plan",
-    "PipelineModel",
-    "PipelineConfig",
-    "PipelineResult",
-    "disassemble",
-    "save_trace",
-    "load_trace",
-]
+__all__ = ["__version__", *__all__]

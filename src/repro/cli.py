@@ -74,43 +74,26 @@ import argparse
 import os
 import sys
 
-from repro.core.rtm.collector import FixedLengthHeuristic, ILRHeuristic
+# Each command imports what it runs, so ``repro cache`` and ``repro
+# obs`` start without numpy or the VM.
 from repro.core.rtm.memory import RTM_PRESETS
-from repro.core.rtm.simulator import FiniteReuseSimulator
-from repro.dataflow.model import Scenario
-from repro.dataflow.streaming import StreamingDataflowEngine
 from repro.exp.config import ExperimentConfig
-from repro.exp.figures import (
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9_from_rows,
-    trace_io_summary,
-)
-from repro.exp.report import render
-from repro.exp.runner import collect_profiles
-from repro.isa.disasm import disassemble
 from repro.util.tables import format_table
 from repro.vm import tracecache
-from repro.vm.tracefile import save_trace
-from repro.workloads.base import (
-    all_workloads,
-    build_program,
-    run_workload,
-    stream_workload,
-)
 
 
 def _cmd_workloads(_args) -> int:
+    from repro.workloads.base import all_workloads
+
     rows = [[w.name, w.suite, w.description] for w in all_workloads()]
     print(format_table(["name", "suite", "description"], rows))
     return 0
 
 
 def _cmd_run(args) -> int:
+    from repro.vm.tracefile import save_trace
+    from repro.workloads.base import run_workload
+
     trace = run_workload(
         args.workload,
         max_instructions=args.budget,
@@ -143,6 +126,10 @@ def _cmd_analyze(args) -> int:
     inside one :class:`StreamingDataflowEngine` drain (O(chunk)
     memory).
     """
+    from repro.dataflow.model import Scenario
+    from repro.dataflow.streaming import StreamingDataflowEngine
+    from repro.workloads.base import stream_workload
+
     scenarios = []
     for window in (None, args.window):
         scenarios.append(Scenario("base", window_size=window))
@@ -173,6 +160,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_figures(args) -> int:
+    from repro.exp.figures import (figure3, figure4, figure5, figure6,
+                                   figure7, figure8, figure9_from_rows,
+                                   trace_io_summary)
+    from repro.exp.report import render
+    from repro.exp.runner import collect_profiles
+
     config = ExperimentConfig(
         max_instructions=args.budget, use_cache=not args.no_cache)
     profiles = collect_profiles(config)
@@ -210,6 +203,10 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_rtm(args) -> int:
+    from repro.core.rtm.collector import FixedLengthHeuristic, ILRHeuristic
+    from repro.core.rtm.simulator import FiniteReuseSimulator
+    from repro.workloads.base import run_workload
+
     trace = run_workload(
         args.workload,
         max_instructions=args.budget,
@@ -239,6 +236,9 @@ def _cmd_rtm(args) -> int:
 
 
 def _cmd_disasm(args) -> int:
+    from repro.isa.disasm import disassemble
+    from repro.workloads.base import build_program
+
     program = build_program(args.workload)
     print(disassemble(program, with_pcs=True))
     return 0
@@ -352,6 +352,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_characterize(args) -> int:
+    from repro.exp.report import render
     from repro.workloads.base import FP_SUITE, INT_SUITE
     from repro.workloads.characterize import suite_characterization
 
@@ -470,6 +471,7 @@ def _print_sweep_outcome(run) -> None:
 
 
 def _cmd_sweep(args) -> int:
+    from repro.exp.runner import collect_profiles
     from repro.exp.service import ShardQueue, enqueue_sweep
 
     config = ExperimentConfig(max_instructions=args.budget,
@@ -511,14 +513,15 @@ def _cmd_worker(args) -> int:
 
 def _cmd_serve(args) -> int:
     from repro.exp.service.server import serve_forever
-    from repro.exp.service.sweep import spawn_worker_process
 
     defaults = ExperimentConfig(max_instructions=args.budget)
     procs = []
-    for k in range(args.workers):
-        procs.append(spawn_worker_process(
-            f"serve-w{k}", f"serve-p{os.getpid()}", exit_when_empty=False,
-        ))
+    if args.workers:  # the sweep module imports the runner
+        from repro.exp.service.sweep import spawn_worker_process
+
+        procs = [spawn_worker_process(f"serve-w{k}", f"serve-p{os.getpid()}",
+                                      exit_when_empty=False)
+                 for k in range(args.workers)]
     try:
         serve_forever(args.host, args.port, defaults=defaults)
     finally:

@@ -11,29 +11,14 @@
   trace-collection heuristics and the realistic engine (section 4.6).
 """
 
-from repro.core.reuse_tlr import (
-    ConstantReuseLatency,
-    ProportionalReuseLatency,
-    tlr_reuse_plan,
-)
-from repro.core.stats import TraceIOStats, trace_io_stats
-from repro.core.traces import (
-    TraceLimits,
-    TraceSpan,
-    compute_liveness,
-    maximal_reusable_spans,
-    spans_from_ranges,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "TraceSpan",
-    "TraceLimits",
-    "compute_liveness",
-    "maximal_reusable_spans",
-    "spans_from_ranges",
-    "tlr_reuse_plan",
-    "ConstantReuseLatency",
-    "ProportionalReuseLatency",
-    "TraceIOStats",
-    "trace_io_stats",
-]
+# Imported on first use: ``repro.core.rtm.memory`` (the RTM presets
+# the CLI lists) loads without the trace model and numpy.
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.core.reuse_tlr":
+        "ConstantReuseLatency ProportionalReuseLatency tlr_reuse_plan",
+    "repro.core.stats": "TraceIOStats trace_io_stats",
+    "repro.core.traces": "TraceLimits TraceSpan compute_liveness "
+        "maximal_reusable_spans spans_from_ranges",
+})

@@ -1,34 +1,14 @@
 """Finite Reuse Trace Memory and the realistic engine (section 4.6)."""
 
-from repro.core.rtm.collector import (
-    FixedLengthHeuristic,
-    Heuristic,
-    ILRHeuristic,
-    TraceCollector,
-)
-from repro.core.rtm.entry import RTMEntry
-from repro.core.rtm.invalidating import InvalidatingRTM
-from repro.core.rtm.memory import (
-    RTM_PRESETS,
-    ReuseTraceMemory,
-    RTMConfig,
-    hashed_index,
-    pc_index,
-)
-from repro.core.rtm.simulator import FiniteReuseSimulator, FiniteReuseResult
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "RTMEntry",
-    "ReuseTraceMemory",
-    "InvalidatingRTM",
-    "RTMConfig",
-    "RTM_PRESETS",
-    "pc_index",
-    "hashed_index",
-    "Heuristic",
-    "ILRHeuristic",
-    "FixedLengthHeuristic",
-    "TraceCollector",
-    "FiniteReuseSimulator",
-    "FiniteReuseResult",
-]
+# Imported on first use, as in ``repro.core``.
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.core.rtm.collector":
+        "FixedLengthHeuristic Heuristic ILRHeuristic TraceCollector",
+    "repro.core.rtm.entry": "RTMEntry",
+    "repro.core.rtm.invalidating": "InvalidatingRTM",
+    "repro.core.rtm.memory":
+        "RTM_PRESETS ReuseTraceMemory RTMConfig hashed_index pc_index",
+    "repro.core.rtm.simulator": "FiniteReuseSimulator FiniteReuseResult",
+})

@@ -7,32 +7,13 @@ AVG_FP / AVG_INT / AVERAGE, harmonic means for speed-ups, arithmetic
 means for percentages).
 """
 
-from repro.exp.config import ExperimentConfig
-from repro.exp.figures import (
-    FigureResult,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    trace_io_summary,
-)
-from repro.exp.runner import BenchmarkProfile, collect_profiles, run_profile
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "BenchmarkProfile",
-    "run_profile",
-    "collect_profiles",
-    "FigureResult",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "trace_io_summary",
-]
+# Imported on first use: ``repro.exp.config`` and the service front
+# end load without the runner and its engine.
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.exp.config": "ExperimentConfig",
+    "repro.exp.figures": "FigureResult figure3 figure4 figure5 figure6 "
+        "figure7 figure8 figure9 trace_io_summary",
+    "repro.exp.runner": "BenchmarkProfile collect_profiles run_profile",
+})

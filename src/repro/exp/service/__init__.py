@@ -26,14 +26,11 @@ the content-addressed cache and the queue only tracks shard *state*
 and the system re-converges by recomputing into a cache hit.
 """
 
-from repro.exp.service.queue import ShardJob, ShardQueue, service_dir
-from repro.exp.service.sweep import enqueue_sweep
-from repro.exp.service.worker import run_worker
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ShardJob",
-    "ShardQueue",
-    "enqueue_sweep",
-    "run_worker",
-    "service_dir",
-]
+# Imported on first use: the server loads without the worker's runner.
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.exp.service.queue": "ShardJob ShardQueue service_dir",
+    "repro.exp.service.sweep": "enqueue_sweep",
+    "repro.exp.service.worker": "run_worker",
+})

@@ -30,15 +30,26 @@ Endpoints (all ``GET``, all ``application/json``):
 ``/job?id=<job_id>``
     A shard's queue record (state, lease, error).
 
-What runs where.  The event loop parses each request, computes its
-memo key and looks the key up in the front end's answer memo; a hit is
-written straight back, with no thread hop and no file I/O.  Everything
-else runs in the default executor, so one slow disk op never stalls
-the loop: the handlers, with their cache reads, queue scans, figure
-renders and static estimates.  A handler's ``200`` answer to
-``/profile`` (a cache hit or ``mode=static``) or ``/figure`` is filled
-into the memo there, so the first request for a key reads and checks
-its entries exactly as a memo-less server would.
+What runs where.  Each connection is one
+:class:`asyncio.BufferedProtocol`.  Its read callback gathers the
+request header, computes the memo key and looks it up in the front
+end's answer memo; a hit is written and the connection closed by a
+callback on the loop's next turn, with no task, no thread hop and no
+file I/O.  Everything else runs in the default executor, so one slow
+disk op never stalls the loop: the handlers, with their cache reads,
+queue scans, figure renders and static estimates, answered from the
+future's callback.  A handler's ``200`` answer to ``/profile`` (a
+cache hit or ``mode=static``) or ``/figure`` is filled into the memo
+there, so the first request for a key reads and checks its entries
+exactly as a memo-less server would.
+A header that is not whole within ``HEADER_TIMEOUT_S`` or
+``HEADER_LIMIT`` bytes, or that ends with the connection, is a
+``400``.
+
+The process imports only what it runs: this module, the config, the
+queue and the cache load without numpy, the VM or the engine (entry
+names hash module sources read from their files, not imported), and
+a handler that computes imports its engine in the executor thread.
 
 The memo holds encoded answers keyed by (route, workload or figure,
 config key, cache root; plus the workload list for a figure).  Entry
@@ -61,12 +72,17 @@ import urllib.parse
 from typing import Any, Callable
 
 from repro.exp.config import ExperimentConfig
-from repro.exp.runner import profile_from_json, profile_to_json
 from repro.exp.service.queue import ShardQueue, shard_job_id
 from repro.obs import get_logger, incr
+from repro.util.lazy import lazy_exports
 from repro.vm import tracecache
 
 _log = get_logger("service.server")
+
+# ``from repro.exp.service.server import profile_to_json`` keeps working
+# without importing the runner (and its engine) with this module.
+__getattr__, _ = lazy_exports(__name__, {
+    "repro.exp.runner": "profile_from_json profile_to_json"})
 
 #: Most answers the memo holds.  Past it the oldest filled answer
 #: goes; a later request for it refills it from its cache entries.
@@ -210,6 +226,7 @@ class ServiceFrontend:
         callers can judge how far the prediction may sit from a
         dynamic run.
         """
+        from repro.exp.runner import profile_to_json
         from repro.static.estimator import estimate_profile
         from repro.static.validate import kernel_band, load_bands
 
@@ -239,6 +256,7 @@ class ServiceFrontend:
     ) -> tuple[int, dict | bytes]:
         from repro.exp import figures as figmod
         from repro.exp.report import render
+        from repro.exp.runner import profile_from_json
 
         name = params.get("name", "figure3")
         if name not in ("figure3", "figure4", "figure5", "figure6",
@@ -316,61 +334,105 @@ class ServiceFrontend:
             self._remember(key, body)
         return status, body
 
-    # -- asyncio plumbing ----------------------------------------------
-    async def handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
-    ) -> None:
-        status, body = 500, {"error": "internal error"}
+
+#: Seconds a connection may take to send its request header, and the
+#: longest header accepted: past either the answer is a ``400``.
+HEADER_TIMEOUT_S = 10.0
+HEADER_LIMIT = 64 * 1024
+
+_REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
+            405: "Method Not Allowed", 500: "Internal Server Error"}
+_MALFORMED = 400, {"error": "malformed request"}
+
+
+class _Connection(asyncio.BufferedProtocol):
+    """One connection: read a request header, send one answer, close.
+
+    :meth:`buffer_updated` parses and keys the request and finds a
+    memoised answer; a callback the loop runs on its next turn, after
+    polling the other sockets, writes it (writing it from the read
+    callback itself served fewer requests per second in the
+    ``serve_warm`` benchmark).  A miss runs ``_answer`` in the default
+    executor and the future's callback writes the answer.  Reads land
+    in ``inbox``, one buffer that all of a server's connections share
+    (their callbacks run one at a time on the loop): a fresh 256 KiB
+    buffer per read, as ``data_received`` takes, faults new pages into
+    a small process on every request.
+    """
+
+    def __init__(self, frontend: ServiceFrontend, inbox: memoryview) -> None:
+        self.frontend = frontend
+        self.inbox = inbox
+        self.header: bytearray | None = bytearray()  # None once complete
+        self.answered = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.loop = asyncio.get_running_loop()
+        self.timer = self.loop.call_later(HEADER_TIMEOUT_S, self._reply,
+                                          *_MALFORMED)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.inbox
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self.header is None or self.answered:
+            return
+        start = max(0, len(self.header) - 3)  # an end may span two reads
+        self.header += self.inbox[:nbytes]
+        end = self.header.find(b"\r\n\r\n", start)
+        if end < 0 and len(self.header) <= HEADER_LIMIT:
+            return
+        header, self.header = self.header, None
+        if end < 0 or end > HEADER_LIMIT:
+            return self._reply(*_MALFORMED)
+        self.timer.cancel()
         try:
-            request = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=10.0
-            )
-            line = request.split(b"\r\n", 1)[0].decode("latin-1")
-            parts = line.split()
+            parts = header[:end].split(b"\r\n", 1)[0].decode("latin-1").split()
             if len(parts) != 3 or parts[0] != "GET":
-                status, body = 405, {"error": "only GET is supported"}
-            else:
-                url = urllib.parse.urlsplit(parts[1])
-                params = {
-                    k: v[-1] for k, v in
-                    urllib.parse.parse_qs(url.query).items()
-                }
-                key = self._memo_key(url.path, params)
-                body = self._recall(key)
-                if body is not None:
-                    status = 200
-                else:
-                    loop = asyncio.get_running_loop()
-                    status, body = await loop.run_in_executor(
-                        None, self._answer, url.path, params, key
-                    )
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-                TimeoutError, UnicodeDecodeError):
-            status, body = 400, {"error": "malformed request"}
+                return self._reply(405, {"error": "only GET is supported"})
+            url = urllib.parse.urlsplit(parts[1])
+            params = {k: v[-1] for k, v in
+                      urllib.parse.parse_qs(url.query).items()}
+            key = self.frontend._memo_key(url.path, params)
+            body = self.frontend._recall(key)
+            if body is not None:  # written after the loop's next poll
+                return self.loop.call_soon(self._reply, 200, body)
+            self.loop.run_in_executor(
+                None, self.frontend._answer, url.path, params, key,
+            ).add_done_callback(self._answered)
         except Exception as exc:  # never kill the server on one request
-            _log.warning("request handler error: %s", exc)
-            status, body = 500, {"error": f"{type(exc).__name__}: {exc}"}
+            self._failed(exc)
+
+    def eof_received(self) -> bool:
+        if self.header is not None:  # the header never ended
+            self._reply(*_MALFORMED)
+        return True  # a pending answer still goes out; _reply closes
+
+    def connection_lost(self, exc) -> None:
+        self.timer.cancel()
+
+    def _answered(self, future) -> None:
+        if future.exception() is not None:
+            return self._failed(future.exception())
+        self._reply(*future.result())
+
+    def _failed(self, exc: BaseException) -> None:
+        _log.warning("request handler error: %s", exc, exc_info=exc)
+        self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
+
+    def _reply(self, status: int, body: dict | bytes) -> None:
+        if self.answered:
+            return
+        self.answered = True
+        self.timer.cancel()
         payload = body if isinstance(body, bytes) else _encode(body)
-        reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                  404: "Not Found", 405: "Method Not Allowed",
-                  500: "Internal Server Error"}.get(status, "OK")
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
+        self.transport.write(
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(payload)}\r\n"
-            f"Connection: close\r\n\r\n"
-        ).encode("latin-1")
-        try:
-            writer.write(head + payload)
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+            f"Connection: close\r\n\r\n".encode("latin-1") + payload)
+        self.transport.close()
         incr("serve.requests")
 
 
@@ -386,9 +448,9 @@ async def start_server(
     returned either way.
     """
     frontend = frontend if frontend is not None else ServiceFrontend()
-    server = await asyncio.start_server(
-        frontend.handle_connection, host=host, port=port
-    )
+    inbox = memoryview(bytearray(HEADER_LIMIT))
+    server = await asyncio.get_running_loop().create_server(
+        lambda: _Connection(frontend, inbox), host=host, port=port)
     bound = server.sockets[0].getsockname()[1]
     return server, frontend, bound
 

@@ -8,20 +8,13 @@ authors (PC, opcode, read locations+values, written locations+values,
 latency, next PC).
 """
 
-from repro.vm.assembler import AssemblyError, assemble
-from repro.vm.errors import VMError
-from repro.vm.machine import DEFAULT_STACK_TOP, Machine
-from repro.vm.program import DATA_BASE, Program
-from repro.vm.trace import DynInst, Trace
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "assemble",
-    "AssemblyError",
-    "Machine",
-    "Program",
-    "Trace",
-    "DynInst",
-    "VMError",
-    "DATA_BASE",
-    "DEFAULT_STACK_TOP",
-]
+# Imported on first use: ``repro.vm.tracecache`` loads without the VM.
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.vm.assembler": "AssemblyError assemble",
+    "repro.vm.errors": "VMError",
+    "repro.vm.machine": "DEFAULT_STACK_TOP Machine",
+    "repro.vm.program": "DATA_BASE Program",
+    "repro.vm.trace": "DynInst Trace",
+})

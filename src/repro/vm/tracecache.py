@@ -80,11 +80,10 @@ once, across processes.  The discipline, in lock order:
 from __future__ import annotations
 
 import hashlib
-import importlib
-import inspect
 import json
 import os
 import pathlib
+import tokenize
 import zlib
 from functools import lru_cache
 from typing import Any
@@ -92,8 +91,6 @@ from typing import Any
 from repro.obs import get_logger, incr
 from repro.util import fslock
 from repro.vm.errors import TraceFileError
-from repro.vm.tracestream import FileTraceStream, TeeChunkStream
-from repro.vm.tracev3 import TraceWriter, trace_v3_info
 
 _log = get_logger("tracecache")
 
@@ -162,19 +159,27 @@ def cache_dir() -> pathlib.Path:
     return pathlib.Path(os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
 
 
+#: The ``repro`` package directory, which the digest reads sources from.
+_PACKAGE_DIR = pathlib.Path(__file__).parent.parent
+
+
 @lru_cache(maxsize=None)
 def _modules_digest(module_names: tuple[str, ...]) -> str:
     """sha256 over the concatenated source text of the named modules.
 
     Acts as the code fingerprint in cache keys: any semantic change to
     the VM or the analysis stack shows up in the source and therefore
-    in the digest.
+    in the digest.  Each source is read from its file, as
+    ``inspect.getsource`` reads it, without importing the module: a
+    process that only reads profile entries never loads the engine.
     """
     h = hashlib.sha256()
     for name in module_names:
-        module = importlib.import_module(name)
+        path = _PACKAGE_DIR.joinpath(*name.split(".")[1:]).with_suffix(".py")
+        with tokenize.open(path) as fh:
+            text = fh.read()
         h.update(name.encode())
-        h.update(inspect.getsource(module).encode())
+        h.update((text if text.endswith("\n") else text + "\n").encode())
     return h.hexdigest()
 
 
@@ -290,6 +295,8 @@ def load_cached_trace_stream(
     if not path.is_file():
         incr("trace_cache.miss")
         return None
+    from repro.vm.tracestream import FileTraceStream
+
     try:
         stream = FileTraceStream(path)
     except (TraceFileError, OSError) as exc:
@@ -325,6 +332,8 @@ def drain_healing(open_stream, drain):
     try:
         return drain(stream)
     except TraceFileError as exc:
+        from repro.vm.tracestream import FileTraceStream
+
         if not isinstance(stream, FileTraceStream):
             raise
         stream.close()
@@ -362,6 +371,9 @@ def tee_cached_trace_stream(
     if not cache_enabled():
         return stream
     _open_store()
+    from repro.vm.tracestream import TeeChunkStream
+    from repro.vm.tracev3 import TraceWriter
+
     path = trace_path(name, scale, max_instructions, source_text)
 
     def open_writer():
@@ -385,6 +397,8 @@ def tee_cached_trace_stream(
             tmp.unlink(missing_ok=True)
             return None
         incr("trace_cache.store")
+        from repro.vm.tracestream import FileTraceStream
+
         try:
             return FileTraceStream(path)
         except (TraceFileError, OSError):  # entry raced away / damaged
@@ -540,6 +554,8 @@ def _trace_entry_info(path: pathlib.Path) -> dict[str, Any]:
         "instructions": None,
         "compression_ratio": None,
     }
+    from repro.vm.tracev3 import trace_v3_info
+
     try:
         info = trace_v3_info(path)
     except (TraceFileError, OSError):

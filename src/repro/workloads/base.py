@@ -4,13 +4,13 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.vm import tracecache
-from repro.vm.assembler import assemble
-from repro.vm.machine import Machine
-from repro.vm.program import Program
-from repro.vm.trace import ColumnarTrace, as_columnar
-from repro.vm.tracestream import DEFAULT_CHUNK_SIZE, ExecutionChunkStream
+
+if TYPE_CHECKING:  # the VM is imported where a kernel is built or run
+    from repro.vm.program import Program
+    from repro.vm.trace import ColumnarTrace
 
 #: Suite order follows the paper's figures (FP first, then INT).
 FP_SUITE = ["applu", "apsi", "fpppp", "hydro2d", "su2cor", "tomcatv", "turb3d"]
@@ -38,6 +38,8 @@ class Workload:
 
     def program(self, scale: int = 1) -> Program:
         """Assemble the kernel."""
+        from repro.vm.assembler import assemble
+
         return assemble(self.source(scale), name=self.name)
 
 
@@ -103,6 +105,8 @@ def run_workload(
     Pass ``use_cache=False`` — or set ``REPRO_TRACE_CACHE=0`` — to
     force re-execution.
     """
+    from repro.vm.trace import as_columnar
+
     return tracecache.drain_healing(
         lambda: stream_workload(name, scale=scale,
                                 max_instructions=max_instructions,
@@ -133,6 +137,10 @@ def stream_workload(
     cache off, an :class:`~repro.vm.tracestream.ExecutionChunkStream`
     re-executes the (deterministic) kernel on every drain.
     """
+    from repro.vm.assembler import assemble
+    from repro.vm.machine import Machine
+    from repro.vm.tracestream import DEFAULT_CHUNK_SIZE, ExecutionChunkStream
+
     if chunk_size is None:
         chunk_size = DEFAULT_CHUNK_SIZE
     workload = get_workload(name)

@@ -26,7 +26,7 @@ import sys
 import pytest
 
 import repro.workloads  # registers the kernels
-from repro.vm import tracecache
+from repro.vm import tracecache, tracestream
 from repro.vm.machine import Machine
 from repro.vm.trace import as_columnar, trace_identical
 from repro.vm.tracefile import load_trace
@@ -202,7 +202,7 @@ TEE_STEPS = {
     "footer": (TraceWriter, "close"),
     "lock": (tracecache, "_entry_lock"),
     "replace": (os, "replace"),
-    "reopen": (tracecache, "FileTraceStream"),
+    "reopen": (tracestream, "FileTraceStream"),
     "abort-writer": (TraceWriter, "abort"),
     "abort-unlink": (pathlib.Path, "unlink"),
 }

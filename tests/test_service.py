@@ -798,3 +798,141 @@ class TestAnswerMemo:
         assert frontend.dispatch("/figure", {"name": "figure3"})[0] == 202
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
         assert frontend.dispatch("/profile", {"workload": "li"})[0] == 200
+
+
+def _on_server(frontend, client):
+    """``await client(port)`` against a server over ``frontend``; also
+    returns every error the event loop's exception handler saw."""
+
+    async def main():
+        errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context))
+        server, _, port = await start_server(port=0, frontend=frontend)
+        try:
+            return await client(port), errors
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    return asyncio.run(main())
+
+
+async def _exchange(port, *sends):
+    """Send each piece of a request on its own (yielding to the loop
+    between them), then read the answer: ``(status, body)``."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    for piece in sends:
+        writer.write(piece)
+        await writer.drain()
+        await asyncio.sleep(0.01)
+    raw = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return int(head.split()[1]), body
+
+
+GET_LI = b"GET /profile?workload=li HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+class TestProtocol:
+    """The per-connection protocol: one header in, one answer out."""
+
+    @pytest.mark.parametrize("size", [7, 1])  # 1: the end splits too
+    def test_header_split_across_sends(self, cache_dir, size):
+        run_profile("li", TINY)
+
+        async def client(port):
+            whole = await _exchange(port, GET_LI)
+            split = await _exchange(port, *(GET_LI[i:i + size] for i
+                                             in range(0, len(GET_LI), size)))
+            return whole, split
+
+        (whole, split), errors = _on_server(ServiceFrontend(TINY), client)
+        assert whole[0] == 200 and split == whole and not errors
+
+    def test_header_over_the_limit_is_400(self, cache_dir):
+        limit = server_mod.HEADER_LIMIT
+        padded = b"GET /health HTTP/1.1\r\nX: "
+
+        async def client(port):
+            # the longest header that fits, then one byte too many
+            fits = padded + b"a" * (limit - len(padded)) + b"\r\n\r\n"
+            return (await _exchange(port, fits),
+                    await _exchange(port, padded + b"a" * (limit + 1
+                                                           - len(padded))))
+
+        (fits, over), errors = _on_server(ServiceFrontend(TINY), client)
+        assert fits[0] == 200 and over[0] == 400 and not errors
+
+    def test_client_gone_before_the_header_ends(self, cache_dir):
+        async def client(port):
+            _, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"GET /hea")
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+            await asyncio.sleep(0.05)
+            return await _exchange(port, b"GET /health HTTP/1.1\r\n\r\n")
+
+        with obs.scope() as registry:
+            health, errors = _on_server(ServiceFrontend(TINY), client)
+        assert health[0] == 200 and not errors
+        # the torn request was answered 400 into the closed socket
+        assert registry.counters["serve.requests"] == 2
+
+    def test_eof_mid_header_after_half_close_is_400(self, cache_dir):
+        async def client(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"GET /hea")
+            writer.write_eof()
+            raw = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return int(raw.split()[1])
+
+        status, errors = _on_server(ServiceFrontend(TINY), client)
+        assert status == 400 and not errors
+
+    def test_non_get_is_405(self, cache_dir):
+        async def client(port):
+            return await _exchange(port, b"POST /health HTTP/1.1\r\n\r\n")
+
+        (status, body), _ = _on_server(ServiceFrontend(TINY), client)
+        assert status == 405 and json.loads(body)["error"]
+
+    def test_header_timeout_is_400(self, cache_dir, monkeypatch):
+        monkeypatch.setattr(server_mod, "HEADER_TIMEOUT_S", 0.2)
+
+        async def client(port):
+            return await _exchange(port, b"GET /health HTTP/1.1\r\n")
+
+        start = time.monotonic()
+        (status, _), errors = _on_server(ServiceFrontend(TINY), client)
+        assert status == 400 and not errors
+        assert time.monotonic() - start < 5
+
+    def test_handler_error_is_500(self, cache_dir, monkeypatch):
+        def explode(self, params):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(ServiceFrontend.ROUTES, "/health", explode)
+
+        async def client(port):
+            return await _exchange(port, b"GET /health HTTP/1.1\r\n\r\n")
+
+        (status, body), _ = _on_server(ServiceFrontend(TINY), client)
+        assert status == 500 and "boom" in json.loads(body)["error"]
+
+    def test_concurrent_clients_get_identical_answers(self, cache_dir):
+        run_profile("li", TINY)
+
+        async def client(port):
+            return await asyncio.gather(*(_exchange(port, GET_LI)
+                                          for _ in range(20)))
+
+        with obs.scope() as registry:
+            answers, errors = _on_server(ServiceFrontend(TINY), client)
+        assert answers[0][0] == 200 and answers == answers[:1] * 20
+        assert registry.counters["serve.requests"] == 20 and not errors
