@@ -114,7 +114,6 @@ import sys
 import tempfile
 import time
 from statistics import median
-from types import SimpleNamespace
 from unittest import mock
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
@@ -485,13 +484,6 @@ CURVE_ROUNDS = 5
 CURVE_FLATNESS = 1.2
 
 
-def _serial_chunks(stream: FileTraceStream):
-    """A v3 file's chunks decoded on this thread: a prefetch pool would
-    compete with the timed work for the interpreter lock, the more so
-    the longer the file."""
-    return SimpleNamespace(chunks=lambda: stream.reader.chunks(prefetch=0))
-
-
 def _history_seconds(path) -> tuple[float, int]:
     """Seconds inside ``signature_flags`` over a v3 file's chunks, and
     the signatures it stored."""
@@ -499,7 +491,7 @@ def _history_seconds(path) -> tuple[float, int]:
     pos = 0
     spent = 0.0
     with FileTraceStream(path) as stream:
-        for chunk in _serial_chunks(stream).chunks():
+        for chunk in stream.chunks():
             start = time.perf_counter()
             signature_flags(chunk, history, pos)
             spent += time.perf_counter() - start
@@ -510,7 +502,7 @@ def _history_seconds(path) -> tuple[float, int]:
 def _analysis_seconds(path, scenarios: list[Scenario]) -> float:
     """Seconds of an engine drain of a v3 file, decode excluded."""
     with FileTraceStream(path) as stream:
-        engine = StreamingDataflowEngine(_serial_chunks(stream))
+        engine = StreamingDataflowEngine(stream)
         start = time.perf_counter()
         engine.analyze_all(scenarios)
         return time.perf_counter() - start - engine.producer_seconds

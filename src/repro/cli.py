@@ -527,6 +527,8 @@ def _cmd_serve(args) -> int:
     finally:
         for proc in procs:
             proc.terminate()
+        for proc in procs:
+            proc.wait()
     return 0
 
 

@@ -67,6 +67,7 @@ import asyncio
 import dataclasses
 import json
 import os
+import signal
 import threading
 import urllib.parse
 from typing import Any, Callable
@@ -461,16 +462,20 @@ def serve_forever(
     *,
     defaults: ExperimentConfig | None = None,
 ) -> None:
-    """Blocking entry point for the ``repro serve`` CLI."""
+    """Blocking entry point for the ``repro serve`` CLI.  Returns once
+    SIGTERM stops the server, so the caller's cleanup runs."""
 
     async def main() -> None:
         server, _frontend, bound = await start_server(
             host, port, frontend=ServiceFrontend(defaults)
         )
+        stopped = asyncio.Event()
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, stopped.set)
         _log.warning("repro serve listening on http://%s:%d", host, bound)
         print(f"repro serve listening on http://{host}:{bound}", flush=True)
         async with server:
-            await server.serve_forever()
+            await stopped.wait()
 
     try:
         asyncio.run(main())

@@ -52,9 +52,13 @@ from repro.vm.trace import (
     as_columnar,
     slice_columnar,
 )
+from repro.vm.tracev3 import (
+    DEFAULT_CHUNK_SIZE,
+    DEFAULT_COMPRESSLEVEL,
+    TraceReader,
+    TraceWriter,
+)
 
-#: Default instructions per chunk when re-slicing or executing.
-DEFAULT_CHUNK_SIZE = 65536
 
 def run_chunks(machine, max_instructions: int | None = None, *,
                chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -116,8 +120,6 @@ class FileTraceStream:
     """A v3 trace file presented as a chunk stream (O(chunk) memory)."""
 
     def __init__(self, path: str | pathlib.Path) -> None:
-        from repro.vm.tracev3 import TraceReader
-
         self._reader = TraceReader(path)
         self.path = pathlib.Path(path)
         self.program_name = self._reader.program_name
@@ -310,17 +312,12 @@ def write_stream(stream, path: str | pathlib.Path, *,
     The writer re-chunks to its own ``chunk_size``, so the output
     layout is independent of the source segmentation.
     """
-    from repro.vm.tracev3 import (
-        DEFAULT_CHUNK_SIZE as V3_CHUNK,
-        DEFAULT_COMPRESSLEVEL,
-        TraceWriter,
-    )
-
     stream = as_chunk_stream(stream)
     writer = TraceWriter(
         path,
         program_name=getattr(stream, "program_name", "<anonymous>"),
-        chunk_size=chunk_size if chunk_size is not None else V3_CHUNK,
+        chunk_size=(chunk_size if chunk_size is not None
+                    else DEFAULT_CHUNK_SIZE),
         compresslevel=(compresslevel if compresslevel is not None
                        else DEFAULT_COMPRESSLEVEL),
         threads=threads,

@@ -75,15 +75,21 @@ FOOTER_MAGIC = b"TRCF"
 TAIL_MAGIC = b"repro-trace-v3:end"
 _TAIL_LEN = 8 + len(TAIL_MAGIC)
 
-#: Default instructions per chunk.  64Ki keeps chunk working sets in
-#: the few-MB range while amortizing the per-frame codec/deflate cost.
-DEFAULT_CHUNK_SIZE = 65536
+#: Instructions per chunk, the one chunk size of the pipeline: machine
+#: runs (``tracestream.run_chunks``), the tee, the engine and each v3
+#: frame.  A drain holds about one chunk of trace, so this sets its
+#: memory: 32Ki instead of 64Ki took ~13 MB off a 250k-instruction
+#: profile process.  Half the size (16Ki) cut ~6 MB more but grew the
+#: files ~29%, since every frame starts each column's deflate anew.
+DEFAULT_CHUNK_SIZE = 32768
 
-#: Default zlib level for chunk frames.  Trace chunks are so
-#: repetitive that level 3 already compresses them ~11x; level 6 buys
-#: ~30% more size for ~2.5x the deflate time, which matters once the
-#: codec is the cold-path bottleneck.
-DEFAULT_COMPRESSLEVEL = 3
+#: Default zlib level for chunk frames: the lowest that keeps 32Ki
+#: frames as small as the earlier 64Ki level-3 ones.  Each frame starts
+#: its columns' deflate anew, so at level 3 the halved frames grew the
+#: 14 kernels' files 8% (compress+li 10%); level 4 (zlib's first lazy
+#: level) grew them 6% (compress+li 30%); level 5 shrank them 4.5%
+#: (compress+li +5%) for ~20% more encode time on the writer's pool.
+DEFAULT_COMPRESSLEVEL = 5
 
 _LE = sys.byteorder == "little"
 
@@ -95,13 +101,13 @@ _LE = sys.byteorder == "little"
 _MODE_VARINT = 0xFF
 _VMODE_COLUMNS = 0
 
-#: Pool size for the pipelined codec (writer compression / reader
-#: prefetch).  ``0`` runs everything inline on the caller's thread.
+#: Pool size for the writer's frame compression.  ``0`` compresses
+#: inline on the caller's thread.  The reader always decodes inline.
 CODEC_THREADS_ENV = "REPRO_CODEC_THREADS"
 
 
 def codec_threads() -> int:
-    """Resolve the codec thread-pool size.
+    """Resolve the writer's codec thread-pool size.
 
     ``REPRO_CODEC_THREADS`` wins when set (0 disables the pool);
     otherwise single-CPU hosts stay serial — zlib releases the GIL,
@@ -792,9 +798,9 @@ class TraceReader:
             raise self._err(f"corrupt chunk {i} (short frame)")
         return comp
 
-    def _decode_frame(self, i: int, comp: bytes) -> ColumnarTrace:
-        """Inflate + decode one frame payload (thread-safe: touches no
-        reader state besides immutable footer fields)."""
+    def chunk(self, i: int) -> ColumnarTrace:
+        """Decode chunk ``i`` (O(1) seek via the footer index)."""
+        comp = self._read_frame(i)
         entry = self.index[i]
         try:
             raw = zlib.decompress(comp)
@@ -810,41 +816,14 @@ class TraceReader:
             raise self._err(f"corrupt chunk {i} (instruction count mismatch)")
         return ct
 
-    def chunk(self, i: int) -> ColumnarTrace:
-        """Decode chunk ``i`` (O(1) seek via the footer index)."""
-        return self._decode_frame(i, self._read_frame(i))
-
-    def chunks(self, *, prefetch: int | None = None) -> Iterator[ColumnarTrace]:
-        """Yield chunks in stream order.
-
-        With ``prefetch=K > 0`` (default: :func:`codec_threads`) the
-        next K frames are read ahead and inflated + decoded on a
-        thread pool while the consumer works on the current chunk.
-        Frame reads stay on the consumer's thread (one seek cursor);
-        only the CPU-bound inflate/decode is offloaded.  At most
-        ``K + 2`` decoded chunks are ever live — K in flight, the one
-        being yielded, and the consumer's previous one — so memory
-        stays O(K · chunk) regardless of file size.
-        """
-        k = codec_threads() if prefetch is None else max(0, prefetch)
-        n = len(self.index)
-        if not k or n <= 1:
-            for i in range(n):
-                yield self.chunk(i)
-            return
-        pool = ThreadPoolExecutor(
-            min(k, 8), thread_name_prefix="repro-codec-r")
-        try:
-            pending: deque = deque()
-            for i in range(n):
-                while len(pending) < k and (j := i + len(pending)) < n:
-                    pending.append(
-                        pool.submit(self._decode_frame, j, self._read_frame(j)))
-                yield pending.popleft().result()
-        finally:
-            for fut in pending:
-                fut.cancel()
-            pool.shutdown(wait=True, cancel_futures=True)
+    def chunks(self) -> Iterator[ColumnarTrace]:
+        """Yield chunks in stream order, each decoded on the caller's
+        thread when asked for: at most two decoded chunks are live,
+        the one yielded and the consumer's previous one.  Frames carry
+        their own counts, so a file written at any chunk size reads
+        back the same way."""
+        for i in range(len(self.index)):
+            yield self.chunk(i)
 
     def close(self) -> None:
         if self._fh is not None:

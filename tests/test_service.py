@@ -502,6 +502,66 @@ class TestCrashedWorkerSweep:
         assert summary["complete"] and summary["worker_crashes"] == 1
 
 
+def _children(pid: int) -> list[int]:
+    """The pids whose parent is ``pid`` (read from ``/proc``)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    stat = fh.read()
+            except OSError:
+                continue
+            if int(stat.rpartition(")")[2].split()[1]) == pid:
+                found.append(int(entry))
+    return found
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+class TestServeShutdown:
+    def test_sigterm_stops_the_workers(self, cache_dir):
+        """``repro serve --workers 1`` stopped by SIGTERM terminates its
+        ``repro worker --forever`` child before it exits."""
+        import select
+        import signal
+
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--budget", "1000", "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            env=os.environ.copy())
+        workers: list[int] = []
+        try:
+            # the worker is spawned before the server listens
+            ready, _, _ = select.select([server.stdout], [], [], 60)
+            assert ready and b"listening" in server.stdout.readline()
+            workers = _children(server.pid)
+            assert len(workers) == 1
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=10) == 0
+            deadline = time.monotonic() + 10
+            while _running(workers[0]) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(workers[0])
+        finally:
+            for pid in [server.pid, *workers]:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            server.wait()
+            server.stdout.close()
+
+
 def _serve_rounds(frontend, rounds, between=None):
     """Fetch each round of targets from one server over ``frontend``;
     ``between(round_index)`` runs on the event loop before every round

@@ -405,6 +405,40 @@ class TestBeyondRAM:
         assert got["rtm_invalidations"] == rtm.rtm_invalidations
 
 
+class TestDrainMemory:
+    """A drain holds about one chunk of trace whatever the budget."""
+
+    def test_cold_profile_peak_is_flat_in_the_budget(self, tmp_path,
+                                                     monkeypatch):
+        """The tracemalloc peak of a cold streamed ``run_profile`` (it
+        executes and tees into the cache) grows by at most 20% from
+        100k to 400k instructions.  The writer keeps up to its pool
+        size + 2 chunks in flight, so the pool is pinned to one thread
+        for a bound that does not depend on the host's CPUs."""
+        import tracemalloc
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_CODEC_THREADS", "1")
+
+        def config(budget):
+            return ExperimentConfig(max_instructions=budget,
+                                    workloads=("tomcatv",),
+                                    reuse_latencies=(1,), proportional_ks=())
+
+        run_profile("tomcatv", config(2_000))  # compile, import, warm up
+        peaks = []
+        for budget in (100_000, 400_000):
+            tracemalloc.start()
+            try:
+                run_profile("tomcatv", config(budget))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], (
+            f"peak {peaks[0] / 2**20:.1f} MB at 100k, "
+            f"{peaks[1] / 2**20:.1f} MB at 400k")
+
+
 class TestDirectStream:
     """The tee'd execute→analyze path: one execution feeds the analysis
     *and* persists the cache entry, bit-identical to the oracle and

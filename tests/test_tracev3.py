@@ -489,46 +489,67 @@ class TestThreadedCodec:
         assert codec_threads() == 0
 
 
-class TestPrefetchReader:
-    @pytest.mark.parametrize("prefetch", (1, 3))
-    def test_prefetch_holds_at_most_k_plus_two(self, tmp_path, prefetch):
-        """Read-ahead is bounded: with ``prefetch=K`` at most K + 2
-        decoded chunks are ever live (K in flight plus the yielded one
-        plus the consumer's previous one); counted via the gc as in
-        ``TestBoundedMemory``."""
+class TestInlineReader:
+    """The reader decodes each chunk on the caller's thread when it is
+    asked for, whatever ``REPRO_CODEC_THREADS`` says (it sizes only the
+    writer's pool)."""
+
+    def test_holds_at_most_two_chunks_on_the_callers_thread(
+            self, tmp_path, monkeypatch):
+        """At most 2 decoded chunks live (the one yielded and the
+        consumer's previous one), gc-counted as in
+        ``TestBoundedMemory``, and no thread is started."""
+        import threading
+
         from repro.vm.trace import ColumnarTrace
 
+        monkeypatch.setenv("REPRO_CODEC_THREADS", "4")
         trace = run_workload("compress", max_instructions=4_000)
         path = tmp_path / "many.trace"
-        write_stream(trace, path, chunk_size=100)  # 40 chunks
+        write_stream(trace, path, chunk_size=100, threads=0)  # 40 chunks
         del trace
         gc.collect()
         baseline = sum(1 for o in gc.get_objects()
                        if isinstance(o, ColumnarTrace))
+        threads = threading.active_count()
         seen = 0
         max_live = 0
         with TraceReader(path) as reader:
-            for chunk in reader.chunks(prefetch=prefetch):
+            for chunk in reader.chunks():
                 seen += 1
-                del chunk
+                assert threading.active_count() == threads
                 gc.collect()
                 live = sum(1 for o in gc.get_objects()
                            if isinstance(o, ColumnarTrace)) - baseline
                 max_live = max(max_live, live)
         assert seen == 40
-        assert max_live <= prefetch + 2, (
-            f"{max_live} chunks live with prefetch={prefetch}")
+        assert max_live <= 2, f"{max_live} chunks live at once"
 
-    def test_prefetch_yields_identical_chunks(self, tmp_path):
+    def test_chunks_match_random_access(self, tmp_path):
         trace = run_workload("li", max_instructions=1_500)
         path = tmp_path / "t.trace"
         write_stream(trace, path, chunk_size=128)
         with TraceReader(path) as reader:
-            plain = [c for c in reader.chunks(prefetch=0)]
-            ahead = [c for c in reader.chunks(prefetch=4)]
-        assert len(plain) == len(ahead)
-        for a, b in zip(plain, ahead):
-            assert trace_identical(a, b)
+            chunks = list(reader.chunks())
+            assert len(chunks) == reader.chunk_count == 12
+            for i, chunk in enumerate(chunks):
+                assert trace_identical(chunk, reader.chunk(i))
+
+    def test_one_chunk_size_from_execution_to_frame(self):
+        from repro.vm import tracestream, tracev3
+
+        assert tracestream.DEFAULT_CHUNK_SIZE is tracev3.DEFAULT_CHUNK_SIZE
+
+    def test_64k_frames_still_load(self, tmp_path):
+        """Frames carry their own counts: a file written with the
+        earlier 65536-instruction frames reads back at today's size."""
+        trace = run_workload("compress", max_instructions=70_000)
+        path = tmp_path / "wide.trace"
+        write_stream(trace, path, chunk_size=65536)
+        with TraceReader(path) as reader:
+            assert reader.chunk_size == 65536
+            assert [e.count for e in reader.index] == [65536, 70_000 - 65536]
+        assert trace_identical(load_trace(path), trace)
 
 
 class TestInfoColumns:
@@ -573,7 +594,7 @@ def _read_everything(path):
     with TraceReader(path) as reader:
         meta = (reader.program_name, reader.halted, reader.truncated,
                 reader.count, reader.chunk_size, reader.index)
-        return meta, list(reader.chunks(prefetch=0))
+        return meta, list(reader.chunks())
 
 
 def _footer_at(raw: bytes) -> int:
