@@ -494,16 +494,18 @@ class TestInlineReader:
     asked for, whatever ``REPRO_CODEC_THREADS`` says (it sizes only the
     writer's pool)."""
 
+    @pytest.mark.parametrize("codec_threads", (1, 3))
     def test_holds_at_most_two_chunks_on_the_callers_thread(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, codec_threads):
         """At most 2 decoded chunks live (the one yielded and the
         consumer's previous one), gc-counted as in
-        ``TestBoundedMemory``, and no thread is started."""
+        ``TestBoundedMemory``, and no thread is started, whatever the
+        codec thread count."""
         import threading
 
         from repro.vm.trace import ColumnarTrace
 
-        monkeypatch.setenv("REPRO_CODEC_THREADS", "4")
+        monkeypatch.setenv("REPRO_CODEC_THREADS", str(codec_threads))
         trace = run_workload("compress", max_instructions=4_000)
         path = tmp_path / "many.trace"
         write_stream(trace, path, chunk_size=100, threads=0)  # 40 chunks
