@@ -120,41 +120,26 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    """Reusability, trace shape and base/ILR/TLR timing for one kernel.
+    """Reusability, trace shape and base/ILR/TLR timing for one kernel:
+    its :func:`~repro.exp.runner.run_profile` at reuse latency 1, so a
+    warm run is a profile-cache hit."""
+    from repro.exp.runner import run_profile
 
-    The trace is consumed as a chunk stream and all six scenarios fold
-    inside one :class:`StreamingDataflowEngine` drain (O(chunk)
-    memory).
-    """
-    from repro.dataflow.model import Scenario
-    from repro.dataflow.streaming import StreamingDataflowEngine
-    from repro.workloads.base import stream_workload
-
-    scenarios = []
-    for window in (None, args.window):
-        scenarios.append(Scenario("base", window_size=window))
-        scenarios.append(Scenario("ilr", window_size=window, latency=1.0))
-        scenarios.append(Scenario("tlr", window_size=window, latency=1.0))
-
-    def drain(stream):
-        engine = StreamingDataflowEngine(stream)
-        return engine, engine.analyze_all(scenarios)
-
-    engine, results = tracecache.drain_healing(
-        lambda: stream_workload(args.workload, max_instructions=args.budget,
-                                use_cache=not args.no_cache),
-        drain,
-    )
-    stats = engine.io_stats
-    print(f"{args.workload}: {engine.n} instructions, "
-          f"{engine.reuse.percent_reusable:.1f}% reusable, "
+    profile = run_profile(args.workload, ExperimentConfig(
+        max_instructions=args.budget, window_size=args.window,
+        reuse_latencies=(1,), proportional_ks=(),
+        use_cache=not args.no_cache))
+    stats = profile.io_stats
+    print(f"{args.workload}: {profile.dynamic_count} instructions, "
+          f"{profile.percent_reusable:.1f}% reusable, "
           f"{stats.trace_count} traces (avg {stats.avg_trace_size:.1f} instr, "
           f"{stats.avg_inputs:.1f} in / {stats.avg_outputs:.1f} out)")
-    rows = []
-    for i, window in enumerate((None, args.window)):
-        base, ilr, tlr = results[3 * i:3 * i + 3]
-        label = "infinite" if window is None else f"W={args.window}"
-        rows.append([label, base.ipc, ilr.speedup_over(base), tlr.speedup_over(base)])
+    rows = [
+        ["infinite", profile.base_ipc_inf, profile.ilr_speedup_inf[1],
+         profile.tlr_speedup_inf[1]],
+        [f"W={args.window}", profile.base_ipc_win, profile.ilr_speedup_win[1],
+         profile.tlr_speedup_win[1]],
+    ]
     print(format_table(["window", "base_ipc", "ilr_speedup", "tlr_speedup"], rows))
     return 0
 

@@ -26,86 +26,75 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.isa.opcodes import OpClass, Opcode, op_class
+from repro.isa.registers import FP_REG_BASE
+from repro.isa.table import ISA
 from repro.vm.program import Program
 
-#: Registers read / written per opcode, in terms of Instruction fields.
-#: ``"mem"`` in reads/writes marks a memory access through ``rs1+imm``.
-#: FP operand fields index the FP register file; the flat location ids
-#: used by :func:`inst_reads` / :func:`inst_writes` fold that in.
-_FP_DEST = frozenset({
-    Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV, Opcode.FSQRT,
-    Opcode.FNEG, Opcode.FABS, Opcode.FMOV, Opcode.FLI, Opcode.CVTIF,
-})
-_FP_SRC = frozenset({
-    Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV, Opcode.FSQRT,
-    Opcode.FNEG, Opcode.FABS, Opcode.FMOV, Opcode.CVTFI,
-    Opcode.FEQ, Opcode.FLT, Opcode.FLE, Opcode.FSW,
-})
-
-_R3_OPS = frozenset({
-    Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-    Opcode.SLL, Opcode.SRL, Opcode.SRA, Opcode.SLT, Opcode.SEQ,
-    Opcode.MUL, Opcode.DIV, Opcode.REM,
-    Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV,
-    Opcode.FEQ, Opcode.FLT, Opcode.FLE,
-})
-_R2I_OPS = frozenset({
-    Opcode.ADDI, Opcode.ANDI, Opcode.ORI, Opcode.XORI, Opcode.SLLI,
-    Opcode.SRLI, Opcode.SRAI, Opcode.SLTI, Opcode.MULI,
-})
-_R2_OPS = frozenset({
-    Opcode.MOV, Opcode.FSQRT, Opcode.FNEG, Opcode.FABS, Opcode.FMOV,
-    Opcode.CVTIF, Opcode.CVTFI,
-})
-_BRANCH_OPS = frozenset({
-    Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE, Opcode.BLE, Opcode.BGT,
-})
-
-#: Fp registers live in a disjoint id space in the analyses below.
-FP_BASE = 32
+#: Branch opcodes: the blocks they end have two successors.
+_BRANCHES = frozenset(op for op, s in ISA.items() if s.cls is OpClass.BRANCH)
 #: Trip count assumed for loops whose bounds resist static inference.
 DEFAULT_TRIP_COUNT = 16
 
+#: The one place the analyses depart from the ISA table: ``flw``'s
+#: destination is read as an integer register (the machine writes an
+#: fp one).  Every static answer, and the error bands in
+#: ``BENCH_static.json``, were recorded with it; ROADMAP item 10.
+_INT_DEST = Opcode.FLW
 
-def _fp_src(inst) -> bool:
-    return inst.op in _FP_SRC
+
+def _location_bases(op: Opcode) -> tuple[int | None, int | None, int | None]:
+    """The location id of register 0 in the file ``op`` reads rs1 from,
+    reads rs2 from and writes rd to (``None``: the field is unused), by
+    the rule the machine's tiers apply: an ``s`` or memory operand reads
+    rs1, a ``t`` operand reads rs2, and a ``d`` operand writes rd."""
+    spec = ISA[op]
+    fmt = spec.operands
+    dfile, sfile, tfile = spec.files
+    if op is _INT_DEST:
+        dfile = "i"
+
+    def base(file: str) -> int:
+        return FP_REG_BASE if file == "f" else 0
+
+    return (
+        base(sfile) if "s" in fmt or spec.is_load or spec.is_store else None,
+        base(tfile) if "t" in fmt else None,
+        base(dfile) if "d" in fmt else None,
+    )
+
+
+_BASES = {op: _location_bases(op) for op in Opcode}
+
+
+def stored_value(inst) -> int:
+    """Location id of the register a store writes to memory (``r0``
+    included)."""
+    return _BASES[inst.op][1] + inst.rs2
 
 
 def reg_reads(inst) -> tuple[int, ...]:
-    """Register ids read by a static instruction (fp offset by 32).
+    """Location ids of the registers a static instruction reads, rs1
+    before rs2.
 
     ``r0`` is hardwired zero, so it never appears as a read — its
     value cannot vary, which matters for the variance analysis.
     """
-    op = inst.op
-    fp = FP_BASE if _fp_src(inst) else 0
-    out: list[int] = []
-    if op in _R3_OPS:
-        out = [fp + inst.rs1, fp + inst.rs2]
-    elif op in _R2I_OPS or op in (Opcode.LW, Opcode.FLW):
-        out = [inst.rs1]
-    elif op in _R2_OPS:
-        out = [fp + inst.rs1] if op != Opcode.CVTIF else [inst.rs1]
-    elif op in (Opcode.SW, Opcode.FSW):
-        out = [inst.rs1, (FP_BASE if op is Opcode.FSW else 0) + inst.rs2]
-    elif op in _BRANCH_OPS:
-        out = [inst.rs1, inst.rs2]
-    elif op is Opcode.JR:
-        out = [inst.rs1]
-    return tuple(r for r in out if r != 0)
+    s, t, _ = _BASES[inst.op]
+    out = ()
+    if s is not None and s + inst.rs1:
+        out = (s + inst.rs1,)
+    if t is not None and t + inst.rs2:
+        out += (t + inst.rs2,)
+    return out
 
 
 def reg_writes(inst) -> tuple[int, ...]:
-    """Register ids written by a static instruction (fp offset by 32)."""
-    op = inst.op
-    if op in (Opcode.SW, Opcode.FSW) or op in _BRANCH_OPS or op in (
-        Opcode.J, Opcode.JR, Opcode.NOP, Opcode.HALT,
-    ):
+    """Location ids of the registers a static instruction writes
+    (writes to ``r0`` are dropped by the machine)."""
+    d = _BASES[inst.op][2]
+    if d is None or not d + inst.rd:
         return ()
-    rd = (FP_BASE if op in _FP_DEST else 0) + inst.rd
-    if rd == 0:  # writes to r0 are dropped by the machine
-        return ()
-    return (rd,)
+    return (d + inst.rd,)
 
 
 @dataclass(slots=True)
@@ -190,7 +179,7 @@ def build_cfg(program: Program) -> ControlFlowGraph:
     leaders = {0}
     for pc, inst in enumerate(insts):
         op = inst.op
-        if op in _BRANCH_OPS or op in (Opcode.J, Opcode.JAL):
+        if op in _BRANCHES or op in (Opcode.J, Opcode.JAL):
             target = int(inst.imm)
             if 0 <= target < n:
                 leaders.add(target)
@@ -214,7 +203,7 @@ def build_cfg(program: Program) -> ControlFlowGraph:
         last = insts[block.stop - 1]
         op = last.op
         out: list[int] = []
-        if op in _BRANCH_OPS:
+        if op in _BRANCHES:
             target = int(last.imm)
             if 0 <= target < n:
                 out.append(cfg.block_of[target])
@@ -451,7 +440,7 @@ def infer_trip_count(
     for b in loop.blocks:
         block = cfg.blocks[b]
         last = insts[block.stop - 1]
-        if last.op not in _BRANCH_OPS:
+        if last.op not in _BRANCHES:
             continue
         # the branch must decide between staying and leaving
         stays = [s for s in block.successors if s in loop.blocks]
@@ -724,7 +713,7 @@ def _solve_trips(
             taken = a == b
         elif op is Opcode.BNE:
             taken = a != b
-        else:  # pragma: no cover - _BRANCH_OPS is exhaustive
+        else:  # pragma: no cover - _BRANCHES is exhaustive
             return False
         return taken if taken_stays else not taken
 
@@ -862,11 +851,9 @@ def loop_value_cardinality(
     def transfer(inst) -> float | None:
         op = inst.op
         reads = reg_reads(inst)
-        if op in (Opcode.LI, Opcode.FLI):
-            return 1.0
         if op in _BOOL_OPS:
             return 2.0
-        if op in (Opcode.LW, Opcode.FLW):
+        if ISA[op].is_load:
             # the loaded value: bounded by the region's alphabet, and
             # by how many distinct addresses the base can form
             base = reads[0] if reads else None

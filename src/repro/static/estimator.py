@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.exp.runner import BenchmarkProfile
-from repro.isa.opcodes import Opcode
+from repro.isa.table import ISA
 from repro.static.cfg import (
     ControlFlowGraph,
     FrequencyEstimate,
@@ -49,23 +49,10 @@ from repro.static.cfg import (
     function_entry,
     reg_reads,
     reg_writes,
+    stored_value,
 )
 from repro.static.driver import AnalysisDriver, AnalysisUnit
 
-#: Ops whose input signature is empty — every instance after the first
-#: with the same pc is trivially reusable (constant loads, jumps).
-_NO_INPUT_OPS = frozenset({
-    Opcode.LI, Opcode.FLI, Opcode.J, Opcode.JAL, Opcode.NOP, Opcode.HALT,
-})
-_LOAD_OPS = frozenset({Opcode.LW, Opcode.FLW})
-_STORE_OPS = frozenset({Opcode.SW, Opcode.FSW})
-#: ops producing continuous FP values — trajectories essentially never
-#: revisit a value, so dependence chains through them cannot collapse
-_FP_VALUE_OPS = frozenset({
-    Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV, Opcode.FSQRT,
-    Opcode.FNEG, Opcode.FABS, Opcode.FMOV, Opcode.FLW, Opcode.FLI,
-    Opcode.CVTIF,
-})
 #: argument-passing registers (a0..a3) — what a call's signature
 #: variance flows through
 _ARG_REGS = (4, 5, 6, 7)
@@ -239,7 +226,7 @@ def _loop_store_density(cfg: ControlFlowGraph, loop: Loop) -> float:
     for b in loop.blocks:
         for pc in cfg.blocks[b].pcs():
             total += 1
-            if cfg.program.instructions[pc].op in _STORE_OPS:
+            if ISA[cfg.program.instructions[pc].op].is_store:
                 stores += 1
     return stores / total if total else 0.0
 
@@ -302,18 +289,16 @@ def _recurrence_ii(
             for dst in reg_writes(inst):
                 for src in reg_reads(inst):
                     edges.setdefault(src, []).append((dst, lat))
-            if inst.op in (Opcode.LW, Opcode.FLW):
+            spec = ISA[inst.op]
+            if spec.is_load:
                 node = slot_node(block, pc, inst)
                 if node is not None:
                     for dst in reg_writes(inst):
                         loads.append((node, dst, lat))
-            elif inst.op in (Opcode.SW, Opcode.FSW):
+            elif spec.is_store:
                 node = slot_node(block, pc, inst)
                 if node is not None:
-                    value = inst.rs2 + (
-                        32 if inst.op is Opcode.FSW else 0
-                    )
-                    stores.append((node, value, lat))
+                    stores.append((node, stored_value(inst), lat))
     # memory-carried recurrence: only slots both stored and reloaded
     # in the body serialise iterations (counter / accumulator slots)
     stored_nodes = {node for node, _, _ in stores}
@@ -378,14 +363,13 @@ def _memory_ii(cfg: ControlFlowGraph, loop: Loop) -> float:
         block = cfg.blocks[b]
         for pc in block.pcs():
             inst = cfg.program.instructions[pc]
-            if inst.op in _LOAD_OPS or inst.op in _STORE_OPS:
+            spec = ISA[inst.op]
+            if spec.is_load or spec.is_store:
                 node = slot_node(block, pc, inst)
                 if node is None:
                     continue
                 lat = float(max(inst.latency, 1))
-                side = (
-                    load_lat if inst.op in _LOAD_OPS else store_lat
-                )
+                side = load_lat if spec.is_load else store_lat
                 side[node] = max(side.get(node, 0.0), lat)
     best = 0.0
     for node in load_lat.keys() & store_lat.keys():
@@ -475,10 +459,10 @@ class StaticReuseEstimator:
             for pc in block.pcs():
                 inst = insts[pc]
                 reads = reg_reads(inst)
-                no_inputs = inst.op in _NO_INPUT_OPS or (
-                    not reads and inst.op not in _LOAD_OPS
-                )
-                if no_inputs:
+                is_load = ISA[inst.op].is_load
+                # an empty input signature (constants, jumps): every
+                # instance after the first at this pc is reusable
+                if not reads and not is_load:
                     distinct = 1.0
                     innermost_variant = None
                 else:
@@ -524,7 +508,7 @@ class StaticReuseEstimator:
                 else:
                     repeat = 0.0
                 rate = max(0.0, 1.0 - distinct / f) if f > 0 else 0.0
-                if inst.op in _LOAD_OPS:
+                if is_load:
                     scopes = list(chain)
                     if entry and ctx_loop is not None:
                         scopes.append(ctx_loop)
@@ -767,11 +751,11 @@ class StaticReuseEstimator:
             cycles = 0.0
             for m in call_insts:
                 lat = m.latency
-                # chains through continuous FP values never re-see a
-                # value, so reuse cannot shorten them
+                # chains through continuous FP values (an fp result)
+                # never re-see a value, so reuse cannot shorten them
                 gate = (
                     0.0
-                    if cfg.program.instructions[m.pc].op in _FP_VALUE_OPS
+                    if ISA[cfg.program.instructions[m.pc].op].files[0] == "f"
                     else 1.0
                 )
                 if rho is not None:

@@ -105,8 +105,10 @@ PROFILE_SCHEMA = 1
 #: Modules whose source defines what a trace *is*: editing any of them
 #: invalidates every cached trace.
 TRACE_MODULES = (
+    "repro.isa.instruction",
     "repro.isa.opcodes",
     "repro.isa.registers",
+    "repro.isa.table",
     "repro.vm.program",
     "repro.vm.assembler",
     "repro.vm.machine",

@@ -54,7 +54,6 @@ from repro.vm.trace import (
 )
 from repro.vm.tracev3 import (
     DEFAULT_CHUNK_SIZE,
-    DEFAULT_COMPRESSLEVEL,
     TraceReader,
     TraceWriter,
 )
@@ -305,7 +304,6 @@ def stream_length(traceish) -> int | None:
 
 def write_stream(stream, path: str | pathlib.Path, *,
                  chunk_size: int | None = None,
-                 compresslevel: int | None = None,
                  threads: int | None = None) -> int:
     """Drain a chunk stream into a v3 file; returns instructions written.
 
@@ -318,8 +316,6 @@ def write_stream(stream, path: str | pathlib.Path, *,
         program_name=getattr(stream, "program_name", "<anonymous>"),
         chunk_size=(chunk_size if chunk_size is not None
                     else DEFAULT_CHUNK_SIZE),
-        compresslevel=(compresslevel if compresslevel is not None
-                       else DEFAULT_COMPRESSLEVEL),
         threads=threads,
     )
     try:

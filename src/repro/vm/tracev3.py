@@ -83,7 +83,7 @@ _TAIL_LEN = 8 + len(TAIL_MAGIC)
 #: files ~29%, since every frame starts each column's deflate anew.
 DEFAULT_CHUNK_SIZE = 32768
 
-#: Default zlib level for chunk frames: the lowest that keeps 32Ki
+#: The zlib level of every chunk frame: the lowest that keeps 32Ki
 #: frames as small as the earlier 64Ki level-3 ones.  Each frame starts
 #: its columns' deflate anew, so at level 3 the halved frames grew the
 #: 14 kernels' files 8% (compress+li 10%); level 4 (zlib's first lazy
@@ -472,9 +472,9 @@ def decode_chunk(buf: bytes, *, program_name: str = "<anonymous>") -> ColumnarTr
 class TraceWriter:
     """Incremental writer for v3 trace files.
 
-    Instructions arrive via :meth:`append` (row form) or
-    :meth:`write_segment` (a columnar segment, e.g. one
-    ``Machine.run`` chunk); one compressed frame is flushed per
+    Instructions arrive as columnar segments via
+    :meth:`write_segment` (e.g. one ``Machine.run`` chunk); one frame,
+    deflated at :data:`DEFAULT_COMPRESSLEVEL`, is flushed per
     ``chunk_size`` instructions, so writer memory stays O(chunk)
     regardless of trace length.  A segment that arrives exactly
     chunk-aligned is emitted as-is, with no buffering copy — callers
@@ -500,7 +500,6 @@ class TraceWriter:
         *,
         program_name: str = "<anonymous>",
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        compresslevel: int = DEFAULT_COMPRESSLEVEL,
         threads: int | None = None,
     ) -> None:
         if chunk_size < 1:
@@ -515,7 +514,6 @@ class TraceWriter:
         self.halted = False
         self.truncated = False
         self.chunk_size = chunk_size
-        self._compresslevel = compresslevel
         self.threads = codec_threads() if threads is None else max(0, threads)
         self._pool = (
             ThreadPoolExecutor(
@@ -535,12 +533,6 @@ class TraceWriter:
         """Instructions accepted so far (flushed + pending)."""
         return (self._count + sum(c for _, c in self._inflight)
                 + len(self._pending))
-
-    def append(self, pc, op, reads, writes, latency, next_pc) -> None:
-        """Append one dynamic instruction."""
-        self._pending.append(pc, op, reads, writes, latency, next_pc)
-        if len(self._pending) >= self.chunk_size:
-            self._flush_full()
 
     def write_segment(self, segment: ColumnarTrace) -> None:
         """Append a columnar segment (any length; rechunked internally).
@@ -587,7 +579,7 @@ class TraceWriter:
         if self._pool is None:
             raw = encode_chunk(segment)
             self._write_frame(len(segment), len(raw),
-                              zlib.compress(raw, self._compresslevel))
+                              zlib.compress(raw, DEFAULT_COMPRESSLEVEL))
             return
         self._inflight.append(
             (self._pool.submit(self._encode_job, segment), len(segment)))
@@ -595,7 +587,7 @@ class TraceWriter:
 
     def _encode_job(self, segment: ColumnarTrace) -> tuple[int, bytes]:
         raw = encode_chunk(segment)
-        return len(raw), zlib.compress(raw, self._compresslevel)
+        return len(raw), zlib.compress(raw, DEFAULT_COMPRESSLEVEL)
 
     def _reap(self, *, max_inflight: int = 0) -> None:
         """Write completed frames in submission order; block only while

@@ -73,3 +73,18 @@ def test_digest_reads_what_inspect_reads(modules):
         h.update(name.encode())
         h.update(inspect.getsource(importlib.import_module(name)).encode())
     assert tracecache._modules_digest(names) == h.hexdigest()
+
+
+def test_trace_modules_cover_the_isa():
+    """Every ISA module the machine and the assembler load defines what
+    a trace is, so editing one must re-key every trace entry."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, repro.vm.machine, repro.vm.assembler\n"
+         "print(json.dumps(sorted(m for m in sys.modules"
+         " if m.startswith('repro.isa.'))))"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert "repro.isa.table" in loaded
+    assert set(loaded) - set(tracecache.TRACE_MODULES) == set()

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
 
 import repro.workloads  # registers the kernels
+from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import MEM_LOC_BASE
 from repro.lang.compiler import compile_source
@@ -23,6 +25,7 @@ from repro.static.cfg import (
 )
 from repro.vm.assembler import assemble
 from repro.vm.machine import Machine
+from repro.vm.program import Program
 from repro.workloads.base import all_workloads, build_program
 from repro.workloads.generators import rl_loop_nest
 
@@ -227,3 +230,41 @@ class TestAgreesWithTrace:
         "the static estimator out of its calibrated bands"))
     def test_flw_writes_agree(self, trace_disagreements):
         assert [d for d in trace_disagreements if d[0] == "writes"] == []
+
+
+def _step_disagreements(op: Opcode) -> list:
+    """Run ``op`` once through ``Machine.step`` (the hand-written
+    interpreter, which does not read the ISA table) with each of rd,
+    rs1 and rs2 either register 0 or a non-zero register, and return
+    ``(kind, rd, rs1, rs2, static, dynamic)`` wherever the register
+    locations it records, r0 and memory left out, differ from
+    ``reg_reads`` / ``reg_writes``.  Every int register holds 1 and
+    every fp register 1.0, so addresses, divisors and jump targets
+    stay valid; ``div``/``rem`` by r0 fault and are left out."""
+    out = []
+    for rd, rs1, rs2 in itertools.product((0, 3), (0, 1), (0, 2)):
+        if op in (Opcode.DIV, Opcode.REM) and rs2 == 0:
+            continue
+        inst = Instruction(op, rd=rd, rs1=rs1, rs2=rs2, imm=1, line=1)
+        machine = Machine(Program(
+            instructions=[inst, Instruction(Opcode.HALT, line=2)]))
+        machine.regs[1:] = [1] * (len(machine.regs) - 1)
+        machine.fregs[:] = [1.0] * len(machine.fregs)
+        record = machine.step()
+        for kind, pairs, static in (("reads", record.reads, reg_reads(inst)),
+                                    ("writes", record.writes,
+                                     reg_writes(inst))):
+            dynamic = tuple(loc for loc, _ in pairs if 0 < loc < MEM_LOC_BASE)
+            if dynamic != tuple(static):
+                out.append((kind, rd, rs1, rs2, static, dynamic))
+    return out
+
+
+@pytest.mark.parametrize("op", [
+    pytest.param(op, marks=pytest.mark.xfail(strict=True, reason=(
+        "reg_writes reads flw's destination as an integer register "
+        "(ROADMAP item 10)"))) if op is Opcode.FLW else op
+    for op in Opcode
+], ids=lambda op: op.name.lower())
+def test_operands_agree_with_step(op):
+    assert _step_disagreements(op) == []

@@ -23,7 +23,12 @@ from repro.exp.runner import run_profile
 from repro.lang import compile_source
 from repro.vm import tracecache
 from repro.vm.machine import Machine
-from repro.vm.trace import as_columnar, trace_identical
+from repro.vm.trace import (
+    ColumnarTrace,
+    as_columnar,
+    slice_columnar,
+    trace_identical,
+)
 from repro.vm.tracefile import (
     TraceFileError,
     load_trace,
@@ -84,20 +89,6 @@ class TestRoundTrip:
                 assert all(s == chunk_size for s in sizes[:-1])
                 assert 0 < sizes[-1] <= chunk_size
 
-    def test_incremental_writer_equals_batch(self, tmp_path):
-        """Row-by-row append and one-shot write produce equal files."""
-        trace = run_workload("li", max_instructions=500)
-        batch = tmp_path / "batch.trace"
-        write_stream(trace, batch, chunk_size=64)
-        rowwise = tmp_path / "rows.trace"
-        with TraceWriter(rowwise, program_name=trace.program_name,
-                         chunk_size=64) as writer:
-            for inst in trace:
-                writer.append(inst.pc, inst.op, inst.reads, inst.writes,
-                              inst.latency, inst.next_pc)
-            writer.close(halted=trace.halted, truncated=trace.truncated)
-        assert batch.read_bytes() == rowwise.read_bytes()
-
     def test_v2_v3_differential_all_kernels(self, tmp_path):
         """The v3 encoding of every kernel decodes to the executed
         trace (v2, its former reference, is retired)."""
@@ -151,7 +142,7 @@ class TestGeneratedPrograms:
     @given(source=rl_programs(), chunk_size=st.sampled_from(CHUNK_SIZES))
     def test_roundtrip_generated(self, tmp_path, source, chunk_size):
         from repro.vm.errors import VMError
-        from repro.vm.trace import ColumnarTrace, extend_columnar
+        from repro.vm.trace import extend_columnar
 
         program = compile_source(source)
         try:
@@ -368,12 +359,14 @@ class TestValueModes:
 
     @pytest.mark.parametrize("threads", [0, 2])
     def test_writer_refuses_non_numeric_values(self, tmp_path, threads):
+        segment = ColumnarTrace()
+        for i in range(4):
+            segment.append(i, 0, [(1, True)], [(2, 3)], 1, i + 1)
         writer = TraceWriter(tmp_path / "bool.trace", threads=threads,
                              chunk_size=4)
         try:
             with pytest.raises(TraceFileError, match="bool"):
-                for i in range(4):
-                    writer.append(i, 0, [(1, True)], [(2, 3)], 1, i + 1)
+                writer.write_segment(segment)
                 writer.close()
         finally:
             writer.abort()
@@ -385,8 +378,6 @@ class TestBoundedMemory:
         point at most ~2 may be alive (the one just yielded plus the
         one being decoded).  ``ColumnarTrace`` is a slots class without
         ``__weakref__``, so liveness is counted via the gc instead."""
-        from repro.vm.trace import ColumnarTrace
-
         trace = run_workload("compress", max_instructions=4_000)
         path = tmp_path / "many.trace"
         write_stream(trace, path, chunk_size=100)  # 40 chunks
@@ -408,14 +399,20 @@ class TestBoundedMemory:
         assert max_live <= 2, f"{max_live} chunks live at once"
 
     def test_writer_pending_stays_bounded(self, tmp_path):
+        """Segments that straddle frames stay O(chunk) pending and
+        write the bytes of one batch write."""
         trace = run_workload("li", max_instructions=2_000)
         path = tmp_path / "w.trace"
-        with TraceWriter(path, chunk_size=128) as writer:
-            for inst in trace:
-                writer.append(inst.pc, inst.op, inst.reads, inst.writes,
-                              inst.latency, inst.next_pc)
+        with TraceWriter(path, program_name=trace.program_name,
+                         chunk_size=128) as writer:
+            for start in range(0, len(trace), 50):
+                writer.write_segment(
+                    slice_columnar(trace, start, start + 50))
                 assert len(writer._pending) < 128
-            writer.close()
+            writer.close(halted=trace.halted, truncated=trace.truncated)
+        batch = tmp_path / "batch.trace"
+        write_stream(trace, batch, chunk_size=128)
+        assert path.read_bytes() == batch.read_bytes()
 
 
 class TestInfo:
@@ -502,8 +499,6 @@ class TestInlineReader:
         ``TestBoundedMemory``, and no thread is started, whatever the
         codec thread count."""
         import threading
-
-        from repro.vm.trace import ColumnarTrace
 
         monkeypatch.setenv("REPRO_CODEC_THREADS", str(codec_threads))
         trace = run_workload("compress", max_instructions=4_000)
